@@ -4,7 +4,6 @@ from .baseline import BaselineColorTable, baseline_colors
 from .bundling import (
     BundleWeightMatrix,
     DetectionParams,
-    build_spatial_index,
     build_weight_matrix,
     detect_pair,
     required_run_length,
@@ -55,7 +54,6 @@ __all__ = [
     "RenderOptions",
     "baseline_colors",
     "build_dissimilarity_matrix",
-    "build_spatial_index",
     "build_weight_matrix",
     "colors_to_display",
     "detect_pair",

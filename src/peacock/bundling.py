@@ -4,12 +4,14 @@ Two edges count as bundled (directionally, i against j) when some run of
 consecutive control points of edge i all lie within a distance threshold
 of edge j's control points. The weight matrix holds 1 for bundled
 ordered pairs and a small user tradeoff weight for everything else.
+
+Detection is one array pass over all control points of the layout: a
+uniform grid yields the point pairs within the threshold, and sorting
+the resulting (partner edge, control) pairs yields every maximal run.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,10 @@ from .model import EdgeCurve, GraphLayout, layout_extent
 
 # Dense M x M storage guard; sparse matrices are out of scope.
 MAX_DENSE_EDGES = 20_000
+
+# Candidate point pairs examined per batch. Batches hold whole edges, so
+# transient memory is bounded by this budget or by one edge's candidates.
+PAIR_BUDGET = 1 << 16
 
 
 class ParameterError(ValueError):
@@ -69,12 +75,15 @@ class BundleWeightMatrix:
 
     `bundled_flag[i, j]` is the raw directional detection; `weights` is 1
     where flagged, epsilon elsewhere, 0 on the diagonal. The matrix may
-    be asymmetric.
+    be asymmetric. Row n of `runs` is the (start, end) control index of
+    the first maximal qualifying run of the n-th flagged pair, in
+    `np.nonzero(bundled_flag)` order.
     """
 
     m: int
     weights: np.ndarray
     bundled_flag: np.ndarray
+    runs: np.ndarray
 
     def __post_init__(self):
         if self.m > MAX_DENSE_EDGES:
@@ -83,151 +92,155 @@ class BundleWeightMatrix:
             )
         if self.weights.shape != (self.m, self.m) or self.bundled_flag.shape != (self.m, self.m):
             raise ValueError("matrix shape mismatch")
+        if self.runs.shape != (self.bundled_pair_count, 2):
+            raise ValueError("runs must hold one (start, end) row per flagged pair")
         self.weights.setflags(write=False)
         self.bundled_flag.setflags(write=False)
+        self.runs.setflags(write=False)
 
     @property
     def bundled_pair_count(self) -> int:
         return int(self.bundled_flag.sum())
 
 
-def required_run_length(c_i: int, c_j: int, k_min: float) -> int:
-    """Run length required for a pair with c_i and c_j control points."""
-    return max(1, math.floor(max(c_i, c_j) * k_min))
+def required_run_length(c_i, c_j, k_min: float):
+    """Run length required for c_i and c_j control points (scalars or arrays)."""
+    return np.maximum(1, np.floor(np.maximum(c_i, c_j) * k_min).astype(np.int64))
 
 
-def proximity_flags(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float) -> np.ndarray:
-    """Boolean per control point of edge i: within t of some point of edge j."""
-    pi = edge_i.control_array()
-    pj = edge_j.control_array()
-    d2 = ((pi[:, None, :] - pj[None, :, :]) ** 2).sum(axis=2)
-    return d2.min(axis=1) <= t * t
+def _stack_controls(edges) -> tuple[np.ndarray, np.ndarray]:
+    """All control points as one (N, 2) array, plus per-edge offsets (M + 1)."""
+    offsets = np.cumsum([0] + [e.n_controls for e in edges])
+    points = np.array([(p.x, p.y) for e in edges for p in e.controls], dtype=float)
+    return points, offsets
 
 
-def _has_run(flags: np.ndarray, k: int) -> bool:
-    run = 0
-    for f in flags:
-        run = run + 1 if f else 0
-        if run >= k:
-            return True
-    return False
+def _grid(points: np.ndarray, t: float):
+    """Bucket points into square cells and find each cell's 3x3 neighbourhood.
+
+    Returns the points in cell order, each point's cell, and per cell the
+    start and size, in that order, of its nine neighbour cells (size 0
+    where a neighbour holds no point).
+    """
+    # The margin over t absorbs the rounding of (x - origin) / cell, so
+    # two points passing the exact distance test are never two cells apart.
+    cell = t + 16 * np.finfo(float).eps * (t + np.abs(points).max())
+    # Cell coordinates stay floats and are rank-compressed per axis, so no
+    # integer key can overflow however small t is against the extent.
+    q = np.floor((points - points.min(axis=0)) / cell)
+    ux, rx = np.unique(q[:, 0], return_inverse=True)
+    uy, ry = np.unique(q[:, 1], return_inverse=True)
+    key = rx * len(uy) + ry
+    order = np.argsort(key, kind="stable")
+    keys, cell_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    cx, cy = (c[:, None] for c in np.divmod(keys, len(uy)))
+    dx, dy = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+    nx, ny = np.clip(cx + dx, 0, len(ux) - 1), np.clip(cy + dy, 0, len(uy) - 1)
+    nkey = nx * len(uy) + ny
+    at = np.minimum(np.searchsorted(keys, nkey), len(keys) - 1)
+    found = (ux[nx] - ux[cx] == dx) & (uy[ny] - uy[cy] == dy) & (keys[at] == nkey)
+    starts = np.cumsum(sizes) - sizes
+    return order, cell_of, starts[at], np.where(found, sizes[at], 0)
+
+
+def near_pairs(points: np.ndarray, offsets: np.ndarray, t: float):
+    """Yield, one batch of whole edges at a time, the point pairs (p, q)
+    with p in the batch, q on another edge, and |p - q| <= t.
+
+    `offsets` delimits the points of each edge; the distance test is the
+    exact `dx*dx + dy*dy <= t*t`.
+    """
+    if t <= 0:
+        raise ParameterError("t must be > 0")
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    order, cell_of, lo, width = _grid(points, t)
+    x, y = points[:, 0], points[:, 1]
+    xs, ys, owner_s = x[order], y[order], owner[order]
+    cum = np.cumsum(np.add.reduceat(width.sum(axis=1)[cell_of], offsets[:-1]))
+    first = 0
+    while first < len(cum):
+        base = cum[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(cum, base + PAIR_BUDGET, side="right")))
+        pts = np.arange(offsets[first], offsets[last])
+        first = last
+
+        # Positions, in cell order, of every point of the nine neighbour
+        # cells of each point in the batch.
+        n = width[cell_of[pts]].ravel()
+        ends = np.cumsum(n)
+        at = np.repeat(lo[cell_of[pts]].ravel() - (ends - n), n) + np.arange(ends[-1])
+        per_point = n.reshape(-1, 9).sum(axis=1)
+        dx = xs[at] - np.repeat(x[pts], per_point)
+        dy = ys[at] - np.repeat(y[pts], per_point)
+        keep = (dx * dx + dy * dy <= t * t) & (owner_s[at] != np.repeat(owner[pts], per_point))
+        yield np.repeat(pts, per_point)[keep], order[at[keep]]
+
+
+def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_for):
+    """Flagged ordered pairs and the first maximal qualifying run of each.
+
+    A maximal run of edge i against edge j is a longest stretch of
+    consecutive controls of i that all lie within t of some control of
+    j; it qualifies when its length reaches `k_for(C_i, C_j)`. Returns
+    the pair codes i * M + j in ascending order and their (start, end)
+    control indices as a (P, 2) array.
+    """
+    m, n = len(offsets) - 1, len(points)
+    owner = np.repeat(np.arange(m), np.diff(offsets))
+    counts = np.diff(offsets)
+    pairs, runs = [np.empty(0, dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
+    for p, q in near_pairs(points, offsets, t):
+        # (partner, control) pairs in that order: each run is a stretch of
+        # consecutive controls of one edge under one partner.
+        if not p.size:
+            continue
+        code = np.sort(owner[q] * n + p)
+        code = code[np.concatenate(([True], np.diff(code) != 0))]
+        j, p = np.divmod(code, n)
+        cut = (np.diff(code) != 1) | (np.diff(owner[p]) != 0)
+        start = np.flatnonzero(np.concatenate(([True], cut)))
+        stop = np.append(start[1:], len(p)) - 1
+        i, j = owner[p[start]], j[start]
+        ok = stop - start + 1 >= k_for(counts[i], counts[j])
+        code, first = np.unique(i[ok] * m + j[ok], return_index=True)
+        lo = p[start[ok]][first] - offsets[i[ok]][first]
+        pairs.append(code)
+        runs.append(np.column_stack([lo, lo + (stop - start)[ok][first]]))
+    return np.concatenate(pairs), np.concatenate(runs)
+
+
+def first_run(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int):
+    """(start, end) of edge i's first maximal run of length >= k_ij against
+    edge j, or None."""
+    if k_ij < 1:
+        raise ParameterError("k_ij must be >= 1")
+    points, offsets = _stack_controls((edge_i, edge_j))
+    pairs, runs = _detect(points, offsets, t, lambda c_i, c_j: k_ij)
+    hit = np.flatnonzero(pairs == 1)  # code of (0, 1): edge i against edge j
+    return tuple(int(v) for v in runs[hit[0]]) if hit.size else None
 
 
 def detect_pair(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int) -> bool:
     """Directional detection: does edge i travel bundled with edge j?"""
-    if t <= 0:
-        raise ParameterError("t must be > 0")
-    if k_ij < 1:
-        raise ParameterError("k_ij must be >= 1")
-    if edge_i.n_controls < k_ij:
-        return False
-    return _has_run(proximity_flags(edge_i, edge_j, t), k_ij)
+    return first_run(edge_i, edge_j, t, k_ij) is not None
 
 
-class SpatialGrid:
-    """Uniform grid over the layout with cell size t.
-
-    Each cell maps to the (edge-id, control-index) pairs whose control
-    point falls inside it; a query scans the 3x3 neighborhood and filters
-    by exact distance, so results match a linear scan.
-    """
-
-    def __init__(self, layout: GraphLayout, t: float):
-        if t <= 0:
-            raise ParameterError("t must be > 0")
-        self.t = t
-        min_x, min_y, _, _ = layout.extent
-        self.origin = (min_x, min_y)
-        self.cells: dict[tuple[int, int], list[tuple[int, int, float, float]]] = defaultdict(list)
-        for e in layout.edges:
-            for k, p in enumerate(e.controls):
-                self.cells[self._cell(p.x, p.y)].append((e.id, k, p.x, p.y))
-
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (
-            math.floor((x - self.origin[0]) / self.t),
-            math.floor((y - self.origin[1]) / self.t),
-        )
-
-    def query(self, x: float, y: float) -> list[tuple[int, int]]:
-        """All (edge-id, control-index) within distance t of (x, y)."""
-        cx, cy = self._cell(x, y)
-        t2 = self.t * self.t
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for eid, k, px, py in self.cells.get((cx + dx, cy + dy), ()):
-                    if (px - x) ** 2 + (py - y) ** 2 <= t2:
-                        out.append((eid, k))
-        return out
-
-
-def build_spatial_index(layout: GraphLayout, t: float) -> SpatialGrid:
-    return SpatialGrid(layout, t)
-
-
-def _detect_flags_indexed(layout: GraphLayout, t: float, k_min: float) -> np.ndarray:
-    grid = SpatialGrid(layout, t)
-    m = layout.m
-    # near_edges[i][r]: edge ids with a control point within t of control r of edge i
-    near_edges = []
-    for e in layout.edges:
-        per_control = []
-        for p in e.controls:
-            per_control.append({eid for eid, _ in grid.query(p.x, p.y)})
-        near_edges.append(per_control)
-
-    flags = np.zeros((m, m), dtype=bool)
-    counts = [e.n_controls for e in layout.edges]
-    for i in range(m):
-        near_i = near_edges[i]
-        for j in range(m):
-            if i == j:
-                continue
-            k_ij = required_run_length(counts[i], counts[j], k_min)
-            if counts[i] < k_ij:
-                continue
-            run = 0
-            for sets in near_i:
-                run = run + 1 if j in sets else 0
-                if run >= k_ij:
-                    flags[i, j] = True
-                    break
-    return flags
-
-
-def _detect_flags_brute(layout: GraphLayout, t: float, k_min: float) -> np.ndarray:
-    m = layout.m
-    flags = np.zeros((m, m), dtype=bool)
-    for i, ei in enumerate(layout.edges):
-        for j, ej in enumerate(layout.edges):
-            if i == j:
-                continue
-            k_ij = required_run_length(ei.n_controls, ej.n_controls, k_min)
-            flags[i, j] = detect_pair(ei, ej, t, k_ij)
-    return flags
-
-
-def build_weight_matrix(
-    layout: GraphLayout, params: DetectionParams, *, use_index: bool = True
-) -> BundleWeightMatrix:
-    """Run pairwise detection for every ordered pair and apply the tradeoff.
-
-    The spatial-index path and the brute-force path (`use_index=False`)
-    produce identical results.
-    """
+def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
+    """Run pairwise detection for every ordered pair and apply the tradeoff."""
     if layout.m > MAX_DENSE_EDGES:
         raise ParameterError(
             f"dense weight matrix refused for M={layout.m} > {MAX_DENSE_EDGES}"
         )
     t = params.resolve_t(layout)
-    if use_index:
-        flags = _detect_flags_indexed(layout, t, params.k_min)
-    else:
-        flags = _detect_flags_brute(layout, t, params.k_min)
+    points, offsets = _stack_controls(layout.edges)
+    pairs, runs = _detect(
+        points, offsets, t, lambda c_i, c_j: required_run_length(c_i, c_j, params.k_min)
+    )
+    flags = np.zeros((layout.m, layout.m), dtype=bool)
+    flags.flat[pairs] = True
     weights = np.where(flags, 1.0, params.epsilon)
     np.fill_diagonal(weights, 0.0)
-    return BundleWeightMatrix(m=layout.m, weights=weights, bundled_flag=flags)
+    return BundleWeightMatrix(m=layout.m, weights=weights, bundled_flag=flags, runs=runs)
 
 
 def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:

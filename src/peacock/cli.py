@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--method", choices=["peacock", "baseline"], default="peacock")
     color.add_argument("--init", choices=["endpoint-projection", "seeded-random"],
                        default="endpoint-projection")
-    color.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = all cores)")
     color.add_argument("--out-colors")
     color.add_argument("--out-svg")
     color.add_argument("--fans-only", action="store_true")
@@ -145,7 +143,6 @@ def _cmd_color(args) -> int:
         table = ColorTable(m=base.m, q=3, col=base.col.copy())
         diag = None
         weights = None
-        resolved_t = None
     else:
         cfg = OptimizerConfig(
             q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
@@ -153,7 +150,6 @@ def _cmd_color(args) -> int:
         )
         table, diag = run_peacock(layout, params, cfg)
         weights = diag.weight_matrix
-        resolved_t = diag.resolved_t
 
     if args.dump_bundles:
         if weights is None:
@@ -168,14 +164,7 @@ def _cmd_color(args) -> int:
     if args.out_svg:
         if args.fans_only and weights is None:
             weights = build_weight_matrix(layout, params)
-        if args.fans_only and resolved_t is None:
-            resolved_t = params.resolve_t(layout)
-        opts = RenderOptions(
-            fans_only=args.fans_only,
-            t=resolved_t,
-            k_min=args.kmin if args.fans_only else None,
-            weights=weights if args.fans_only else None,
-        )
+        opts = RenderOptions(fans_only=args.fans_only, weights=weights)
         with open(args.out_svg, "w") as fh:
             fh.write(render_svg(layout, colors_to_display(table), opts))
 

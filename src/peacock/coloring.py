@@ -77,7 +77,11 @@ class OptimizeResult:
     embedding: ColorEmbedding
     stress: float
     n_iters: int
-    converged: bool
+    stop_reason: str  # "tolerance", "max_iters" or "stress_increase"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
 
 def _pairwise_distances(y: np.ndarray) -> np.ndarray:
@@ -172,18 +176,20 @@ def optimize(
     y = emb.y
     s_prev = stress(emb, w, d)
     n_iters = 0
-    converged = False
+    stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         y = _guttman_update(y, w_sym, v_pinv, d.d)
         n_iters += 1
         emb = ColorEmbedding(m=w.m, q=cfg.q, y=y)
         s = stress(emb, w, d)
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
+            # A rise within the rounding error of the M*M-term stress sum is noise.
+            noise = w.m * w.m * np.finfo(float).eps * float((w.weights * d.d**2).sum())
+            stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
-            converged = True
             break
         s_prev = s
-    return OptimizeResult(embedding=emb, stress=s_prev, n_iters=n_iters, converged=converged)
+    return OptimizeResult(embedding=emb, stress=s_prev, n_iters=n_iters, stop_reason=stop_reason)
 
 
 def normalize_colors(y: ColorEmbedding, w: BundleWeightMatrix) -> ColorTable:

@@ -37,12 +37,16 @@ class StageError(Exception):
 class Diagnostics:
     stress: float = 0.0
     iterations: int = 0
-    converged: bool = False
+    stop_reason: str = ""
     bundled_pairs: int = 0
     stage_seconds: dict = field(default_factory=dict)
     # Kept for downstream consumers (fans-only rendering); not serialized.
     weight_matrix: BundleWeightMatrix | None = field(default=None, repr=False)
     resolved_t: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
 
 def _timed(diag: Diagnostics, stage: str, fn):
@@ -67,7 +71,7 @@ def run_peacock(
     result = _timed(diag, "optimize", lambda: optimize(w, d, cfg, layout))
     diag.stress = result.stress
     diag.iterations = result.n_iters
-    diag.converged = result.converged
+    diag.stop_reason = result.stop_reason
     table = _timed(diag, "normalize", lambda: normalize_colors(result.embedding, w))
     return table, diag
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundling import BundleWeightMatrix, proximity_flags, required_run_length
+from .bundling import BundleWeightMatrix, first_run
 from .model import EdgeCurve, GraphLayout, layout_extent
 
 _GRAY = (0.7, 0.7, 0.7)
@@ -34,34 +34,27 @@ class FanSegments:
     run_end: int
 
 
+def _fans(start, end, c_i):
+    """Fan-in and fan-out segment of runs (start, end) on edges with c_i
+    controls; -1 where the run touches that end of the edge."""
+    return np.where(start > 0, start - 1, -1), np.where(end < c_i - 1, end, -1)
+
+
 def find_fan_segments(
     edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int
 ) -> FanSegments:
     """Fan segments for the earliest qualifying run, extended maximally."""
-    flags = proximity_flags(edge_i, edge_j, t)
-    c = edge_i.n_controls
-    start = None
-    run = 0
-    for r in range(c):
-        run = run + 1 if flags[r] else 0
-        if run >= k_ij:
-            start = r - k_ij + 1
-            break
-    if start is None:
+    run = first_run(edge_i, edge_j, t, k_ij)
+    if run is None:
         raise ValueError(
             f"edges {edge_i.id} and {edge_j.id} are not bundled at t={t}, k={k_ij}"
         )
-    # Walk back to the true beginning of the run, then forward to its end.
-    while start > 0 and flags[start - 1]:
-        start -= 1
-    end = start
-    while end + 1 < c and flags[end + 1]:
-        end += 1
+    fan_in, fan_out = (int(s) for s in _fans(run[0], run[1], edge_i.n_controls))
     return FanSegments(
-        fan_in=start - 1 if start > 0 else None,
-        fan_out=end if end < c - 1 else None,
-        run_start=start,
-        run_end=end,
+        fan_in=fan_in if fan_in >= 0 else None,
+        fan_out=fan_out if fan_out >= 0 else None,
+        run_start=run[0],
+        run_end=run[1],
     )
 
 
@@ -71,9 +64,7 @@ class RenderOptions:
     opacity: float = 0.85
     show_nodes: bool = False
     fans_only: bool = False
-    # Needed only for fans_only: the detection threshold and run fraction.
-    t: float | None = None
-    k_min: float | None = None
+    # Needed only for fans_only: detection's flags and runs.
     weights: BundleWeightMatrix | None = field(default=None, compare=False)
 
 
@@ -103,26 +94,23 @@ def _polyline(points, color, width, opacity) -> str:
 
 
 def _fan_elements(layout, colors, opts) -> list[str]:
-    if opts.t is None or opts.k_min is None or opts.weights is None:
-        raise ValueError("fans_only rendering needs t, k_min and the weight matrix")
+    if opts.weights is None:
+        raise ValueError("fans_only rendering needs the weight matrix")
     parts = []
-    flagged = np.nonzero(opts.weights.bundled_flag)
-    fans_per_edge: dict[int, set[int]] = {}
-    for i, j in zip(*flagged):
-        ei, ej = layout.edges[i], layout.edges[j]
-        k_ij = required_run_length(ei.n_controls, ej.n_controls, opts.k_min)
-        fs = find_fan_segments(ei, ej, opts.t, k_ij)
-        segs = fans_per_edge.setdefault(int(i), set())
-        if fs.fan_in is not None:
-            segs.add(fs.fan_in)
-        if fs.fan_out is not None:
-            segs.add(fs.fan_out)
+    ii = np.nonzero(opts.weights.bundled_flag)[0]
+    counts = np.array([e.n_controls for e in layout.edges])
+    fan_in, fan_out = _fans(opts.weights.runs[:, 0], opts.weights.runs[:, 1], counts[ii])
+    edge = np.concatenate([ii, ii])
+    seg = np.concatenate([fan_in, fan_out])
+    width = counts.max()
+    fan_edge, fan_seg = np.divmod(np.unique(edge[seg >= 0] * width + seg[seg >= 0]), width)
+    bounds = np.searchsorted(fan_edge, np.arange(layout.m + 1))
     for e in layout.edges:
         parts.append(_polyline(_edge_points(e), _GRAY, opts.stroke_width, opts.opacity))
     for e in layout.edges:
         color = colors[e.id]
         cpts = [(p.x, p.y) for p in e.controls]
-        for s in sorted(fans_per_edge.get(e.id, ())):
+        for s in fan_seg[bounds[e.id] : bounds[e.id + 1]]:
             parts.append(
                 _polyline(cpts[s : s + 2], color, opts.stroke_width * 1.5, 1.0)
             )

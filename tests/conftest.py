@@ -48,6 +48,27 @@ def oracle_detect(edge_i, edge_j, t, k_ij):
     return False
 
 
+def oracle_first_run(edge_i, edge_j, t, k_ij):
+    """(start, end) of the first maximal run of at least k_ij controls of
+    edge i within t of edge j, traced point by point; None if there is none."""
+    near = [
+        min(math.dist(p, q) for q in edge_j.control_array()) <= t
+        for p in edge_i.control_array()
+    ]
+    r = 0
+    while r < len(near):
+        if not near[r]:
+            r += 1
+            continue
+        end = r
+        while end + 1 < len(near) and near[end + 1]:
+            end += 1
+        if end - r + 1 >= k_ij:
+            return (r, end)
+        r = end + 1
+    return None
+
+
 def oracle_flags(layout, t, k_min):
     m = layout.m
     flags = np.zeros((m, m), dtype=bool)

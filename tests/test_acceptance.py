@@ -39,11 +39,11 @@ def test_criterion_1_detection_oracle_equivalence():
         t = float(rng.uniform(2.0, 10.0))
         k_min = float(rng.uniform(0.1, 0.9))
         params = DetectionParams(t_abs=t, t_frac=None, k_min=k_min)
-        w = build_weight_matrix(layout, params)  # spatial-index path
+        w = build_weight_matrix(layout, params)
         assert (w.bundled_flag == oracle_flags(layout, t, k_min)).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(1, f"200 random layouts, index == brute force, {elapsed:.1f}s")
+    report(1, f"200 random layouts, array detection == oracle, {elapsed:.1f}s")
 
 
 def test_criterion_2_monotonicity():

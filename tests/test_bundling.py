@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_detect, oracle_flags, random_layout, rigid_transform
+from conftest import (
+    oracle_detect,
+    oracle_first_run,
+    oracle_flags,
+    random_layout,
+    rigid_transform,
+)
 
 from peacock.bundling import (
     DetectionParams,
     ParameterError,
-    SpatialGrid,
     build_weight_matrix,
     detect_pair,
     dump_bundled_pairs,
+    near_pairs,
     required_run_length,
 )
 from peacock.model import EdgeCurve, GraphLayout, Point2
@@ -18,6 +26,14 @@ from peacock.model import EdgeCurve, GraphLayout, Point2
 def make_edge(eid, points):
     pts = tuple(Point2(float(x), float(y)) for x, y in points)
     return EdgeCurve(id=eid, v1=pts[0], v2=pts[-1], controls=pts)
+
+
+def neighbours(points, offsets, t, query):
+    """Indices q with (query, q) among the near pairs."""
+    out = set()
+    for p, q in near_pairs(np.asarray(points, dtype=float), np.asarray(offsets), t):
+        out.update(int(b) for b in q[p == query])
+    return out
 
 
 class TestRequiredRunLength:
@@ -86,34 +102,35 @@ class TestDetectPair:
 
 
 class TestSpatialGrid:
+    """`near_pairs`: edge 0 holds the points, each query point is an edge
+    of its own."""
+
     def test_single_point_query(self):
-        layout = GraphLayout(edges=(make_edge(0, [(1, 1), (1, 1)]),))
-        grid = SpatialGrid(layout, t=2.0)
-        assert set(grid.query(1, 1)) == {(0, 0), (0, 1)}
+        assert neighbours([(1, 1), (1, 1), (1, 1)], [0, 2, 3], 2.0, query=2) == {0, 1}
 
     def test_exact_filter_excludes_beyond_t(self):
-        layout = GraphLayout(edges=(make_edge(0, [(0, 0), (0, 0)]),))
-        grid = SpatialGrid(layout, t=1.0)
-        assert grid.query(1.001, 0) == []
-        assert (0, 0) in grid.query(1.0, 0)
+        assert neighbours([(0, 0), (0, 0), (1.001, 0)], [0, 2, 3], 1.0, query=2) == set()
+        assert 0 in neighbours([(0, 0), (0, 0), (1.0, 0)], [0, 2, 3], 1.0, query=2)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 50, size=(500, 2))
-        controls = tuple(Point2(*p) for p in pts)
-        layout = GraphLayout(
-            edges=(EdgeCurve(id=0, v1=controls[0], v2=controls[-1], controls=controls),)
-        )
+        queries = rng.uniform(-5, 55, size=(100, 2))
         t = 3.0
-        grid = SpatialGrid(layout, t)
-        for _ in range(100):
-            q = rng.uniform(-5, 55, size=2)
+        points = np.vstack([pts, queries])
+        offsets = np.concatenate([[0], np.arange(500, 601)])
+        got = {k: set() for k in range(500, 600)}
+        for p, q in near_pairs(points, offsets, t):
+            for a, b in zip(p, q):
+                if a >= 500 and b < 500:
+                    got[int(a)].add(int(b))
+        for n, q in enumerate(queries):
             want = {
-                (0, k)
+                k
                 for k, p in enumerate(pts)
                 if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= t * t
             }
-            assert set(grid.query(*q)) == want
+            assert got[500 + n] == want
 
 
 class TestWeightMatrix:
@@ -153,9 +170,9 @@ class TestWeightMatrix:
         for _ in range(10):
             layout = random_layout(rng, m=int(rng.integers(2, 20)))
             params = DetectionParams(t_frac=rng.uniform(0.01, 0.2))
-            a = build_weight_matrix(layout, params, use_index=True)
-            b = build_weight_matrix(layout, params, use_index=False)
-            assert (a.bundled_flag == b.bundled_flag).all()
+            a = build_weight_matrix(layout, params)
+            b = oracle_flags(layout, params.resolve_t(layout), params.k_min)
+            assert (a.bundled_flag == b).all()
 
     def test_monotone_in_t(self):
         rng = np.random.default_rng(6)
@@ -219,3 +236,87 @@ class TestDetectionParams:
         layout = GraphLayout(edges=(e,))
         with pytest.raises(ParameterError, match="absolute"):
             DetectionParams().resolve_t(layout)
+
+
+def layout_from_points(controls):
+    return GraphLayout(
+        edges=tuple(make_edge(i, pts) for i, pts in enumerate(controls))
+    )
+
+
+@st.composite
+def lattice_layouts(draw):
+    """Controls on an integer lattice (exact arithmetic) with negative
+    coordinates, coincident points, single-control edges, points exactly
+    t apart and on cell boundaries, and t up to well past the extent."""
+    unit = draw(st.sampled_from([0.25, 1.0, 8.0]))
+    coord = st.integers(-6, 6).map(lambda v: v * unit)
+    controls = draw(
+        st.lists(st.lists(st.tuples(coord, coord), min_size=1, max_size=8), min_size=1, max_size=7)
+    )
+    t = unit * draw(st.integers(1, 30))
+    k_min = draw(st.floats(0.05, 1.0))
+    return layout_from_points(controls), t, k_min
+
+
+@st.composite
+def wide_layouts(draw):
+    """t = 1e-9 on a layout about 1e6 wide: controls sit in clusters a
+    few t across around three far-apart centres (exact offsets)."""
+    centre = st.sampled_from([-5e5, 3e5, 5e5])
+    offset = st.integers(-40, 40).map(lambda v: v * 2.0**-34)
+    point = st.tuples(centre, offset, centre, offset).map(lambda c: (c[0] + c[1], c[2] + c[3]))
+    controls = draw(
+        st.lists(st.lists(point, min_size=1, max_size=6), min_size=1, max_size=6)
+    )
+    return layout_from_points(controls), 1e-9, draw(st.floats(0.05, 1.0))
+
+
+def check_against_oracle(layout, t, k_min):
+    w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
+    assert (w.bundled_flag == oracle_flags(layout, t, k_min)).all()
+    for (i, j), run in zip(zip(*np.nonzero(w.bundled_flag)), w.runs):
+        ei, ej = layout.edges[i], layout.edges[j]
+        k_ij = required_run_length(ei.n_controls, ej.n_controls, k_min)
+        assert tuple(run) == oracle_first_run(ei, ej, t, k_ij)
+
+
+class TestDetectionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_layouts())
+    def test_lattice_layouts_match_oracle(self, case):
+        check_against_oracle(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(wide_layouts())
+    def test_tiny_t_on_wide_layout_matches_oracle(self, case):
+        check_against_oracle(*case)
+
+    def test_rounding_at_cell_edge_matches_oracle(self):
+        # x - origin = 1 - 2**-53 and 2.0 are cells 0 and 2 for a cell of
+        # exactly t = 1, yet the rounded distance passes the exact test.
+        layout = layout_from_points([[(0.0, 5.0)], [(1 - 2.0**-53, 0.0)], [(2.0, 0.0)]])
+        check_against_oracle(layout, 1.0, 1.0)
+        w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None))
+        assert w.bundled_flag[1, 2] and w.bundled_flag[2, 1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(lattice_layouts(), st.randoms(use_true_random=False))
+    def test_permuting_edge_ids_permutes_flags_and_runs(self, case, rnd):
+        layout, t, k_min = case
+        perm = list(range(layout.m))
+        rnd.shuffle(perm)
+        permuted = GraphLayout(
+            edges=tuple(
+                EdgeCurve(id=k, v1=e.v1, v2=e.v2, controls=e.controls)
+                for k, e in enumerate(layout.edges[p] for p in perm)
+            )
+        )
+        params = DetectionParams(t_abs=t, t_frac=None, k_min=k_min)
+        a = build_weight_matrix(layout, params)
+        b = build_weight_matrix(permuted, params)
+        perm = np.array(perm)
+        assert (b.bundled_flag == a.bundled_flag[np.ix_(perm, perm)]).all()
+        runs_a = {pair: tuple(r) for pair, r in zip(zip(*np.nonzero(a.bundled_flag)), a.runs)}
+        for (i, j), r in zip(zip(*np.nonzero(b.bundled_flag)), b.runs):
+            assert tuple(r) == runs_a[(perm[i], perm[j])]

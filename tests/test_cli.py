@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from peacock.cli import main
+from peacock.cli import build_parser, main
 
 
 @pytest.fixture
@@ -120,3 +123,19 @@ def test_crossing_gen(tmp_path):
     ) == 0
     doc = json.loads(path.read_text())
     assert len(doc["edges"]) == 12
+
+
+def test_readme_color_flags_match_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    paragraph = readme.split("`peacock color` flags", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        opt
+        for action in sub.choices["color"]._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert documented == parsed

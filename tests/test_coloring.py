@@ -24,7 +24,8 @@ def weight_matrix(flags, epsilon=0.0):
     weights = np.where(flags, 1.0, epsilon)
     np.fill_diagonal(weights, 0.0)
     np.fill_diagonal(flags, False)
-    return BundleWeightMatrix(m=m, weights=weights, bundled_flag=flags)
+    runs = np.zeros((int(flags.sum()), 2), dtype=np.int64)
+    return BundleWeightMatrix(m=m, weights=weights, bundled_flag=flags, runs=runs)
 
 
 def random_instance(rng, m, q, epsilon=0.1):
@@ -151,6 +152,37 @@ class TestOptimize:
         b = optimize(w, d, cfg, layout)
         assert (a.embedding.y == b.embedding.y).all()
         assert a.stress == b.stress and a.n_iters == b.n_iters
+
+    def test_stop_reason_tolerance(self):
+        # The two-point instance of acceptance criterion 5.
+        w = weight_matrix(np.array([[False, True], [True, False]]))
+        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
+        assert res.stop_reason == "tolerance"
+        assert res.converged
+
+    def test_stop_reason_max_iters(self, ordered_fixture):
+        from peacock.bundling import DetectionParams, build_weight_matrix
+        from peacock.dissimilarity import build_dissimilarity_matrix
+
+        layout = ordered_fixture.layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        res = optimize(w, d, OptimizerConfig(q=1, max_iters=1), layout)
+        assert res.n_iters == 1
+        assert res.stop_reason == "max_iters"
+        assert not res.converged
+
+    def test_stop_reason_stress_increase(self, monkeypatch):
+        # Guttman updates never raise stress, so stand in a step that does.
+        import peacock.coloring
+
+        monkeypatch.setattr(peacock.coloring, "_guttman_update", lambda y, *_: 3.0 * y)
+        w = weight_matrix(np.array([[False, True], [True, False]]))
+        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
+        assert res.stop_reason == "stress_increase"
+        assert not res.converged
 
     def test_endpoint_projection_needs_layout(self):
         w = weight_matrix(~np.eye(2, dtype=bool))

@@ -7,6 +7,7 @@ import pytest
 
 from peacock.bundling import DetectionParams, build_weight_matrix, required_run_length
 from peacock.coloring import colors_to_display
+from peacock.fixtures import make_crossing_bundles
 from peacock.model import EdgeCurve, GraphLayout, Point2
 from peacock.pipeline import run_peacock
 from peacock.coloring import OptimizerConfig
@@ -103,12 +104,7 @@ class TestRenderSvg:
         layout = ordered_fixture.layout
         params = DetectionParams()
         w = build_weight_matrix(layout, params)
-        opts = RenderOptions(
-            fans_only=True,
-            t=params.resolve_t(layout),
-            k_min=params.k_min,
-            weights=w,
-        )
+        opts = RenderOptions(fans_only=True, weights=w)
         svg = render_svg(layout, np.tile([1.0, 0.0, 0.0], (layout.m, 1)), opts)
         root = ET.fromstring(svg)
         # gray bodies plus colored endpoint circles
@@ -122,4 +118,12 @@ class TestRenderSvg:
         )
         svg = render_svg(ordered_fixture.layout, colors_to_display(table))
         golden = DATA / "ordered_fixture_golden.svg"
+        assert svg == golden.read_text()
+
+    def test_fans_only_golden_snapshot(self):
+        layout = make_crossing_bundles(3, 5, seed=1).layout
+        table, diag = run_peacock(layout, DetectionParams(), OptimizerConfig())
+        opts = RenderOptions(fans_only=True, weights=diag.weight_matrix)
+        svg = render_svg(layout, colors_to_display(table), opts)
+        golden = DATA / "crossing_fans_golden.svg"
         assert svg == golden.read_text()
