@@ -12,14 +12,22 @@ the resulting (partner edge, control) pairs yields every maximal run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EdgeCurve, GraphLayout, layout_extent
 
-# Dense M x M storage guard; sparse matrices are out of scope.
-MAX_DENSE_EDGES = 20_000
+# Peak bytes per M x M entry of a full run, measured as peak RSS above the
+# interpreter's at M = 1000 and 2000, q = 3 (93-98 B): about twelve float64
+# matrices live at once while the optimizer takes the pseudo-inverse.
+DENSE_BYTES_PER_PAIR = 100
+
+# Largest M whose dense matrices fit in half of an 8 GB machine, leaving the
+# rest to the interpreter, the OS and other processes. Sparse matrices are
+# out of scope.
+MAX_DENSE_EDGES = math.isqrt(4 * 2**30 // DENSE_BYTES_PER_PAIR)
 
 # Candidate point pairs examined per batch. Batches hold whole edges, so
 # transient memory is bounded by this budget or by one edge's candidates.
@@ -86,10 +94,6 @@ class BundleWeightMatrix:
     runs: np.ndarray
 
     def __post_init__(self):
-        if self.m > MAX_DENSE_EDGES:
-            raise ParameterError(
-                f"dense weight matrix refused for M={self.m} > {MAX_DENSE_EDGES}"
-            )
         if self.weights.shape != (self.m, self.m) or self.bundled_flag.shape != (self.m, self.m):
             raise ValueError("matrix shape mismatch")
         if self.runs.shape != (self.bundled_pair_count, 2):
@@ -226,10 +230,16 @@ def detect_pair(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int) -> bo
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
-    """Run pairwise detection for every ordered pair and apply the tradeoff."""
+    """Run pairwise detection for every ordered pair and apply the tradeoff.
+
+    This is the first stage to allocate M x M matrices, so it refuses a
+    layout too large for them before doing any work.
+    """
     if layout.m > MAX_DENSE_EDGES:
+        gb = layout.m**2 * DENSE_BYTES_PER_PAIR / 1e9
         raise ParameterError(
-            f"dense weight matrix refused for M={layout.m} > {MAX_DENSE_EDGES}"
+            f"M={layout.m} edges exceeds the dense limit of {MAX_DENSE_EDGES} "
+            f"(a run would need about {gb:.1f} GB)"
         )
     t = params.resolve_t(layout)
     points, offsets = _stack_controls(layout.edges)

@@ -171,7 +171,7 @@ def _cmd_color(args) -> int:
     if diag is not None:
         print(
             f"colored {layout.m} edges: {diag.bundled_pairs} bundled pairs, "
-            f"stress {diag.stress:.6g} after {diag.iterations} iterations"
+            f"stress {diag.stress:.6g} after {diag.iterations} iterations ({diag.stop_reason})"
         )
     else:
         print(f"colored {layout.m} edges with the baseline encoding")

@@ -85,8 +85,27 @@ class OptimizeResult:
 
 
 def _pairwise_distances(y: np.ndarray) -> np.ndarray:
-    diff = y[:, None, :] - y[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Euclidean distances between the rows of y, as one M x M array.
+
+    Squared differences are added one coordinate at a time, the order in
+    which `(diff * diff).sum(axis=2)` adds them, with no (M, M, q) tensor.
+    """
+    delta = np.subtract.outer(y[:, 0], y[:, 0])
+    delta *= delta
+    if y.shape[1] > 1:
+        diff = np.empty_like(delta)
+        for k in range(1, y.shape[1]):
+            np.subtract.outer(y[:, k], y[:, k], out=diff)
+            diff *= diff
+            delta += diff
+    return np.sqrt(delta, out=delta)
+
+
+def _stress(weights: np.ndarray, d: np.ndarray, delta: np.ndarray) -> float:
+    r = np.subtract(d, delta)
+    r *= r
+    r *= weights
+    return float(r.sum())
 
 
 def stress(y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix) -> float:
@@ -97,17 +116,16 @@ def stress(y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix) -> 
     """
     if not (y.m == w.m == d.m):
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    delta = _pairwise_distances(y.y)
-    return float((w.weights * (d.d - delta) ** 2).sum())
+    return _stress(w.weights, d.d, _pairwise_distances(y.y))
 
 
 def _guttman_update(
-    y: np.ndarray, w_sym: np.ndarray, v_pinv: np.ndarray, d: np.ndarray
+    y: np.ndarray, delta: np.ndarray, w_sym: np.ndarray, v_pinv: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
-    delta = _pairwise_distances(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(delta > 0, d / np.where(delta > 0, delta, 1.0), 0.0)
-    b = -w_sym * ratio
+    """The Guttman transform V+ B(Y) Y, where `delta` holds the distances of y."""
+    b = np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)
+    b *= w_sym
+    np.negative(b, out=b)
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=1))
     return v_pinv @ (b @ y)
@@ -122,6 +140,7 @@ def _prepare(w: BundleWeightMatrix):
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     return w_sym, np.linalg.pinv(v)
 
+
 def smacof_step(
     y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix
 ) -> ColorEmbedding:
@@ -129,7 +148,8 @@ def smacof_step(
     if not (y.m == w.m == d.m):
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
     w_sym, v_pinv = _prepare(w)
-    return ColorEmbedding(m=y.m, q=y.q, y=_guttman_update(y.y, w_sym, v_pinv, d.d))
+    y_next = _guttman_update(y.y, _pairwise_distances(y.y), w_sym, v_pinv, d.d)
+    return ColorEmbedding(m=y.m, q=y.q, y=y_next)
 
 
 def initial_embedding(
@@ -173,15 +193,19 @@ def optimize(
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
     w_sym, v_pinv = _prepare(w)
     emb = initial_embedding(w.m, cfg, layout)
-    y = emb.y
-    s_prev = stress(emb, w, d)
+    # One distance matrix per iterate: it gives that iterate's stress and
+    # then the next Guttman update.
+    delta = _pairwise_distances(emb.y)
+    s_prev = _stress(w.weights, d.d, delta)
     n_iters = 0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        y = _guttman_update(y, w_sym, v_pinv, d.d)
+        emb = ColorEmbedding(
+            m=w.m, q=cfg.q, y=_guttman_update(emb.y, delta, w_sym, v_pinv, d.d)
+        )
         n_iters += 1
-        emb = ColorEmbedding(m=w.m, q=cfg.q, y=y)
-        s = stress(emb, w, d)
+        delta = _pairwise_distances(emb.y)
+        s = _stress(w.weights, d.d, delta)
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is noise.
             noise = w.m * w.m * np.finfo(float).eps * float((w.weights * d.d**2).sum())
@@ -203,23 +227,19 @@ def normalize_colors(y: ColorEmbedding, w: BundleWeightMatrix) -> ColorTable:
     if y.m != w.m:
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}")
     sym_flag = w.bundled_flag | w.bundled_flag.T
-    global_min = y.y.min(axis=0)
-    global_max = y.y.max(axis=0)
-
-    col = np.empty_like(y.y)
-    for i in range(y.m):
-        members = np.flatnonzero(sym_flag[i])
-        if members.size == 0:
-            lo, hi = global_min, global_max
-        else:
-            block = y.y[np.append(members, i)]
-            lo, hi = block.min(axis=0), block.max(axis=0)
-        span = hi - lo
-        for dim in range(y.q):
-            if span[dim] <= 0:
-                col[i, dim] = 0.5
-            else:
-                col[i, dim] = (y.y[i, dim] - lo[dim]) / span[dim]
+    alone = ~sym_flag.any(axis=1)
+    np.fill_diagonal(sym_flag, True)
+    lo = np.empty_like(y.y)
+    hi = np.empty_like(y.y)
+    for dim in range(y.q):
+        # Row i of `values` is all of column dim; the mask keeps i's neighborhood.
+        values = np.broadcast_to(y.y[:, dim], (y.m, y.m))
+        lo[:, dim] = values.min(axis=1, where=sym_flag, initial=np.inf)
+        hi[:, dim] = values.max(axis=1, where=sym_flag, initial=-np.inf)
+    lo[alone] = y.y.min(axis=0)
+    hi[alone] = y.y.max(axis=0)
+    span = hi - lo
+    col = np.divide(y.y - lo, span, out=np.full_like(y.y, 0.5), where=span > 0)
     return ColorTable(m=y.m, q=y.q, col=np.clip(col, 0.0, 1.0))
 
 
@@ -236,13 +256,9 @@ def colors_to_display(col: ColorTable) -> np.ndarray:
         rgb[:, 0] = col.col[:, 0]
         rgb[:, 2] = col.col[:, 1]
         return rgb
-    t = col.col[:, 0]
-    rgb = np.empty((col.m, 3))
-    for i, v in enumerate(t):
-        if v <= 0.5:
-            a = v / 0.5
-            rgb[i] = (1 - a) * _GRADIENT[0] + a * _GRADIENT[1]
-        else:
-            a = (v - 0.5) / 0.5
-            rgb[i] = (1 - a) * _GRADIENT[1] + a * _GRADIENT[2]
-    return rgb
+    v = col.col[:, [0]]
+    lower = v <= 0.5
+    a = np.where(lower, v / 0.5, (v - 0.5) / 0.5)
+    g0 = np.where(lower, _GRADIENT[0], _GRADIENT[1])
+    g1 = np.where(lower, _GRADIENT[1], _GRADIENT[2])
+    return (1 - a) * g0 + a * g1

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import MAX_DENSE_EDGES, ParameterError
 from .model import EdgeCurve, GraphLayout
 
 
@@ -38,10 +37,6 @@ def endpoint_dissimilarity(edge_i: EdgeCurve, edge_j: EdgeCurve) -> float:
 
 
 def build_dissimilarity_matrix(layout: GraphLayout) -> DissimilarityMatrix:
-    if layout.m > MAX_DENSE_EDGES:
-        raise ParameterError(
-            f"dense dissimilarity matrix refused for M={layout.m} > {MAX_DENSE_EDGES}"
-        )
     # (M, 2, 2): endpoints of every edge
     ends = np.array([e.endpoint_array() for e in layout.edges])
     v1 = ends[:, 0, :]

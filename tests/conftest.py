@@ -94,6 +94,36 @@ def oracle_stress(y, weights, d):
     return total
 
 
+def oracle_normalize_colors(y, flags):
+    """Per-edge, per-dimension min-max over the edge and its partners in
+    either direction (global min-max for an edge without partners); a
+    dimension with no spread maps to 0.5."""
+    m, q = y.shape
+    col = np.empty((m, q))
+    for i in range(m):
+        members = [i] + [j for j in range(m) if flags[i][j] or flags[j][i]]
+        rows = range(m) if len(members) == 1 else members
+        for dim in range(q):
+            lo = min(y[r, dim] for r in rows)
+            hi = max(y[r, dim] for r in rows)
+            col[i, dim] = 0.5 if hi - lo <= 0 else (y[i, dim] - lo) / (hi - lo)
+    return np.clip(col, 0.0, 1.0)
+
+
+def oracle_gradient(values, stops):
+    """Piecewise-linear blend over three stops at 0, 0.5 and 1, one value
+    at a time."""
+    rgb = np.empty((len(values), 3))
+    for i, v in enumerate(values):
+        if v <= 0.5:
+            a = v / 0.5
+            rgb[i] = (1 - a) * stops[0] + a * stops[1]
+        else:
+            a = (v - 0.5) / 0.5
+            rgb[i] = (1 - a) * stops[1] + a * stops[2]
+    return rgb
+
+
 def rigid_transform(layout, angle, dx, dy):
     """The same rotation + translation applied to every point."""
     ca, sa = math.cos(angle), math.sin(angle)

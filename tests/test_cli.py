@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import peacock.bundling
 from peacock.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -113,6 +116,32 @@ def test_fans_only(tmp_path, fixture_file):
         ["color", "--input", str(fixture_file), "--fans-only", "--out-svg", str(svg)]
     ) == 0
     assert "circle" in svg.read_text()
+
+
+def test_q3_color_dump_golden(tmp_path, fixture_file):
+    colors = tmp_path / "colors.json"
+    assert main(
+        ["color", "--input", str(fixture_file), "--dims", "3", "--max-iters", "100",
+         "--out-colors", str(colors)]
+    ) == 0
+    assert colors.read_bytes() == (DATA / "ordered_q3_golden.json").read_bytes()
+
+
+@pytest.mark.parametrize("extra, reason", [([], "tolerance"), (["--max-iters", "1"], "max_iters")])
+def test_summary_names_stop_reason(fixture_file, capsys, extra, reason):
+    assert main(["color", "--input", str(fixture_file), *extra]) == 0
+    out = capsys.readouterr().out
+    pattern = r"colored 18 edges: 90 bundled pairs, stress \S+ after \d+ iterations \((\w+)\)\n"
+    assert re.fullmatch(pattern, out).group(1) == reason
+
+
+def test_oversize_layout_fails_in_bundling(fixture_file, capsys, monkeypatch):
+    monkeypatch.setattr(peacock.bundling, "MAX_DENSE_EDGES", 17)
+    assert main(["color", "--input", str(fixture_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("peacock: error [bundling] M=18 edges exceeds")
+    assert captured.err.count("\n") == 1
 
 
 def test_crossing_gen(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import oracle_stress
+from conftest import oracle_gradient, oracle_normalize_colors, oracle_stress
 
 from peacock.bundling import BundleWeightMatrix
 from peacock.coloring import (
@@ -10,6 +13,7 @@ from peacock.coloring import (
     OptimizationError,
     OptimizerConfig,
     colors_to_display,
+    initial_embedding,
     normalize_colors,
     optimize,
     smacof_step,
@@ -184,6 +188,22 @@ class TestOptimize:
         assert res.stop_reason == "stress_increase"
         assert not res.converged
 
+    @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-15), (500, 1e-2)])
+    def test_equals_repeated_smacof_steps(self, max_iters, rel_tol):
+        # Each iterate's stress and next update share one distance matrix;
+        # both must still belong to the current iterate.
+        rng = np.random.default_rng(31)
+        _, w, d = random_instance(rng, m=15, q=3, epsilon=0.05)
+        cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, seed=4,
+                              init="seeded-random")
+        res = optimize(w, d, cfg)
+        assert res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
+        y = initial_embedding(15, cfg)
+        for _ in range(res.n_iters):
+            y = smacof_step(y, w, d)
+        assert np.array_equal(res.embedding.y, y.y)
+        assert res.stress == stress(res.embedding, w, d)
+
     def test_endpoint_projection_needs_layout(self):
         w = weight_matrix(~np.eye(2, dtype=bool))
         d = DissimilarityMatrix(m=2, d=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -267,7 +287,37 @@ class TestNormalizeColors:
                 assert table.col[ids, dim].max() == pytest.approx(1.0)
 
 
+@st.composite
+def embeddings_with_flags(draw):
+    """Small embeddings with repeated values (zero spans) and random flags."""
+    m = draw(st.integers(1, 9))
+    q = draw(st.integers(1, 3))
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.1, 0.3, 1.0, 7.5])
+    y = draw(arrays(float, (m, q), elements=values | st.floats(-1e3, 1e3)))
+    flags = draw(arrays(bool, (m, m)))
+    return y, flags
+
+
+class TestNormalizeColorsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(embeddings_with_flags())
+    def test_equals_loop_oracle(self, case):
+        y, flags = case
+        np.fill_diagonal(flags, False)
+        m, q = y.shape
+        table = normalize_colors(ColorEmbedding(m=m, q=q, y=y), weight_matrix(flags, 0.1))
+        assert np.array_equal(table.col, oracle_normalize_colors(y, flags))
+
+
 class TestColorsToDisplay:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 20),
+                  elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    def test_q1_equals_loop_oracle(self, values):
+        table = ColorTable(m=len(values), q=1, col=values[:, None].copy())
+        want = oracle_gradient(values, np.array([[0, 0, 1], [1, 0, 0], [1, 1, 0]], float))
+        assert np.array_equal(colors_to_display(table), want)
+
     def test_q3_identity(self):
         table = ColorTable(m=1, q=3, col=np.array([[0.1, 0.5, 0.9]]))
         assert np.allclose(colors_to_display(table), [[0.1, 0.5, 0.9]])
