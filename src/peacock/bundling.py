@@ -20,9 +20,9 @@ import numpy as np
 from .model import EdgeCurve, GraphLayout, layout_extent
 
 # Peak bytes per M x M entry of a full run, measured as peak RSS above the
-# interpreter's at M = 1000 and 2000, q = 3 (93-98 B): about twelve float64
-# matrices live at once while the optimizer takes the pseudo-inverse.
-DENSE_BYTES_PER_PAIR = 100
+# interpreter's at M = 1000 and 2000, q = 3 (64-72 B): about eight float64
+# matrices live at once while the optimizer inverts V + P.
+DENSE_BYTES_PER_PAIR = 75
 
 # Largest M whose dense matrices fit in half of an 8 GB machine, leaving the
 # rest to the interpreter, the OS and other processes. Sparse matrices are

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import BundleWeightMatrix
-from .dissimilarity import DissimilarityMatrix
+from .dissimilarity import DissimilarityMatrix, distances
 from .model import GraphLayout
 
 _TINY = 1e-30
@@ -84,23 +84,6 @@ class OptimizeResult:
         return self.stop_reason == "tolerance"
 
 
-def _pairwise_distances(y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of y, as one M x M array.
-
-    Squared differences are added one coordinate at a time, the order in
-    which `(diff * diff).sum(axis=2)` adds them, with no (M, M, q) tensor.
-    """
-    delta = np.subtract.outer(y[:, 0], y[:, 0])
-    delta *= delta
-    if y.shape[1] > 1:
-        diff = np.empty_like(delta)
-        for k in range(1, y.shape[1]):
-            np.subtract.outer(y[:, k], y[:, k], out=diff)
-            diff *= diff
-            delta += diff
-    return np.sqrt(delta, out=delta)
-
-
 def _stress(weights: np.ndarray, d: np.ndarray, delta: np.ndarray) -> float:
     r = np.subtract(d, delta)
     r *= r
@@ -116,11 +99,11 @@ def stress(y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix) -> 
     """
     if not (y.m == w.m == d.m):
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    return _stress(w.weights, d.d, _pairwise_distances(y.y))
+    return _stress(w.weights, d.d, distances(y.y, y.y))
 
 
 def _guttman_update(
-    y: np.ndarray, delta: np.ndarray, w_sym: np.ndarray, v_pinv: np.ndarray, d: np.ndarray
+    y: np.ndarray, delta: np.ndarray, w_sym: np.ndarray, v_plus: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
     """The Guttman transform V+ B(Y) Y, where `delta` holds the distances of y."""
     b = np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)
@@ -128,17 +111,52 @@ def _guttman_update(
     np.negative(b, out=b)
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=1))
-    return v_pinv @ (b @ y)
+    return v_plus @ (b @ y)
+
+
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Connected-component label of every vertex of the graph `adj`."""
+    m = len(adj)
+    label = np.full(m, -1)
+    n = 0
+    for start in range(m):
+        if label[start] >= 0:
+            continue
+        members = np.zeros(m, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        label[members] = n
+        n += 1
+    return label
 
 
 def _prepare(w: BundleWeightMatrix):
+    """Symmetrized weights and V+, the pseudo-inverse of their Laplacian V.
+
+    P averages over each connected component of the weight graph (P = J/M
+    when epsilon > 0). V + P is nonsingular and V+ = (V + P)^-1 - P for
+    any epsilon, including partnerless edges, whose rows of V are zero; so
+    one LU inverse stands in for an SVD.
+    """
     # SMACOF needs symmetric weights; w_ij + w_ji reproduces the ordered
     # double sum exactly.
     w_sym = w.weights + w.weights.T
-    if not (w_sym > 0).any():
+    adj = w_sym > 0
+    if not adj.any():
         raise OptimizationError("all weights are zero; nothing to optimize")
-    v = np.diag(w_sym.sum(axis=1)) - w_sym
-    return w_sym, np.linalg.pinv(v)
+    label = _components(adj)
+    del adj
+    same = label[:, None] == label[None, :]
+    p_row = (1.0 / np.bincount(label)[label])[:, None]
+    v = np.negative(w_sym)
+    v.flat[:: w.m + 1] += w_sym.sum(axis=1)
+    np.add(v, p_row, out=v, where=same)
+    v_plus = np.linalg.inv(v)
+    np.subtract(v_plus, p_row, out=v_plus, where=same)
+    return w_sym, v_plus
 
 
 def smacof_step(
@@ -147,9 +165,62 @@ def smacof_step(
     """One majorization update; never increases the stress."""
     if not (y.m == w.m == d.m):
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    w_sym, v_pinv = _prepare(w)
-    y_next = _guttman_update(y.y, _pairwise_distances(y.y), w_sym, v_pinv, d.d)
+    w_sym, v_plus = _prepare(w)
+    y_next = _guttman_update(y.y, distances(y.y, y.y), w_sym, v_plus, d.d)
     return ColorEmbedding(m=y.m, q=y.q, y=y_next)
+
+
+# Standardized init coordinates closer than _TIE_TOL count as tied; tied
+# rows are then spread _TIE_STEP apart.
+_TIE_TOL = 1e-9
+_TIE_STEP = 1e-6
+
+
+def _standardize(a: np.ndarray) -> np.ndarray:
+    std = a.std(axis=0)
+    std[std == 0] = 1.0
+    return (a - a.mean(axis=0)) / std
+
+
+def _refine(label: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Split each group of `label` where its sorted `values` jump by more
+    than _TIE_TOL. New labels follow (label, value) order, so they depend
+    on the values only, not on the row order."""
+    order = np.lexsort((values, label))
+    lab, val = label[order], values[order]
+    starts = np.ones(len(lab), dtype=bool)
+    starts[1:] = (lab[1:] != lab[:-1]) | (np.diff(val) > _TIE_TOL)
+    out = np.empty_like(label)
+    out[order] = np.cumsum(starts) - 1
+    return out
+
+
+def _break_ties(y: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Spread rows of y that coincide within _TIE_TOL along the first axis.
+
+    Distinct edges placed at one point form a symmetric saddle that
+    SMACOF leaves only through rounding noise. Each tied row moves by
+    _TIE_STEP times its rank within its group, ranked by the columns of
+    `keys` in turn (again up to _TIE_TOL) and centered on the group, so
+    the result rests on the edges' geometry, not on their ids. Rows
+    without a tie are returned unchanged.
+    """
+    group = np.zeros(len(y), dtype=np.int64)
+    for col in y.T:
+        group = _refine(group, col)
+    tied = np.bincount(group)[group] > 1
+    if not tied.any():
+        return y
+    rank = group
+    for col in keys.T:
+        rank = _refine(rank, col)
+    lo = np.full(group.max() + 1, len(y))
+    hi = np.zeros(group.max() + 1, dtype=np.int64)
+    np.minimum.at(lo, group, rank)
+    np.maximum.at(hi, group, rank)
+    y = y.copy()
+    y[tied, 0] += _TIE_STEP * (rank - (lo + hi)[group] / 2)[tied]
+    return y
 
 
 def initial_embedding(
@@ -157,29 +228,33 @@ def initial_embedding(
     cfg: OptimizerConfig,
     layout: GraphLayout | None = None,
 ) -> ColorEmbedding:
-    """Starting point: projected edge midpoints, or seeded Gaussian noise."""
+    """Starting point: projected edge midpoints, or seeded Gaussian noise.
+
+    Projected midpoints of distinct edges can coincide; such ties are
+    broken by the midpoint's other coordinate, then by the edge's
+    endpoints (see `_break_ties`).
+    """
     if cfg.init == "seeded-random":
         rng = np.random.default_rng(cfg.seed)
         return ColorEmbedding(m=m, q=cfg.q, y=rng.standard_normal((m, cfg.q)))
 
     if layout is None:
         raise OptimizationError("endpoint-projection init requires the layout")
-    mids = np.array(
-        [
-            [(e.v1.x + e.v2.x) / 2.0, (e.v1.y + e.v2.y) / 2.0]
-            for e in layout.edges
-        ]
-    )
+    ends = np.array([e.endpoint_array() for e in layout.edges])
+    mids = (ends[:, 0] + ends[:, 1]) / 2.0
     if cfg.q == 1:
         y = mids[:, [0]]
     elif cfg.q == 2:
-        y = mids.copy()
+        y = mids
     else:
         y = np.column_stack([mids[:, 0], mids[:, 1], mids[:, 0] + mids[:, 1]])
-    mean = y.mean(axis=0)
-    std = y.std(axis=0)
-    std[std == 0] = 1.0
-    return ColorEmbedding(m=m, q=cfg.q, y=(y - mean) / std)
+    # Edges that share a midpoint differ in their half-vector h, up to its
+    # sign; hx², hy² and hx·hy tell them apart and ignore endpoint order.
+    hx, hy = ((ends[:, 1] - ends[:, 0]) / 2.0).T
+    keys = np.column_stack([hx * hx, hy * hy, hx * hy])
+    if cfg.q == 1:
+        keys = np.column_stack([mids[:, 1], keys])
+    return ColorEmbedding(m=m, q=cfg.q, y=_break_ties(_standardize(y), _standardize(keys)))
 
 
 def optimize(
@@ -191,20 +266,20 @@ def optimize(
     """Iterate majorization steps until the relative stress decrease stalls."""
     if w.m != d.m:
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
-    w_sym, v_pinv = _prepare(w)
+    w_sym, v_plus = _prepare(w)
     emb = initial_embedding(w.m, cfg, layout)
     # One distance matrix per iterate: it gives that iterate's stress and
     # then the next Guttman update.
-    delta = _pairwise_distances(emb.y)
+    delta = distances(emb.y, emb.y)
     s_prev = _stress(w.weights, d.d, delta)
     n_iters = 0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         emb = ColorEmbedding(
-            m=w.m, q=cfg.q, y=_guttman_update(emb.y, delta, w_sym, v_pinv, d.d)
+            m=w.m, q=cfg.q, y=_guttman_update(emb.y, delta, w_sym, v_plus, d.d)
         )
         n_iters += 1
-        delta = _pairwise_distances(emb.y)
+        delta = distances(emb.y, emb.y)
         s = _stress(w.weights, d.d, delta)
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is noise.

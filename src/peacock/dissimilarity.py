@@ -36,17 +36,34 @@ def endpoint_dissimilarity(edge_i: EdgeCurve, edge_j: EdgeCurve) -> float:
     return float(min(straight, crossed))
 
 
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and the rows of b.
+
+    Squared differences are added one coordinate at a time, the order in
+    which `np.linalg.norm(a[:, None] - b[None], axis=2)` adds them, with no
+    (len(a), len(b), q) tensor.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    if a.shape[1] > 1:
+        diff = np.empty_like(out)
+        for k in range(1, a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=diff)
+            diff *= diff
+            out += diff
+    return np.sqrt(out, out=out)
+
+
 def build_dissimilarity_matrix(layout: GraphLayout) -> DissimilarityMatrix:
     # (M, 2, 2): endpoints of every edge
     ends = np.array([e.endpoint_array() for e in layout.edges])
     v1 = ends[:, 0, :]
     v2 = ends[:, 1, :]
-
-    def norm(a, b):
-        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-
-    straight = norm(v1, v1) + norm(v2, v2)
-    crossed = norm(v1, v2) + norm(v2, v1)
-    d = np.minimum(straight, crossed)
+    d = distances(v1, v1)
+    d += distances(v2, v2)
+    # |v2_i - v1_j| equals |v1_j - v2_i| bit for bit, so the crossed
+    # pairing is one distance matrix plus its transpose.
+    crossed = distances(v1, v2)
+    np.minimum(d, crossed + crossed.T, out=d)
     np.fill_diagonal(d, 0.0)
     return DissimilarityMatrix(m=layout.m, d=d)

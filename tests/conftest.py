@@ -124,6 +124,40 @@ def oracle_gradient(values, stops):
     return rgb
 
 
+def oracle_dissimilarity(layout):
+    """Endpoint dissimilarities through (M, M, 2) difference tensors and
+    `np.linalg.norm`."""
+    ends = np.array([e.endpoint_array() for e in layout.edges])
+    v1 = ends[:, 0, :]
+    v2 = ends[:, 1, :]
+
+    def norm(a, b):
+        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+    d = np.minimum(norm(v1, v1) + norm(v2, v2), norm(v1, v2) + norm(v2, v1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def oracle_prepare(w):
+    """Symmetrized weights and the SVD pseudo-inverse of their Laplacian;
+    a stand-in for `peacock.coloring._prepare`."""
+    w_sym = w.weights + w.weights.T
+    v = np.diag(w_sym.sum(axis=1)) - w_sym
+    return w_sym, np.linalg.pinv(v)
+
+
+def oracle_projection_init(layout, q):
+    """Standardized projected midpoints, with no tie-breaking."""
+    mids = np.array(
+        [[(e.v1.x + e.v2.x) / 2.0, (e.v1.y + e.v2.y) / 2.0] for e in layout.edges]
+    )
+    y = [mids[:, [0]], mids, np.column_stack([mids[:, 0], mids[:, 1], mids.sum(axis=1)])][q - 1]
+    std = y.std(axis=0)
+    std[std == 0] = 1.0
+    return (y - y.mean(axis=0)) / std
+
+
 def rigid_transform(layout, angle, dx, dy):
     """The same rotation + translation applied to every point."""
     ca, sa = math.cos(angle), math.sin(angle)

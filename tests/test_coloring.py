@@ -1,12 +1,23 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import oracle_gradient, oracle_normalize_colors, oracle_stress
+from conftest import (
+    oracle_gradient,
+    oracle_normalize_colors,
+    oracle_prepare,
+    oracle_projection_init,
+    oracle_stress,
+    random_layout,
+)
 
-from peacock.bundling import BundleWeightMatrix
+import peacock.coloring
+from peacock.bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
 from peacock.coloring import (
     ColorEmbedding,
     ColorTable,
@@ -19,7 +30,10 @@ from peacock.coloring import (
     smacof_step,
     stress,
 )
-from peacock.dissimilarity import DissimilarityMatrix
+from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix, distances
+from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
+from peacock.model import GraphLayout
+from peacock.pipeline import run_peacock
 
 
 def weight_matrix(flags, epsilon=0.0):
@@ -123,6 +137,104 @@ class TestSmacofStep:
         y = ColorEmbedding(m=3, q=1, y=np.zeros((3, 1)))
         with pytest.raises(OptimizationError):
             smacof_step(y, w, d)
+
+
+def guttman_with(prepare, y, w, d):
+    w_sym, v_plus = prepare(w)
+    return peacock.coloring._guttman_update(y.y, distances(y.y, y.y), w_sym, v_plus, d.d)
+
+
+def assert_matches_pinv(y, w, d):
+    want = guttman_with(oracle_prepare, y, w, d)
+    got = guttman_with(peacock.coloring._prepare, y, w, d)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestPrepare:
+    """The exact inverse of V + P against the SVD pseudo-inverse of V."""
+
+    def test_random_instance(self):
+        for seed in range(20):
+            y, w, d = random_instance(np.random.default_rng(seed), m=12, q=2, epsilon=0.1)
+            assert_matches_pinv(y, w, d)
+
+    def test_random_instance_several_components(self):
+        n_components = []
+        for seed in range(40):
+            y, w, d = random_instance(np.random.default_rng(seed), m=6, q=2, epsilon=0.0)
+            if not w.bundled_flag.any():
+                continue
+            assert_matches_pinv(y, w, d)
+            adj = (w.weights + w.weights.T) > 0
+            n_components.append(len(set(peacock.coloring._components(adj))))
+        assert max(n_components) > 2
+
+    def test_edges_without_partners(self):
+        layout = random_layout(np.random.default_rng(5), m=30, max_controls=6)
+        w = build_weight_matrix(layout, DetectionParams(t_abs=4.0, t_frac=None, epsilon=0.0))
+        alone = ~(w.bundled_flag | w.bundled_flag.T).any(axis=1)
+        assert 0 < alone.sum() < layout.m
+        y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
+        assert_matches_pinv(y, w, build_dissimilarity_matrix(layout))
+
+
+def permuted(layout, perm):
+    """The layout whose edge i is edge perm[i] of `layout`."""
+    edges = tuple(dataclasses.replace(layout.edges[p], id=i) for i, p in enumerate(perm))
+    return GraphLayout(edges=edges, nodes=layout.nodes)
+
+
+class TestInitialEmbedding:
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_untied_layout_is_plain_projection(self, q):
+        # Sized like the ordered benchmark layouts; the nearest init rows are
+        # 1.8e-6 apart there, so no row counts as tied.
+        layout = make_ordered_bundles(80, 25, reverse_last=True, seed=3).layout
+        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
+        assert np.array_equal(y.y, oracle_projection_init(layout, q))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_every_tie_broken(self, q):
+        # Each spoke's middle edge has its midpoint at the origin; in x, all
+        # of spoke 0 sits at 0 and spokes 1 and 2 mirror each other.
+        layout = make_crossing_bundles(3, 5, seed=1).layout
+        plain = oracle_projection_init(layout, q)
+        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout).y
+        gap = np.abs(y[:, None] - y[None]).max(axis=2) + np.eye(layout.m)
+        assert gap.min() >= 0.5 * peacock.coloring._TIE_STEP
+        plain_gap = np.abs(plain[:, None] - plain[None]).max(axis=2) + np.eye(layout.m)
+        tied = (plain_gap < 1e-9).any(axis=1)
+        assert tied.sum() == (15 if q == 1 else 3)
+        assert np.array_equal(y[~tied], plain[~tied])
+        assert np.abs(y - plain).max() < 1e-5
+
+    @pytest.mark.parametrize("bundles, edges, q", [(3, 5, 1), (3, 5, 3), (6, 10, 1)])
+    def test_permuting_edge_ids_permutes_init_and_colors(self, bundles, edges, q):
+        layout = make_crossing_bundles(bundles, edges, seed=1).layout
+        cfg = OptimizerConfig(q=q)
+        perm = np.random.default_rng(2).permutation(layout.m)
+        moved = permuted(layout, perm)
+        y = initial_embedding(layout.m, cfg, layout).y
+        assert np.allclose(initial_embedding(layout.m, cfg, moved).y, y[perm], rtol=0, atol=1e-12)
+        table, _ = run_peacock(layout, DetectionParams(), cfg)
+        moved_table, _ = run_peacock(moved, DetectionParams(), cfg)
+        assert np.allclose(moved_table.col, table.col[perm], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("fixture", [
+        make_ordered_bundles(6, 6, reverse_last=True, seed=0),
+        make_crossing_bundles(3, 5, seed=1),
+    ], ids=["criterion-6", "crossing"])
+    def test_colors_match_pinv_oracle(self, fixture):
+        layout = fixture.layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        res = optimize(w, d, OptimizerConfig(), layout)
+        with mock.patch.object(peacock.coloring, "_prepare", oracle_prepare):
+            want = optimize(w, d, OptimizerConfig(), layout)
+        assert res.n_iters == want.n_iters
+        got_col = normalize_colors(res.embedding, w).col
+        want_col = normalize_colors(want.embedding, w).col
+        assert np.abs(got_col - want_col).max() <= 1e-9
 
 
 class TestOptimize:

@@ -1,9 +1,9 @@
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import rigid_transform
+from conftest import oracle_dissimilarity, rigid_transform
 
 from peacock.dissimilarity import build_dissimilarity_matrix, endpoint_dissimilarity
 from peacock.model import EdgeCurve, GraphLayout, Point2
@@ -74,3 +74,15 @@ def test_rigid_motion_invariance(ordered_fixture):
     moved = rigid_transform(ordered_fixture.layout, angle=1.1, dx=-5.0, dy=17.0)
     after = build_dissimilarity_matrix(moved)
     assert np.allclose(before.d, after.d, atol=1e-9)
+
+
+# Repeated values give coincident and swapped endpoints.
+lattice_point = st.tuples(st.sampled_from([-3.0, 0.0, 0.5, 2.0]) | coord,
+                          st.sampled_from([-3.0, 0.0, 0.5, 2.0]) | coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(lattice_point, lattice_point), min_size=1, max_size=12))
+def test_matrix_equals_norm_oracle(ends):
+    layout = GraphLayout(edges=tuple(edge(i, a, b) for i, (a, b) in enumerate(ends)))
+    assert np.array_equal(build_dissimilarity_matrix(layout).d, oracle_dissimilarity(layout))
