@@ -8,37 +8,21 @@ point for the optimized coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .coloring import ColorTable
 from .model import GraphLayout
 
 
-@dataclass(frozen=True)
-class BaselineColorTable:
-    m: int
-    col: np.ndarray
-
-    def __post_init__(self):
-        if self.col.shape != (self.m, 3):
-            raise ValueError("baseline table shape mismatch")
-        self.col.setflags(write=False)
-
-
-def baseline_colors(layout: GraphLayout) -> BaselineColorTable:
+def baseline_colors(layout: GraphLayout) -> ColorTable:
+    v1, v2 = layout.ends[:, 0], layout.ends[:, 1]
     raw = np.zeros((layout.m, 3))
-    for i, e in enumerate(layout.edges):
-        raw[i, 0] = min(e.v1.x, e.v2.x)
-        raw[i, 2] = min(e.v1.y, e.v2.y)
+    # The smaller endpoint coordinate, v1's on a tie (as Python's min takes
+    # it), so a -0.0 against 0.0 keeps its sign.
+    raw[:, [0, 2]] = np.where(v2 < v1, v2, v1)
 
     lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    col = np.empty_like(raw)
-    for c in range(3):
-        span = hi[c] - lo[c]
-        if span <= 0:
-            col[:, c] = 0.5
-        else:
-            col[:, c] = (raw[:, c] - lo[c]) / span
-    return BaselineColorTable(m=layout.m, col=col)
+    span = raw.max(axis=0) - lo
+    col = np.full_like(raw, 0.5)
+    np.divide(raw - lo, span, out=col, where=span > 0)
+    return ColorTable(m=layout.m, q=3, col=col)

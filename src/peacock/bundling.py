@@ -112,13 +112,6 @@ def required_run_length(c_i, c_j, k_min: float):
     return np.maximum(1, np.floor(np.maximum(c_i, c_j) * k_min).astype(np.int64))
 
 
-def _stack_controls(edges) -> tuple[np.ndarray, np.ndarray]:
-    """All control points as one (N, 2) array, plus per-edge offsets (M + 1)."""
-    offsets = np.cumsum([0] + [e.n_controls for e in edges])
-    points = np.array([(p.x, p.y) for e in edges for p in e.controls], dtype=float)
-    return points, offsets
-
-
 def _grid(points: np.ndarray, t: float):
     """Bucket points into square cells and find each cell's 3x3 neighbourhood.
 
@@ -218,7 +211,8 @@ def first_run(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int):
     edge j, or None."""
     if k_ij < 1:
         raise ParameterError("k_ij must be >= 1")
-    points, offsets = _stack_controls((edge_i, edge_j))
+    points = np.concatenate([edge_i.control_array(), edge_j.control_array()])
+    offsets = np.cumsum([0, edge_i.n_controls, edge_j.n_controls])
     pairs, runs = _detect(points, offsets, t, lambda c_i, c_j: k_ij)
     hit = np.flatnonzero(pairs == 1)  # code of (0, 1): edge i against edge j
     return tuple(int(v) for v in runs[hit[0]]) if hit.size else None
@@ -242,9 +236,9 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
             f"(a run would need about {gb:.1f} GB)"
         )
     t = params.resolve_t(layout)
-    points, offsets = _stack_controls(layout.edges)
     pairs, runs = _detect(
-        points, offsets, t, lambda c_i, c_j: required_run_length(c_i, c_j, params.k_min)
+        layout.points, layout.offsets, t,
+        lambda c_i, c_j: required_run_length(c_i, c_j, params.k_min),
     )
     flags = np.zeros((layout.m, layout.m), dtype=bool)
     flags.flat[pairs] = True

@@ -12,54 +12,28 @@ import numpy as np
 from . import fixtures
 from .baseline import baseline_colors
 from .bundling import DetectionParams, ParameterError, build_weight_matrix, dump_bundled_pairs
-from .coloring import ColorTable, OptimizationError, OptimizerConfig, colors_to_display
+from .coloring import OptimizationError, OptimizerConfig, colors_to_display
 from .model import LayoutError, load_layout, save_layout
 from .pipeline import StageError, read_color_dump, run_peacock, write_color_dump
-from .render import RenderOptions, render_svg
+from .render import render_svg
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _ranged_float(name, lo, hi, lo_open=False):
+def _number(name, kind, ok, rule):
+    """argparse type: `kind(text)`, refused with "<name> must be <rule>"
+    unless `ok` holds for it."""
+    noun = "an integer" if kind is int else "a number"
+
     def parse(text):
         try:
-            v = float(text)
+            v = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        above = v > lo if lo_open else v >= lo
-        if not (above and v <= hi):
-            bracket = "(" if lo_open else "["
-            raise argparse.ArgumentTypeError(
-                f"{name} must be in {bracket}{lo}, {hi}], got {text}"
-            )
-        return v
-
-    return parse
-
-
-def _positive_float(name):
-    def parse(text):
-        try:
-            v = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not v > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be > 0, got {text}")
-        return v
-
-    return parse
-
-
-def _positive_int(name):
-    def parse(text):
-        try:
-            v = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if v < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
+            raise argparse.ArgumentTypeError(f"{name} must be {noun}, got {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text}")
         return v
 
     return parse
@@ -74,30 +48,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic bundled layout")
     gen.add_argument("--style", choices=["ordered", "crossing"], default="ordered")
-    gen.add_argument("--groups", type=_positive_int("--groups"), default=6)
-    gen.add_argument("--edges", type=_positive_int("--edges"), default=6)
-    gen.add_argument("--bundles", type=_positive_int("--bundles"), default=3,
-                     help="bundle count for --style crossing")
+    gen.add_argument("--groups", type=_number("--groups", int, lambda v: v >= 1, ">= 1"),
+                     default=6)
+    gen.add_argument("--edges", type=_number("--edges", int, lambda v: v >= 1, ">= 1"),
+                     default=6)
+    gen.add_argument("--bundles", type=_number("--bundles", int, lambda v: v >= 1, ">= 1"),
+                     default=3, help="bundle count for --style crossing")
     gen.add_argument("--reverse-last", action="store_true")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
+    # Detection and optimizer flags default to the fields of the config they set.
     color = sub.add_parser("color", help="color a bundled layout")
     color.add_argument("--input", required=True)
-    color.add_argument("--epsilon", type=_ranged_float("--epsilon", 0.0, 1.0), default=0.001)
+    color.add_argument("--epsilon", default=DetectionParams.epsilon,
+                       type=_number("--epsilon", float, lambda v: 0 <= v <= 1, "in [0.0, 1.0]"))
     group_t = color.add_mutually_exclusive_group()
-    group_t.add_argument("--t-frac", type=_ranged_float("--t-frac", 0.0, 1.0, lo_open=True),
-                         default=None)
-    group_t.add_argument("--t-abs", type=_positive_float("--t-abs"), default=None)
-    color.add_argument("--kmin", type=_ranged_float("--kmin", 0.0, 1.0, lo_open=True),
-                       default=0.4)
-    color.add_argument("--dims", type=int, choices=[1, 2, 3], default=1)
-    color.add_argument("--seed", type=int, default=0)
-    color.add_argument("--max-iters", type=_positive_int("--max-iters"), default=500)
-    color.add_argument("--rel-tol", type=_positive_float("--rel-tol"), default=1e-6)
+    group_t.add_argument("--t-frac", default=DetectionParams.t_frac,
+                         type=_number("--t-frac", float, lambda v: 0 < v <= 1, "in (0.0, 1.0]"))
+    group_t.add_argument("--t-abs", default=DetectionParams.t_abs,
+                         type=_number("--t-abs", float, lambda v: v > 0, "> 0"))
+    color.add_argument("--kmin", default=DetectionParams.k_min,
+                       type=_number("--kmin", float, lambda v: 0 < v <= 1, "in (0.0, 1.0]"))
+    color.add_argument("--dims", type=int, choices=[1, 2, 3], default=OptimizerConfig.q)
+    color.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    color.add_argument("--max-iters", default=OptimizerConfig.max_iters,
+                       type=_number("--max-iters", int, lambda v: v >= 1, ">= 1"))
+    color.add_argument("--rel-tol", default=OptimizerConfig.rel_tol,
+                       type=_number("--rel-tol", float, lambda v: v > 0, "> 0"))
     color.add_argument("--method", choices=["peacock", "baseline"], default="peacock")
     color.add_argument("--init", choices=["endpoint-projection", "seeded-random"],
-                       default="endpoint-projection")
+                       default=OptimizerConfig.init)
     color.add_argument("--out-colors")
     color.add_argument("--out-svg")
     color.add_argument("--fans-only", action="store_true")
@@ -131,16 +112,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_color(args) -> int:
     layout = load_layout(args.input)
-    t_frac = args.t_frac
-    if t_frac is None and args.t_abs is None:
-        t_frac = 0.03
     params = DetectionParams(
-        t_abs=args.t_abs, t_frac=t_frac, k_min=args.kmin, epsilon=args.epsilon
+        t_abs=args.t_abs, t_frac=None if args.t_abs is not None else args.t_frac,
+        k_min=args.kmin, epsilon=args.epsilon,
     )
 
     if args.method == "baseline":
-        base = baseline_colors(layout)
-        table = ColorTable(m=base.m, q=3, col=base.col.copy())
+        table = baseline_colors(layout)
         diag = None
         weights = None
     else:
@@ -164,9 +142,9 @@ def _cmd_color(args) -> int:
     if args.out_svg:
         if args.fans_only and weights is None:
             weights = build_weight_matrix(layout, params)
-        opts = RenderOptions(fans_only=args.fans_only, weights=weights)
+        fans = weights if args.fans_only else None
         with open(args.out_svg, "w") as fh:
-            fh.write(render_svg(layout, colors_to_display(table), opts))
+            fh.write(render_svg(layout, colors_to_display(table), fans))
 
     if diag is not None:
         print(

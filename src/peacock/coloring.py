@@ -240,7 +240,7 @@ def initial_embedding(
 
     if layout is None:
         raise OptimizationError("endpoint-projection init requires the layout")
-    ends = np.array([e.endpoint_array() for e in layout.edges])
+    ends = layout.ends
     mids = (ends[:, 0] + ends[:, 1]) / 2.0
     if cfg.q == 1:
         y = mids[:, [0]]

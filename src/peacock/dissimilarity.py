@@ -55,10 +55,8 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_dissimilarity_matrix(layout: GraphLayout) -> DissimilarityMatrix:
-    # (M, 2, 2): endpoints of every edge
-    ends = np.array([e.endpoint_array() for e in layout.edges])
-    v1 = ends[:, 0, :]
-    v2 = ends[:, 1, :]
+    v1 = layout.ends[:, 0, :]
+    v2 = layout.ends[:, 1, :]
     d = distances(v1, v1)
     d += distances(v2, v2)
     # |v2_i - v1_j| equals |v1_j - v2_i| bit for bit, so the crossed

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EdgeCurve, GraphLayout, Point2
+from .bundling import DetectionParams
+from .model import EdgeCurve, GraphLayout, Point2, layout_extent
 
-DEFAULT_T_FRAC = 0.03
-DEFAULT_K_MIN = 0.4
+DEFAULT_T_FRAC = DetectionParams.t_frac
+DEFAULT_K_MIN = DetectionParams.k_min
 
 _RADIUS = 100.0
 _NODE_SPACING = 4.0
@@ -124,8 +125,6 @@ def make_ordered_bundles(
             for j in ids:
                 if i != j:
                     flags[i, j] = True
-
-    from .model import layout_extent
 
     w, h = layout_extent(layout)
     return FixtureResult(

@@ -64,15 +64,22 @@ class EdgeCurve:
 
 @dataclass(frozen=True)
 class GraphLayout:
-    """All edges of one bundled layout, with the cached bounding box.
+    """All edges of one bundled layout, with their geometry stacked once.
 
-    Edge ids are 0..M-1 and index into `edges` directly. `extent` is
-    (min_x, min_y, max_x, max_y) over every endpoint and control point.
+    Edge ids are 0..M-1 and index into `edges` directly. The read-only
+    arrays are what every stage computes on: `points` (N, 2) holds all
+    control points edge after edge, `offsets` (M + 1) delimits each
+    edge's points, and `ends` (M, 2, 2) holds each edge's endpoints.
+    `extent` is (min_x, min_y, max_x, max_y) over every endpoint and
+    control point.
     """
 
     edges: tuple[EdgeCurve, ...]
     nodes: tuple[tuple[str, Point2], ...] = ()
-    extent: tuple[float, float, float, float] = field(default=None)  # type: ignore[assignment]
+    points: np.ndarray = field(init=False, compare=False, repr=False)
+    offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    ends: np.ndarray = field(init=False, compare=False, repr=False)
+    extent: tuple[float, float, float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.edges) < 1:
@@ -87,21 +94,40 @@ class GraphLayout:
             raise LayoutValidationError(
                 f"edge ids must be 0..{len(self.edges) - 1} with no gaps"
             )
-        if self.extent is None:
-            object.__setattr__(self, "extent", compute_extent(self.edges))
+        points, offsets, ends = _stack(self.edges)
+        for name, a in (("points", points), ("offsets", offsets), ("ends", ends)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "extent", _extent(points, ends))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
 
+def _stack(edges):
+    """Control points (N, 2), per-edge offsets (M + 1) and endpoints (M, 2, 2)."""
+    offsets = np.cumsum([0] + [e.n_controls for e in edges])
+    # Coordinates stream in one at a time: a list of per-point tuples
+    # would leave about 100 B per point of Python heap behind.
+    points = np.fromiter(
+        (c for e in edges for p in e.controls for c in (p.x, p.y)), float, 2 * offsets[-1]
+    ).reshape(-1, 2)
+    ends = np.fromiter(
+        (c for e in edges for c in (e.v1.x, e.v1.y, e.v2.x, e.v2.y)), float, 4 * len(edges)
+    ).reshape(-1, 2, 2)
+    return points, offsets, ends
+
+
+def _extent(points, ends) -> tuple[float, float, float, float]:
+    lo = np.minimum(points.min(axis=0), ends.min(axis=(0, 1)))
+    hi = np.maximum(points.max(axis=0), ends.max(axis=(0, 1)))
+    return tuple(lo.tolist() + hi.tolist())
+
+
 def compute_extent(edges) -> tuple[float, float, float, float]:
-    xs, ys = [], []
-    for e in edges:
-        for p in (e.v1, e.v2, *e.controls):
-            xs.append(p.x)
-            ys.append(p.y)
-    return (min(xs), min(ys), max(xs), max(ys))
+    points, _, ends = _stack(edges)
+    return _extent(points, ends)
 
 
 def layout_extent(layout: GraphLayout) -> tuple[float, float]:
@@ -110,14 +136,19 @@ def layout_extent(layout: GraphLayout) -> tuple[float, float]:
     return (max_x - min_x, max_y - min_y)
 
 
-def _point_from_pair(raw, edge_id, what) -> Point2:
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _point_from_pair(raw, where, what) -> Point2:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise LayoutParseError(f"edge {edge_id}: {what} is not an [x, y] pair")
+        raise LayoutParseError(f"{where}: {what} is not an [x, y] pair")
     x, y = raw
-    if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-        raise LayoutParseError(f"edge {edge_id}: {what} has non-numeric coordinate")
+    if not (_is_number(x) and _is_number(y)):
+        raise LayoutParseError(f"{where}: {what} has non-numeric coordinate")
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise LayoutValidationError(f"edge {edge_id}: non-finite coordinate in {what}")
+        raise LayoutValidationError(f"{where}: non-finite coordinate in {what}")
     return Point2(float(x), float(y))
 
 
@@ -133,7 +164,7 @@ def layout_from_dict(doc: dict) -> GraphLayout:
         if not isinstance(raw, dict) or "id" not in raw:
             raise LayoutParseError("edge entry missing 'id'")
         eid = raw["id"]
-        if not isinstance(eid, int):
+        if not isinstance(eid, int) or isinstance(eid, bool):
             raise LayoutParseError(f"edge id {eid!r} is not an integer")
         controls_raw = raw.get("controls")
         if not isinstance(controls_raw, list) or not controls_raw:
@@ -141,10 +172,10 @@ def layout_from_dict(doc: dict) -> GraphLayout:
         edges.append(
             EdgeCurve(
                 id=eid,
-                v1=_point_from_pair(raw.get("v1"), eid, "v1"),
-                v2=_point_from_pair(raw.get("v2"), eid, "v2"),
+                v1=_point_from_pair(raw.get("v1"), f"edge {eid}", "v1"),
+                v2=_point_from_pair(raw.get("v2"), f"edge {eid}", "v2"),
                 controls=tuple(
-                    _point_from_pair(c, eid, f"controls[{k}]")
+                    _point_from_pair(c, f"edge {eid}", f"controls[{k}]")
                     for k, c in enumerate(controls_raw)
                 ),
             )
@@ -155,7 +186,8 @@ def layout_from_dict(doc: dict) -> GraphLayout:
     for raw in doc.get("nodes", []) or []:
         if not isinstance(raw, dict) or "id" not in raw:
             raise LayoutParseError("node entry missing 'id'")
-        nodes.append((str(raw["id"]), _point_from_pair([raw.get("x"), raw.get("y")], raw["id"], "node")))
+        nid = str(raw["id"])
+        nodes.append((nid, _point_from_pair([raw.get("x"), raw.get("y")], f"node {nid}", "position")))
 
     return GraphLayout(edges=tuple(edges), nodes=tuple(nodes))
 

@@ -8,7 +8,7 @@ or leaves a bundle, plus its endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .bundling import BundleWeightMatrix, first_run
 from .model import EdgeCurve, GraphLayout, layout_extent
 
 _GRAY = (0.7, 0.7, 0.7)
+_STROKE_WIDTH = 1.5
+_OPACITY = 0.85
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,6 @@ def find_fan_segments(
     )
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    stroke_width: float = 1.5
-    opacity: float = 0.85
-    show_nodes: bool = False
-    fans_only: bool = False
-    # Needed only for fans_only: detection's flags and runs.
-    weights: BundleWeightMatrix | None = field(default=None, compare=False)
-
-
 def _hex(rgb) -> str:
     r, g, b = (max(0, min(255, round(float(c) * 255))) for c in rgb)
     return f"#{r:02x}{g:02x}{b:02x}"
@@ -93,39 +85,40 @@ def _polyline(points, color, width, opacity) -> str:
     )
 
 
-def _fan_elements(layout, colors, opts) -> list[str]:
-    if opts.weights is None:
-        raise ValueError("fans_only rendering needs the weight matrix")
+def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
     parts = []
-    ii = np.nonzero(opts.weights.bundled_flag)[0]
-    counts = np.array([e.n_controls for e in layout.edges])
-    fan_in, fan_out = _fans(opts.weights.runs[:, 0], opts.weights.runs[:, 1], counts[ii])
+    ii = np.nonzero(fans.bundled_flag)[0]
+    counts = np.diff(layout.offsets)
+    fan_in, fan_out = _fans(fans.runs[:, 0], fans.runs[:, 1], counts[ii])
     edge = np.concatenate([ii, ii])
     seg = np.concatenate([fan_in, fan_out])
     width = counts.max()
     fan_edge, fan_seg = np.divmod(np.unique(edge[seg >= 0] * width + seg[seg >= 0]), width)
     bounds = np.searchsorted(fan_edge, np.arange(layout.m + 1))
     for e in layout.edges:
-        parts.append(_polyline(_edge_points(e), _GRAY, opts.stroke_width, opts.opacity))
+        parts.append(_polyline(_edge_points(e), _GRAY, _STROKE_WIDTH, _OPACITY))
     for e in layout.edges:
         color = colors[e.id]
         cpts = [(p.x, p.y) for p in e.controls]
         for s in fan_seg[bounds[e.id] : bounds[e.id + 1]]:
-            parts.append(
-                _polyline(cpts[s : s + 2], color, opts.stroke_width * 1.5, 1.0)
-            )
+            parts.append(_polyline(cpts[s : s + 2], color, _STROKE_WIDTH * 1.5, 1.0))
         for p in (e.v1, e.v2):
             parts.append(
                 f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
-                f'r="{_fmt(opts.stroke_width * 1.5)}" fill="{_hex(color)}"/>'
+                f'r="{_fmt(_STROKE_WIDTH * 1.5)}" fill="{_hex(color)}"/>'
             )
     return parts
 
 
 def render_svg(
-    layout: GraphLayout, colors, opts: RenderOptions = RenderOptions()
+    layout: GraphLayout, colors, fans: BundleWeightMatrix | None = None
 ) -> str:
-    """Deterministic SVG document; one path per edge in id order."""
+    """Deterministic SVG document; one path per edge in id order.
+
+    With `fans`, detection's flags and runs, edge bodies are gray and only
+    the segments where edges enter or leave a bundle are colored, plus
+    the endpoints.
+    """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (layout.m, 3):
         raise ValueError(f"expected {layout.m} RGB triples, got shape {colors.shape}")
@@ -140,18 +133,10 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
     ]
-    if opts.fans_only:
-        parts += _fan_elements(layout, colors, opts)
+    if fans is not None:
+        parts += _fan_elements(layout, colors, fans)
     else:
         for e in layout.edges:
-            parts.append(
-                _polyline(_edge_points(e), colors[e.id], opts.stroke_width, opts.opacity)
-            )
-    if opts.show_nodes and layout.nodes:
-        for nid, p in layout.nodes:
-            parts.append(
-                f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
-                f'r="{_fmt(opts.stroke_width * 2)}" fill="#333333"/>'
-            )
+            parts.append(_polyline(_edge_points(e), colors[e.id], _STROKE_WIDTH, _OPACITY))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

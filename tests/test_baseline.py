@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_layout
 from peacock.baseline import baseline_colors
 from peacock.model import EdgeCurve, GraphLayout, Point2
 
@@ -39,6 +42,15 @@ def test_single_edge_degenerate():
 def test_matches_independent_recomputation(ordered_fixture):
     table = baseline_colors(ordered_fixture.layout)
     assert np.allclose(table.col, naive_baseline(ordered_fixture.layout), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_equals_naive_recomputation_exactly(seed, m):
+    layout = random_layout(np.random.default_rng(seed), m=m, max_controls=3)
+    table = baseline_colors(layout)
+    assert (table.m, table.q) == (layout.m, 3)
+    assert np.array_equal(table.col, naive_baseline(layout))
 
 
 def test_endpoint_swap_invariance(ordered_fixture):

@@ -11,7 +11,7 @@ from peacock.fixtures import make_crossing_bundles
 from peacock.model import EdgeCurve, GraphLayout, Point2
 from peacock.pipeline import run_peacock
 from peacock.coloring import OptimizerConfig
-from peacock.render import FanSegments, RenderOptions, find_fan_segments, render_svg
+from peacock.render import FanSegments, find_fan_segments, render_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,8 +104,7 @@ class TestRenderSvg:
         layout = ordered_fixture.layout
         params = DetectionParams()
         w = build_weight_matrix(layout, params)
-        opts = RenderOptions(fans_only=True, weights=w)
-        svg = render_svg(layout, np.tile([1.0, 0.0, 0.0], (layout.m, 1)), opts)
+        svg = render_svg(layout, np.tile([1.0, 0.0, 0.0], (layout.m, 1)), fans=w)
         root = ET.fromstring(svg)
         # gray bodies plus colored endpoint circles
         assert 'stroke="#b2b2b2"' in svg
@@ -123,7 +122,6 @@ class TestRenderSvg:
     def test_fans_only_golden_snapshot(self):
         layout = make_crossing_bundles(3, 5, seed=1).layout
         table, diag = run_peacock(layout, DetectionParams(), OptimizerConfig())
-        opts = RenderOptions(fans_only=True, weights=diag.weight_matrix)
-        svg = render_svg(layout, colors_to_display(table), opts)
+        svg = render_svg(layout, colors_to_display(table), fans=diag.weight_matrix)
         golden = DATA / "crossing_fans_golden.svg"
         assert svg == golden.read_text()
