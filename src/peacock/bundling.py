@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EdgeCurve, GraphLayout, layout_extent
+from .model import GraphLayout, layout_extent
 
 # Peak bytes per M x M entry of a full run, measured as peak RSS above the
 # interpreter's at M = 1000 and 2000, q = 3 (64-72 B): about eight float64
@@ -204,23 +204,6 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_for):
         pairs.append(code)
         runs.append(np.column_stack([lo, lo + (stop - start)[ok][first]]))
     return np.concatenate(pairs), np.concatenate(runs)
-
-
-def first_run(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int):
-    """(start, end) of edge i's first maximal run of length >= k_ij against
-    edge j, or None."""
-    if k_ij < 1:
-        raise ParameterError("k_ij must be >= 1")
-    points = np.concatenate([edge_i.control_array(), edge_j.control_array()])
-    offsets = np.cumsum([0, edge_i.n_controls, edge_j.n_controls])
-    pairs, runs = _detect(points, offsets, t, lambda c_i, c_j: k_ij)
-    hit = np.flatnonzero(pairs == 1)  # code of (0, 1): edge i against edge j
-    return tuple(int(v) for v in runs[hit[0]]) if hit.size else None
-
-
-def detect_pair(edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int) -> bool:
-    """Directional detection: does edge i travel bundled with edge j?"""
-    return first_run(edge_i, edge_j, t, k_ij) is not None
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:

@@ -156,10 +156,26 @@ def _cmd_color(args) -> int:
     return EXIT_OK
 
 
+def _read_rgb(path) -> np.ndarray:
+    """The `rgb` rows of a color dump, which must be an object of finite numbers."""
+    try:
+        doc = read_color_dump(path)
+    except TypeError:  # the `'rgb' in doc` test on a JSON number or null
+        doc = None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a color dump (not a JSON object)")
+    try:
+        rgb = np.asarray(doc["rgb"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rgb = None
+    if rgb is None or not np.isfinite(rgb).all():
+        raise ValueError(f"{path}: 'rgb' holds a value that is not a finite number")
+    return rgb
+
+
 def _cmd_render(args) -> int:
     layout = load_layout(args.input)
-    doc = read_color_dump(args.colors)
-    rgb = np.asarray(doc["rgb"], dtype=float)
+    rgb = _read_rgb(args.colors)
     with open(args.out, "w") as fh:
         fh.write(render_svg(layout, rgb))
     print(f"wrote {args.out}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EdgeCurve, GraphLayout
+from .model import GraphLayout
 
 
 @dataclass(frozen=True)
@@ -24,16 +24,6 @@ class DissimilarityMatrix:
         if self.d.shape != (self.m, self.m):
             raise ValueError("matrix shape mismatch")
         self.d.setflags(write=False)
-
-
-def endpoint_dissimilarity(edge_i: EdgeCurve, edge_j: EdgeCurve) -> float:
-    a1 = np.array([edge_i.v1.x, edge_i.v1.y])
-    a2 = np.array([edge_i.v2.x, edge_i.v2.y])
-    b1 = np.array([edge_j.v1.x, edge_j.v1.y])
-    b2 = np.array([edge_j.v2.x, edge_j.v2.y])
-    straight = np.linalg.norm(a1 - b1) + np.linalg.norm(a2 - b2)
-    crossed = np.linalg.norm(a1 - b2) + np.linalg.norm(a2 - b1)
-    return float(min(straight, crossed))
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import DetectionParams
-from .model import EdgeCurve, GraphLayout, Point2, layout_extent
+from .model import GraphLayout, layout_extent
 
 DEFAULT_T_FRAC = DetectionParams.t_frac
 DEFAULT_K_MIN = DetectionParams.k_min
@@ -45,9 +45,18 @@ def _corridor(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a[None, :] * (1 - steps) + b[None, :] * steps
 
 
-def _jittered_controls(waypoints: np.ndarray, amp: float, rng) -> tuple[Point2, ...]:
-    jit = rng.uniform(-amp, amp, size=waypoints.shape)
-    return tuple(Point2(float(x), float(y)) for x, y in waypoints + jit)
+def _jittered_controls(waypoints: np.ndarray, amp: float, rng) -> np.ndarray:
+    return waypoints + rng.uniform(-amp, amp, size=waypoints.shape)
+
+
+def _layout(ends, controls, nodes) -> GraphLayout:
+    """The layout whose edge i has endpoints `ends[i]` and control points `controls[i]`."""
+    return GraphLayout(
+        points=np.concatenate(controls),
+        offsets=np.cumsum([0] + [len(c) for c in controls]),
+        ends=np.array(ends),
+        nodes=nodes,
+    )
 
 
 def make_ordered_bundles(
@@ -83,8 +92,7 @@ def make_ordered_bundles(
     t_nominal = DEFAULT_T_FRAC * (2 * _RADIUS + (n - 1) * _NODE_SPACING)
     amp = t_nominal / 8
 
-    nodes = []
-    edges = []
+    nodes, ends, controls = [], [], []
     bundles: list[list[int]] = []
     order: list[list[int]] = []
     for b in range(n_bundles):
@@ -95,28 +103,18 @@ def make_ordered_bundles(
         ranks = []
         for k in range(n):
             dst_k = (n - 1 - k) if reverse else k
-            src = node_pos(src_g, k)
-            dst = node_pos(dst_g, dst_k)
-            eid = b * n + k
-            edges.append(
-                EdgeCurve(
-                    id=eid,
-                    v1=Point2(float(src[0]), float(src[1])),
-                    v2=Point2(float(dst[0]), float(dst[1])),
-                    controls=_jittered_controls(waypoints, amp, rng),
-                )
-            )
-            ids.append(eid)
+            ends.append((node_pos(src_g, k), node_pos(dst_g, dst_k)))
+            controls.append(_jittered_controls(waypoints, amp, rng))
+            ids.append(b * n + k)
             ranks.append(k)
         bundles.append(ids)
         order.append(ranks)
 
     for g in range(groups):
         for k in range(n):
-            p = node_pos(g, k)
-            nodes.append((f"g{g}n{k}", Point2(float(p[0]), float(p[1]))))
+            nodes.append((f"g{g}n{k}", *node_pos(g, k).tolist()))
 
-    layout = GraphLayout(edges=tuple(edges), nodes=tuple(nodes))
+    layout = _layout(ends, controls, nodes)
 
     m = layout.m
     flags = np.zeros((m, m), dtype=bool)
@@ -157,8 +155,7 @@ def make_crossing_bundles(
     t = DEFAULT_T_FRAC * 2 * length
     amp = t / 10
 
-    nodes = []
-    edges = []
+    nodes, ends, controls = [], [], []
     bundle_ids: list[list[int]] = []
     order: list[list[int]] = []
     for b in range(bundles):
@@ -178,23 +175,16 @@ def make_crossing_bundles(
             off = tangent * (k - (n - 1) / 2) * _NODE_SPACING
             src = -length * direction + off
             dst = length * direction + off
-            eid = b * n + k
-            edges.append(
-                EdgeCurve(
-                    id=eid,
-                    v1=Point2(float(src[0]), float(src[1])),
-                    v2=Point2(float(dst[0]), float(dst[1])),
-                    controls=_jittered_controls(waypoints, amp, rng),
-                )
-            )
-            nodes.append((f"b{b}s{k}", Point2(float(src[0]), float(src[1]))))
-            nodes.append((f"b{b}t{k}", Point2(float(dst[0]), float(dst[1]))))
-            ids.append(eid)
+            ends.append((src, dst))
+            controls.append(_jittered_controls(waypoints, amp, rng))
+            nodes.append((f"b{b}s{k}", *src.tolist()))
+            nodes.append((f"b{b}t{k}", *dst.tolist()))
+            ids.append(b * n + k)
             ranks.append(k)
         bundle_ids.append(ids)
         order.append(ranks)
 
-    layout = GraphLayout(edges=tuple(edges), nodes=tuple(nodes))
+    layout = _layout(ends, controls, nodes)
     m = layout.m
     flags = np.ones((m, m), dtype=bool)  # every pair meets in the center
     np.fill_diagonal(flags, False)

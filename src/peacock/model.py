@@ -2,8 +2,8 @@
 
 A layout is a set of edge curves on screen: each edge has two endpoint
 coordinates (where its nodes sit) and an ordered polyline of control
-points describing the bundled curve. Everything is immutable after
-construction so downstream stages can share layouts freely.
+points describing the bundled curve. The geometry is held as read-only
+arrays, so downstream stages can share layouts freely.
 """
 
 from __future__ import annotations
@@ -27,107 +27,68 @@ class LayoutValidationError(LayoutError):
     """The file parsed but violates a layout invariant."""
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise LayoutValidationError(f"non-finite coordinate ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class EdgeCurve:
-    """One edge: endpoints plus the ordered control points of its curve."""
-
-    id: int
-    v1: Point2
-    v2: Point2
-    controls: tuple[Point2, ...]
-
-    def __post_init__(self):
-        if len(self.controls) < 1:
-            raise LayoutValidationError(f"edge {self.id}: empty control list")
-
-    @property
-    def n_controls(self) -> int:
-        return len(self.controls)
-
-    def control_array(self) -> np.ndarray:
-        """Control points as an (C_i, 2) float array."""
-        return np.array([(p.x, p.y) for p in self.controls], dtype=float)
-
-    def endpoint_array(self) -> np.ndarray:
-        return np.array([(self.v1.x, self.v1.y), (self.v2.x, self.v2.y)], dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphLayout:
-    """All edges of one bundled layout, with their geometry stacked once.
+    """All edges of one bundled layout, as arrays every stage computes on.
 
-    Edge ids are 0..M-1 and index into `edges` directly. The read-only
-    arrays are what every stage computes on: `points` (N, 2) holds all
-    control points edge after edge, `offsets` (M + 1) delimits each
-    edge's points, and `ends` (M, 2, 2) holds each edge's endpoints.
+    Edge i's control points are rows `offsets[i]:offsets[i + 1]` of
+    `points` (N, 2), each edge having at least one; `ends[i]` holds its
+    two endpoints (M, 2, 2). `nodes` holds (id, x, y) tuples, and
     `extent` is (min_x, min_y, max_x, max_y) over every endpoint and
-    control point.
+    control point. The arrays are copies, read-only and finite.
     """
 
-    edges: tuple[EdgeCurve, ...]
-    nodes: tuple[tuple[str, Point2], ...] = ()
-    points: np.ndarray = field(init=False, compare=False, repr=False)
-    offsets: np.ndarray = field(init=False, compare=False, repr=False)
-    ends: np.ndarray = field(init=False, compare=False, repr=False)
-    extent: tuple[float, float, float, float] = field(init=False, compare=False, repr=False)
+    points: np.ndarray
+    offsets: np.ndarray
+    ends: np.ndarray
+    nodes: tuple[tuple[str, float, float], ...] = ()
+    extent: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.edges) < 1:
+        points = np.array(self.points, dtype=float)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        ends = np.array(self.ends, dtype=float)
+        if offsets.ndim != 1 or len(offsets) < 2:
             raise LayoutValidationError("layout has no edges")
-        ids = [e.id for e in self.edges]
-        if ids != list(range(len(self.edges))):
-            seen = set()
-            for i in ids:
-                if i in seen:
-                    raise LayoutValidationError(f"duplicate edge id {i}")
-                seen.add(i)
+        m = len(offsets) - 1
+        if points.shape != (offsets[-1], 2) or offsets[0] != 0 or ends.shape != (m, 2, 2):
             raise LayoutValidationError(
-                f"edge ids must be 0..{len(self.edges) - 1} with no gaps"
+                f"points {points.shape}, offsets ({m + 1},) and ends {ends.shape} "
+                "are not (N, 2), 0..N and (M, 2, 2)"
             )
-        points, offsets, ends = _stack(self.edges)
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if empty.size:
+            raise LayoutValidationError(f"edge {empty[0]}: empty control list")
+        _check_finite(points, offsets, ends)
+        for nid, x, y in self.nodes:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise LayoutValidationError(f"node {nid}: non-finite coordinate in position")
         for name, a in (("points", points), ("offsets", offsets), ("ends", ends)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "extent", _extent(points, ends))
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        lo = np.minimum(points.min(axis=0), ends.min(axis=(0, 1)))
+        hi = np.maximum(points.max(axis=0), ends.max(axis=(0, 1)))
+        object.__setattr__(self, "extent", tuple(lo.tolist() + hi.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.offsets) - 1
 
 
-def _stack(edges):
-    """Control points (N, 2), per-edge offsets (M + 1) and endpoints (M, 2, 2)."""
-    offsets = np.cumsum([0] + [e.n_controls for e in edges])
-    # Coordinates stream in one at a time: a list of per-point tuples
-    # would leave about 100 B per point of Python heap behind.
-    points = np.fromiter(
-        (c for e in edges for p in e.controls for c in (p.x, p.y)), float, 2 * offsets[-1]
-    ).reshape(-1, 2)
-    ends = np.fromiter(
-        (c for e in edges for c in (e.v1.x, e.v1.y, e.v2.x, e.v2.y)), float, 4 * len(edges)
-    ).reshape(-1, 2, 2)
-    return points, offsets, ends
-
-
-def _extent(points, ends) -> tuple[float, float, float, float]:
-    lo = np.minimum(points.min(axis=0), ends.min(axis=(0, 1)))
-    hi = np.maximum(points.max(axis=0), ends.max(axis=(0, 1)))
-    return tuple(lo.tolist() + hi.tolist())
-
-
-def compute_extent(edges) -> tuple[float, float, float, float]:
-    points, _, ends = _stack(edges)
-    return _extent(points, ends)
+def _check_finite(points, offsets, ends) -> None:
+    """Raise naming the first edge, and its first point, that is not finite."""
+    bad_ends = ~np.isfinite(ends).all(axis=2)
+    bad_points = ~np.isfinite(points).all(axis=1)
+    if not (bad_ends.any() or bad_points.any()):
+        return
+    bad_edges = bad_ends.any(axis=1) | np.logical_or.reduceat(bad_points, offsets[:-1])
+    i = int(np.argmax(bad_edges))
+    if bad_ends[i].any():
+        what = ("v1", "v2")[int(np.argmax(bad_ends[i]))]
+    else:
+        what = f"controls[{np.argmax(bad_points[offsets[i] : offsets[i + 1]])}]"
+    raise LayoutValidationError(f"edge {i}: non-finite coordinate in {what}")
 
 
 def layout_extent(layout: GraphLayout) -> tuple[float, float]:
@@ -141,15 +102,16 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _point_from_pair(raw, where, what) -> Point2:
+def _xy(raw, where, what) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise LayoutParseError(f"{where}: {what} is not an [x, y] pair")
     x, y = raw
     if not (_is_number(x) and _is_number(y)):
         raise LayoutParseError(f"{where}: {what} has non-numeric coordinate")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise LayoutValidationError(f"{where}: non-finite coordinate in {what}")
-    return Point2(float(x), float(y))
+    try:
+        return float(x), float(y)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise LayoutValidationError(f"{where}: coordinate in {what} is too large") from None
 
 
 def layout_from_dict(doc: dict) -> GraphLayout:
@@ -159,37 +121,50 @@ def layout_from_dict(doc: dict) -> GraphLayout:
     if not isinstance(raw_edges, list) or not raw_edges:
         raise LayoutParseError("'edges' must be a non-empty array")
 
-    edges = []
+    # Per edge, in file order: its id and its points, v1 and v2 first.
+    ids, curves = [], []
     for raw in raw_edges:
         if not isinstance(raw, dict) or "id" not in raw:
             raise LayoutParseError("edge entry missing 'id'")
         eid = raw["id"]
         if not isinstance(eid, int) or isinstance(eid, bool):
             raise LayoutParseError(f"edge id {eid!r} is not an integer")
-        controls_raw = raw.get("controls")
-        if not isinstance(controls_raw, list) or not controls_raw:
+        controls = raw.get("controls")
+        if not isinstance(controls, list) or not controls:
             raise LayoutValidationError(f"edge {eid}: empty control list")
-        edges.append(
-            EdgeCurve(
-                id=eid,
-                v1=_point_from_pair(raw.get("v1"), f"edge {eid}", "v1"),
-                v2=_point_from_pair(raw.get("v2"), f"edge {eid}", "v2"),
-                controls=tuple(
-                    _point_from_pair(c, f"edge {eid}", f"controls[{k}]")
-                    for k, c in enumerate(controls_raw)
-                ),
-            )
-        )
-    edges.sort(key=lambda e: e.id)
+        where = f"edge {eid}"
+        curve = [_xy(raw.get("v1"), where, "v1"), _xy(raw.get("v2"), where, "v2")]
+        curve += [_xy(c, where, f"controls[{k}]") for k, c in enumerate(controls)]
+        ids.append(eid)
+        curves.append(curve)
 
+    # Ids become row indices only once they are known to be 0..M-1.
+    m, s = len(ids), sorted(ids)
+    if s != list(range(m)):
+        dup = next((a for a, b in zip(s, s[1:]) if a == b), None)
+        if dup is not None:
+            raise LayoutValidationError(f"duplicate edge id {dup}")
+        raise LayoutValidationError(f"edge ids must be 0..{m - 1} with no gaps")
+    by_id = [None] * m
+    for eid, curve in zip(ids, curves):
+        by_id[eid] = curve
+
+    raw_nodes = doc.get("nodes", [])
+    if not isinstance(raw_nodes, list):
+        raise LayoutParseError("'nodes' must be an array")
     nodes = []
-    for raw in doc.get("nodes", []) or []:
+    for raw in raw_nodes:
         if not isinstance(raw, dict) or "id" not in raw:
             raise LayoutParseError("node entry missing 'id'")
         nid = str(raw["id"])
-        nodes.append((nid, _point_from_pair([raw.get("x"), raw.get("y")], f"node {nid}", "position")))
+        nodes.append((nid, *_xy([raw.get("x"), raw.get("y")], f"node {nid}", "position")))
 
-    return GraphLayout(edges=tuple(edges), nodes=tuple(nodes))
+    return GraphLayout(
+        points=np.array([p for curve in by_id for p in curve[2:]]),
+        offsets=np.cumsum([0] + [len(curve) - 2 for curve in by_id]),
+        ends=np.array([curve[:2] for curve in by_id]),
+        nodes=nodes,
+    )
 
 
 def load_layout(path) -> GraphLayout:
@@ -205,15 +180,11 @@ def load_layout(path) -> GraphLayout:
 def layout_to_dict(layout: GraphLayout) -> dict:
     doc: dict = {}
     if layout.nodes:
-        doc["nodes"] = [{"id": nid, "x": p.x, "y": p.y} for nid, p in layout.nodes]
+        doc["nodes"] = [{"id": nid, "x": x, "y": y} for nid, x, y in layout.nodes]
+    points, ends, o = layout.points.tolist(), layout.ends.tolist(), layout.offsets.tolist()
     doc["edges"] = [
-        {
-            "id": e.id,
-            "v1": [e.v1.x, e.v1.y],
-            "v2": [e.v2.x, e.v2.y],
-            "controls": [[p.x, p.y] for p in e.controls],
-        }
-        for e in layout.edges
+        {"id": i, "v1": v1, "v2": v2, "controls": points[o[i] : o[i + 1]]}
+        for i, (v1, v2) in enumerate(ends)
     ]
     return doc
 

@@ -1,4 +1,4 @@
-"""SVG output and fan-in / fan-out segment identification.
+"""SVG output, with fan-in / fan-out segments in fans-only mode.
 
 Edges are drawn as polylines through their control points (endpoints
 included), each stroked with its assigned color. The fans-only mode
@@ -8,56 +8,20 @@ or leaves a bundle, plus its endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bundling import BundleWeightMatrix, first_run
-from .model import EdgeCurve, GraphLayout, layout_extent
+from .bundling import BundleWeightMatrix
+from .model import GraphLayout, layout_extent
 
 _GRAY = (0.7, 0.7, 0.7)
 _STROKE_WIDTH = 1.5
 _OPACITY = 0.85
 
 
-@dataclass(frozen=True)
-class FanSegments:
-    """Segment indices of edge i around its bundled run against edge j.
-
-    Segment s joins control points s and s+1. `fan_in` is the segment
-    ending at the run's first control point (absent when the run starts
-    at the first control), `fan_out` the segment starting at the run's
-    last control point (absent when the run reaches the end).
-    """
-
-    fan_in: int | None
-    fan_out: int | None
-    run_start: int
-    run_end: int
-
-
 def _fans(start, end, c_i):
     """Fan-in and fan-out segment of runs (start, end) on edges with c_i
     controls; -1 where the run touches that end of the edge."""
     return np.where(start > 0, start - 1, -1), np.where(end < c_i - 1, end, -1)
-
-
-def find_fan_segments(
-    edge_i: EdgeCurve, edge_j: EdgeCurve, t: float, k_ij: int
-) -> FanSegments:
-    """Fan segments for the earliest qualifying run, extended maximally."""
-    run = first_run(edge_i, edge_j, t, k_ij)
-    if run is None:
-        raise ValueError(
-            f"edges {edge_i.id} and {edge_j.id} are not bundled at t={t}, k={k_ij}"
-        )
-    fan_in, fan_out = (int(s) for s in _fans(run[0], run[1], edge_i.n_controls))
-    return FanSegments(
-        fan_in=fan_in if fan_in >= 0 else None,
-        fan_out=fan_out if fan_out >= 0 else None,
-        run_start=run[0],
-        run_end=run[1],
-    )
 
 
 def _hex(rgb) -> str:
@@ -69,15 +33,16 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _edge_points(e: EdgeCurve) -> list[tuple[float, float]]:
-    pts = [(e.v1.x, e.v1.y)]
-    pts += [(p.x, p.y) for p in e.controls]
-    pts.append((e.v2.x, e.v2.y))
-    return pts
+def _texts(xy: np.ndarray) -> list[str]:
+    """Each row of an (n, 2) array as "x y" text."""
+    # Column by column: `xy.tolist()` would make n small lists for the
+    # garbage collector to track.
+    return [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xy[:, 0].tolist(), xy[:, 1].tolist())]
 
 
-def _polyline(points, color, width, opacity) -> str:
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
+def _polyline(coords, color, width, opacity) -> str:
+    """A path through `coords`, "x y" texts in order."""
+    d = "M " + " L ".join(coords)
     return (
         f'<path d="{d}" fill="none" stroke="{_hex(color)}" '
         f'stroke-width="{_fmt(width)}" stroke-opacity="{_fmt(opacity)}" '
@@ -85,8 +50,14 @@ def _polyline(points, color, width, opacity) -> str:
     )
 
 
+def _curves(layout: GraphLayout) -> list[list[str]]:
+    """Per edge, the "x y" texts of v1, its control points and v2."""
+    pts, o = _texts(layout.points), layout.offsets.tolist()
+    v1, v2 = _texts(layout.ends[:, 0]), _texts(layout.ends[:, 1])
+    return [[v1[i], *pts[o[i] : o[i + 1]], v2[i]] for i in range(layout.m)]
+
+
 def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
-    parts = []
     ii = np.nonzero(fans.bundled_flag)[0]
     counts = np.diff(layout.offsets)
     fan_in, fan_out = _fans(fans.runs[:, 0], fans.runs[:, 1], counts[ii])
@@ -95,17 +66,17 @@ def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
     width = counts.max()
     fan_edge, fan_seg = np.divmod(np.unique(edge[seg >= 0] * width + seg[seg >= 0]), width)
     bounds = np.searchsorted(fan_edge, np.arange(layout.m + 1))
-    for e in layout.edges:
-        parts.append(_polyline(_edge_points(e), _GRAY, _STROKE_WIDTH, _OPACITY))
-    for e in layout.edges:
-        color = colors[e.id]
-        cpts = [(p.x, p.y) for p in e.controls]
-        for s in fan_seg[bounds[e.id] : bounds[e.id + 1]]:
-            parts.append(_polyline(cpts[s : s + 2], color, _STROKE_WIDTH * 1.5, 1.0))
-        for p in (e.v1, e.v2):
+    curves = _curves(layout)
+    parts = [_polyline(c, _GRAY, _STROKE_WIDTH, _OPACITY) for c in curves]
+    radius = _fmt(_STROKE_WIDTH * 1.5)
+    for i, (curve, ends) in enumerate(zip(curves, layout.ends.tolist())):
+        color = colors[i]
+        # Segment s joins control points s and s + 1, after v1 in the curve.
+        for s in fan_seg[bounds[i] : bounds[i + 1]]:
+            parts.append(_polyline(curve[s + 1 : s + 3], color, _STROKE_WIDTH * 1.5, 1.0))
+        for x, y in ends:
             parts.append(
-                f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
-                f'r="{_fmt(_STROKE_WIDTH * 1.5)}" fill="{_hex(color)}"/>'
+                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{radius}" fill="{_hex(color)}"/>'
             )
     return parts
 
@@ -136,7 +107,9 @@ def render_svg(
     if fans is not None:
         parts += _fan_elements(layout, colors, fans)
     else:
-        for e in layout.edges:
-            parts.append(_polyline(_edge_points(e), colors[e.id], _STROKE_WIDTH, _OPACITY))
+        parts += [
+            _polyline(c, color, _STROKE_WIDTH, _OPACITY)
+            for c, color in zip(_curves(layout), colors)
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,7 +11,28 @@ import numpy as np
 import pytest
 
 from peacock.bundling import required_run_length
-from peacock.model import EdgeCurve, GraphLayout, Point2
+from peacock.model import GraphLayout
+
+
+def make_layout(edges, nodes=()):
+    """The layout whose edge i is the i-th (v1, v2, controls) tuple: two
+    [x, y] endpoints and a list of [x, y] control points."""
+    edges = list(edges)
+    return GraphLayout(
+        points=np.array([p for _, _, controls in edges for p in controls], dtype=float),
+        offsets=np.cumsum([0] + [len(controls) for _, _, controls in edges]),
+        ends=np.array([(v1, v2) for v1, v2, _ in edges], dtype=float),
+        nodes=nodes,
+    )
+
+
+def edges_of(layout):
+    """The (v1, v2, controls) tuple of each edge, as arrays, in id order."""
+    o = layout.offsets
+    return [
+        (v1, v2, layout.points[o[i] : o[i + 1]])
+        for i, (v1, v2) in enumerate(layout.ends)
+    ]
 
 
 def random_layout(rng, m=None, max_controls=12, span=100.0):
@@ -19,24 +40,16 @@ def random_layout(rng, m=None, max_controls=12, span=100.0):
     if m is None:
         m = int(rng.integers(2, 41))
     edges = []
-    for i in range(m):
+    for _ in range(m):
         c = int(rng.integers(1, max_controls + 1))
         pts = rng.uniform(0, span, size=(c + 2, 2))
-        edges.append(
-            EdgeCurve(
-                id=i,
-                v1=Point2(*pts[0]),
-                v2=Point2(*pts[1]),
-                controls=tuple(Point2(*p) for p in pts[2:]),
-            )
-        )
-    return GraphLayout(edges=tuple(edges))
+        edges.append((pts[0], pts[1], pts[2:]))
+    return make_layout(edges)
 
 
-def oracle_detect(edge_i, edge_j, t, k_ij):
-    """Direct evaluation of the run-of-close-control-points rule."""
-    pi = edge_i.control_array()
-    pj = edge_j.control_array()
+def oracle_detect(pi, pj, t, k_ij):
+    """Direct evaluation of the run-of-close-control-points rule on the
+    control points of edges i and j."""
     near = []
     for r in range(len(pi)):
         dmin = min(math.dist(pi[r], pj[s]) for s in range(len(pj)))
@@ -48,13 +61,11 @@ def oracle_detect(edge_i, edge_j, t, k_ij):
     return False
 
 
-def oracle_first_run(edge_i, edge_j, t, k_ij):
-    """(start, end) of the first maximal run of at least k_ij controls of
-    edge i within t of edge j, traced point by point; None if there is none."""
-    near = [
-        min(math.dist(p, q) for q in edge_j.control_array()) <= t
-        for p in edge_i.control_array()
-    ]
+def oracle_first_run(pi, pj, t, k_ij):
+    """(start, end) of the first maximal run of at least k_ij of the
+    control points pi within t of the control points pj, traced point by
+    point; None if there is none."""
+    near = [min(math.dist(p, q) for q in pj) <= t for p in pi]
     r = 0
     while r < len(near):
         if not near[r]:
@@ -71,14 +82,21 @@ def oracle_first_run(edge_i, edge_j, t, k_ij):
 
 def oracle_flags(layout, t, k_min):
     m = layout.m
+    controls = [c for _, _, c in edges_of(layout)]
     flags = np.zeros((m, m), dtype=bool)
-    for i, ei in enumerate(layout.edges):
-        for j, ej in enumerate(layout.edges):
+    for i, ci in enumerate(controls):
+        for j, cj in enumerate(controls):
             if i == j:
                 continue
-            k_ij = required_run_length(ei.n_controls, ej.n_controls, k_min)
-            flags[i, j] = oracle_detect(ei, ej, t, k_ij)
+            k_ij = required_run_length(len(ci), len(cj), k_min)
+            flags[i, j] = oracle_detect(ci, cj, t, k_ij)
     return flags
+
+
+def runs_by_pair(w):
+    """{(i, j): (start, end)} of every flagged pair of a weight matrix."""
+    pairs = zip(*np.nonzero(w.bundled_flag))
+    return {(int(i), int(j)): tuple(int(v) for v in r) for (i, j), r in zip(pairs, w.runs)}
 
 
 def oracle_stress(y, weights, d):
@@ -127,9 +145,8 @@ def oracle_gradient(values, stops):
 def oracle_dissimilarity(layout):
     """Endpoint dissimilarities through (M, M, 2) difference tensors and
     `np.linalg.norm`."""
-    ends = np.array([e.endpoint_array() for e in layout.edges])
-    v1 = ends[:, 0, :]
-    v2 = ends[:, 1, :]
+    v1 = layout.ends[:, 0, :]
+    v2 = layout.ends[:, 1, :]
 
     def norm(a, b):
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
@@ -149,9 +166,7 @@ def oracle_prepare(w):
 
 def oracle_projection_init(layout, q):
     """Standardized projected midpoints, with no tie-breaking."""
-    mids = np.array(
-        [[(e.v1.x + e.v2.x) / 2.0, (e.v1.y + e.v2.y) / 2.0] for e in layout.edges]
-    )
+    mids = np.array([[(v1[0] + v2[0]) / 2.0, (v1[1] + v2[1]) / 2.0] for v1, v2 in layout.ends])
     y = [mids[:, [0]], mids, np.column_stack([mids[:, 0], mids[:, 1], mids.sum(axis=1)])][q - 1]
     std = y.std(axis=0)
     std[std == 0] = 1.0
@@ -162,20 +177,11 @@ def rigid_transform(layout, angle, dx, dy):
     """The same rotation + translation applied to every point."""
     ca, sa = math.cos(angle), math.sin(angle)
 
-    def move(p):
-        return Point2(ca * p.x - sa * p.y + dx, sa * p.x + ca * p.y + dy)
+    def move(x, y):
+        return (ca * x - sa * y + dx, sa * x + ca * y + dy)
 
-    edges = tuple(
-        EdgeCurve(
-            id=e.id,
-            v1=move(e.v1),
-            v2=move(e.v2),
-            controls=tuple(move(p) for p in e.controls),
-        )
-        for e in layout.edges
-    )
-    nodes = tuple((nid, move(p)) for nid, p in layout.nodes)
-    return GraphLayout(edges=edges, nodes=nodes)
+    edges = [(move(*v1), move(*v2), [move(*p) for p in c]) for v1, v2, c in edges_of(layout)]
+    return make_layout(edges, nodes=[(nid, *move(x, y)) for nid, x, y in layout.nodes])
 
 
 @pytest.fixture(scope="session")

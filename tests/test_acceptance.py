@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import oracle_flags, oracle_stress, random_layout, rigid_transform
+from conftest import (
+    edges_of,
+    make_layout,
+    oracle_flags,
+    oracle_stress,
+    random_layout,
+    rigid_transform,
+)
 
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
@@ -22,7 +29,6 @@ from peacock.coloring import (
 )
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_ordered_bundles
-from peacock.model import EdgeCurve, GraphLayout, Point2
 from peacock.pipeline import run_peacock
 from test_coloring import random_instance, weight_matrix
 
@@ -140,28 +146,16 @@ def test_criterion_8_rigid_motion_invariance():
     # the transform is exact in floating point, so bit-identity is testable.
     rng = np.random.default_rng(108)
     edges = []
-    for i in range(20):
+    for _ in range(20):
         pts = rng.integers(0, 200, size=(8, 2)).astype(float)
-        edges.append(
-            EdgeCurve(
-                id=i,
-                v1=Point2(*pts[0]),
-                v2=Point2(*pts[1]),
-                controls=tuple(Point2(*p) for p in pts[2:]),
-            )
-        )
-    layout = GraphLayout(edges=tuple(edges))
+        edges.append((pts[0], pts[1], pts[2:]))
+    layout = make_layout(edges)
 
     def quarter_turn(l):
-        moved = []
-        for e in l.edges:
-            def mv(p):
-                return Point2(-p.y + 31.0, p.x - 17.0)
-            moved.append(
-                EdgeCurve(id=e.id, v1=mv(e.v1), v2=mv(e.v2),
-                          controls=tuple(mv(p) for p in e.controls))
-            )
-        return GraphLayout(edges=tuple(moved))
+        def mv(p):
+            return (-p[1] + 31.0, p[0] - 17.0)
+
+        return make_layout((mv(v1), mv(v2), [mv(p) for p in c]) for v1, v2, c in edges_of(l))
 
     params = DetectionParams(t_abs=6.0, t_frac=None)
     before_w = build_weight_matrix(layout, params)
@@ -200,17 +194,11 @@ def test_criterion_10_baseline_contract(ordered_fixture):
     table = baseline_colors(layout)
     assert (table.col >= 0).all() and (table.col <= 1).all()
 
-    swapped = GraphLayout(
-        edges=tuple(
-            EdgeCurve(id=e.id, v1=e.v2, v2=e.v1, controls=e.controls)
-            for e in layout.edges
-        ),
-        nodes=layout.nodes,
-    )
+    swapped = make_layout(((v2, v1, c) for v1, v2, c in edges_of(layout)), nodes=layout.nodes)
     assert (baseline_colors(swapped).col == table.col).all()
 
     raw = np.array(
-        [[min(e.v1.x, e.v2.x), 0.0, min(e.v1.y, e.v2.y)] for e in layout.edges]
+        [[min(x1, x2), 0.0, min(y1, y2)] for (x1, y1), (x2, y2) in layout.ends.tolist()]
     )
     want = np.empty_like(raw)
     for c in range(3):

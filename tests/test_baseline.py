@@ -3,22 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layout
+from conftest import edges_of, make_layout, random_layout
 from peacock.baseline import baseline_colors
-from peacock.model import EdgeCurve, GraphLayout, Point2
 
 
-def edge(eid, v1, v2):
-    return EdgeCurve(
-        id=eid, v1=Point2(*v1), v2=Point2(*v2), controls=(Point2(*v1), Point2(*v2))
-    )
+def edge(v1, v2):
+    return (v1, v2, [v1, v2])
+
+
+def swap_endpoints(layout):
+    return make_layout(((v2, v1, c) for v1, v2, c in edges_of(layout)), nodes=layout.nodes)
 
 
 def naive_baseline(layout):
     """Independent recomputation of the two-step encoding."""
     raw = []
-    for e in layout.edges:
-        raw.append([min(e.v1.x, e.v2.x), 0.0, min(e.v1.y, e.v2.y)])
+    for (x1, y1), (x2, y2) in layout.ends.tolist():
+        raw.append([min(x1, x2), 0.0, min(y1, y2)])
     raw = np.array(raw)
     out = np.empty_like(raw)
     for c in range(3):
@@ -28,14 +29,14 @@ def naive_baseline(layout):
 
 
 def test_two_edge_min_endpoints():
-    layout = GraphLayout(edges=(edge(0, (0, 0), (5, 5)), edge(1, (10, 10), (20, 20))))
+    layout = make_layout([edge((0, 0), (5, 5)), edge((10, 10), (20, 20))])
     table = baseline_colors(layout)
     assert np.allclose(table.col[0], [0.0, 0.5, 0.0])
     assert np.allclose(table.col[1], [1.0, 0.5, 1.0])
 
 
 def test_single_edge_degenerate():
-    layout = GraphLayout(edges=(edge(0, (1, 2), (3, 4)),))
+    layout = make_layout([edge((1, 2), (3, 4))])
     assert np.allclose(baseline_colors(layout).col, [[0.5, 0.5, 0.5]])
 
 
@@ -55,14 +56,7 @@ def test_equals_naive_recomputation_exactly(seed, m):
 
 def test_endpoint_swap_invariance(ordered_fixture):
     layout = ordered_fixture.layout
-    swapped = GraphLayout(
-        edges=tuple(
-            EdgeCurve(id=e.id, v1=e.v2, v2=e.v1, controls=e.controls)
-            for e in layout.edges
-        ),
-        nodes=layout.nodes,
-    )
-    assert np.array_equal(baseline_colors(layout).col, baseline_colors(swapped).col)
+    assert np.array_equal(baseline_colors(layout).col, baseline_colors(swap_endpoints(layout)).col)
 
 
 def test_entries_in_unit_interval(ordered_fixture):

@@ -4,28 +4,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    edges_of,
+    make_layout,
     oracle_detect,
     oracle_first_run,
     oracle_flags,
     random_layout,
     rigid_transform,
+    runs_by_pair,
 )
 
 from peacock.bundling import (
     DetectionParams,
     ParameterError,
+    _detect,
     build_weight_matrix,
-    detect_pair,
     dump_bundled_pairs,
     near_pairs,
     required_run_length,
 )
-from peacock.model import EdgeCurve, GraphLayout, Point2
 
 
-def make_edge(eid, points):
-    pts = tuple(Point2(float(x), float(y)) for x, y in points)
-    return EdgeCurve(id=eid, v1=pts[0], v2=pts[-1], controls=pts)
+def layout_from_points(controls):
+    """Edges through the given control points, with their first and last
+    control as endpoints."""
+    return make_layout((pts[0], pts[-1], pts) for pts in controls)
+
+
+def fixed_k_flags(layout, t, k_ij):
+    """Detection flags of every ordered pair with one run length for all."""
+    pairs, _ = _detect(layout.points, layout.offsets, t, lambda c_i, c_j: k_ij)
+    flags = np.zeros((layout.m, layout.m), dtype=bool)
+    flags.flat[pairs] = True
+    return flags
 
 
 def neighbours(points, offsets, t, query):
@@ -57,48 +68,44 @@ class TestRequiredRunLength:
 
 class TestDetectPair:
     def test_identical_controls(self):
-        e1 = make_edge(0, [(0, 0), (1, 0), (2, 0), (3, 0)])
-        e2 = make_edge(1, [(0, 0), (1, 0), (2, 0), (3, 0)])
-        assert detect_pair(e1, e2, t=0.5, k_ij=4)
+        layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0)]] * 2)
+        assert fixed_k_flags(layout, t=0.5, k_ij=4)[0, 1]
 
     def test_all_far(self):
-        e1 = make_edge(0, [(0, 0), (1, 0)])
-        e2 = make_edge(1, [(0, 100), (1, 100)])
-        assert not detect_pair(e1, e2, t=1.0, k_ij=1)
+        layout = layout_from_points([[(0, 0), (1, 0)], [(0, 100), (1, 100)]])
+        assert not fixed_k_flags(layout, t=1.0, k_ij=1).any()
 
     def test_too_few_controls_is_false(self):
-        e1 = make_edge(0, [(0, 0), (1, 0)])
-        e2 = make_edge(1, [(0, 0), (1, 0)])
-        assert not detect_pair(e1, e2, t=1.0, k_ij=3)
+        layout = layout_from_points([[(0, 0), (1, 0)]] * 2)
+        assert not fixed_k_flags(layout, t=1.0, k_ij=3).any()
 
     def test_three_edge_configuration(self):
         # Edge 2 runs along y=0; edge 1 travels beside it at y=0.5 except
         # for a stray first control; edge 3 crosses edge 2 near x=6,
         # touching edge 1 nowhere and edge 2 over a run.
-        e1 = make_edge(0, [(-2, 3), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)])
-        e2 = make_edge(1, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)])
-        e3 = make_edge(2, [(6, 1.6), (6, 0.8), (6, 0.0), (6, -0.8)])
+        controls = [
+            [(-2, 3), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)],
+            [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)],
+            [(6, 1.6), (6, 0.8), (6, 0.0), (6, -0.8)],
+        ]
         t, k = 1.0, 2
-        expected = {
-            (e1, e2): True,
-            (e1, e3): False,
-            (e2, e3): True,
-            (e3, e1): False,
-            (e2, e1): True,
-            (e3, e2): True,
-        }
-        for (a, b), want in expected.items():
-            assert detect_pair(a, b, t, k) == want
-            assert oracle_detect(a, b, t, k) == want
+        expected = np.array([[False, True, False], [True, False, True], [False, True, False]])
+        assert (fixed_k_flags(layout_from_points(controls), t, k) == expected).all()
+        for i, ci in enumerate(controls):
+            for j, cj in enumerate(controls):
+                if i != j:
+                    assert oracle_detect(ci, cj, t, k) == expected[i, j]
 
     def test_random_pairs_match_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             layout = random_layout(rng, m=2, max_controls=8, span=10.0)
-            e1, e2 = layout.edges
+            (_, _, c1), (_, _, c2) = edges_of(layout)
             t = rng.uniform(0.5, 5.0)
             k = int(rng.integers(1, 5))
-            assert detect_pair(e1, e2, t, k) == oracle_detect(e1, e2, t, k)
+            flags = fixed_k_flags(layout, t, k)
+            assert flags[0, 1] == oracle_detect(c1, c2, t, k)
+            assert flags[1, 0] == oracle_detect(c2, c1, t, k)
 
 
 class TestSpatialGrid:
@@ -135,9 +142,7 @@ class TestSpatialGrid:
 
 class TestWeightMatrix:
     def test_epsilon_zero_no_bundles_gives_zero_matrix(self):
-        layout = GraphLayout(
-            edges=(make_edge(0, [(0, 0), (1, 0)]), make_edge(1, [(0, 99), (1, 99)]))
-        )
+        layout = layout_from_points([[(0, 0), (1, 0)], [(0, 99), (1, 99)]])
         w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None, epsilon=0.0))
         assert not w.weights.any()
         assert not w.bundled_flag.any()
@@ -201,9 +206,8 @@ class TestWeightMatrix:
         assert (before.bundled_flag == after.bundled_flag).all()
 
     def test_self_similarity(self):
-        e = make_edge(0, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-        twin = make_edge(1, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-        assert detect_pair(e, twin, t=0.1, k_ij=5)
+        layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]] * 2)
+        assert fixed_k_flags(layout, t=0.1, k_ij=5).all(where=~np.eye(2, dtype=bool))
 
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)
@@ -232,16 +236,9 @@ class TestDetectionParams:
             DetectionParams(k_min=0.0)
 
     def test_zero_extent_needs_absolute_t(self):
-        e = EdgeCurve(id=0, v1=Point2(1, 1), v2=Point2(1, 1), controls=(Point2(1, 1),))
-        layout = GraphLayout(edges=(e,))
+        layout = layout_from_points([[(1, 1)]])
         with pytest.raises(ParameterError, match="absolute"):
             DetectionParams().resolve_t(layout)
-
-
-def layout_from_points(controls):
-    return GraphLayout(
-        edges=tuple(make_edge(i, pts) for i, pts in enumerate(controls))
-    )
 
 
 @st.composite
@@ -275,10 +272,10 @@ def wide_layouts(draw):
 def check_against_oracle(layout, t, k_min):
     w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
     assert (w.bundled_flag == oracle_flags(layout, t, k_min)).all()
-    for (i, j), run in zip(zip(*np.nonzero(w.bundled_flag)), w.runs):
-        ei, ej = layout.edges[i], layout.edges[j]
-        k_ij = required_run_length(ei.n_controls, ej.n_controls, k_min)
-        assert tuple(run) == oracle_first_run(ei, ej, t, k_ij)
+    controls = [c for _, _, c in edges_of(layout)]
+    for (i, j), run in runs_by_pair(w).items():
+        k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)
+        assert run == oracle_first_run(controls[i], controls[j], t, k_ij)
 
 
 class TestDetectionProperties:
@@ -306,17 +303,13 @@ class TestDetectionProperties:
         layout, t, k_min = case
         perm = list(range(layout.m))
         rnd.shuffle(perm)
-        permuted = GraphLayout(
-            edges=tuple(
-                EdgeCurve(id=k, v1=e.v1, v2=e.v2, controls=e.controls)
-                for k, e in enumerate(layout.edges[p] for p in perm)
-            )
-        )
+        edges = edges_of(layout)
+        permuted = make_layout(edges[p] for p in perm)
         params = DetectionParams(t_abs=t, t_frac=None, k_min=k_min)
         a = build_weight_matrix(layout, params)
         b = build_weight_matrix(permuted, params)
         perm = np.array(perm)
         assert (b.bundled_flag == a.bundled_flag[np.ix_(perm, perm)]).all()
-        runs_a = {pair: tuple(r) for pair, r in zip(zip(*np.nonzero(a.bundled_flag)), a.runs)}
-        for (i, j), r in zip(zip(*np.nonzero(b.bundled_flag)), b.runs):
-            assert tuple(r) == runs_a[(perm[i], perm[j])]
+        runs_a = runs_by_pair(a)
+        for (i, j), r in runs_by_pair(b).items():
+            assert r == runs_a[(perm[i], perm[j])]

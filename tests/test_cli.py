@@ -168,3 +168,49 @@ def test_readme_color_flags_match_parser():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == parsed
+
+
+def one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_integer_beyond_float_range_is_one_error_line(tmp_path, fixture_file, capsys):
+    doc = json.loads(fixture_file.read_text())
+    doc["edges"][3]["v2"][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["color", "--input", str(path)]) == 1
+    one_error_line(capsys, "peacock: error [color] edge 3: coordinate in v2 is too large")
+
+
+def test_nodes_not_an_array_is_one_error_line(tmp_path, fixture_file, capsys):
+    doc = json.loads(fixture_file.read_text())
+    doc["nodes"] = 5
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps(doc))
+    assert main(["color", "--input", str(path)]) == 1
+    one_error_line(capsys, "peacock: error [color] 'nodes' must be an array")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('["rgb"]', "not a color dump (not a JSON object)"),
+        ("5", "not a color dump (not a JSON object)"),
+        ("null", "not a color dump (not a JSON object)"),
+        ('{"rgb": [[NaN, 0, 0]]}', "'rgb' holds a value that is not a finite number"),
+        ('{"rgb": [[Infinity, 0, 0]]}', "'rgb' holds a value that is not a finite number"),
+        ('{"rgb": [[1, 0], [0]]}', "'rgb' holds a value that is not a finite number"),
+    ],
+)
+def test_render_rejects_bad_color_dump(tmp_path, fixture_file, capsys, text, reason):
+    colors = tmp_path / "colors.json"
+    colors.write_text(text)
+    out = tmp_path / "out.svg"
+    assert main(["render", "--input", str(fixture_file), "--colors", str(colors),
+                 "--out", str(out)]) == 1
+    one_error_line(capsys, f"peacock: error [render] {colors}: {reason}")
+    assert not out.exists()

@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -8,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    edges_of,
+    make_layout,
     oracle_gradient,
     oracle_normalize_colors,
     oracle_prepare,
@@ -32,7 +33,6 @@ from peacock.coloring import (
 )
 from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix, distances
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
-from peacock.model import GraphLayout
 from peacock.pipeline import run_peacock
 
 
@@ -180,8 +180,8 @@ class TestPrepare:
 
 def permuted(layout, perm):
     """The layout whose edge i is edge perm[i] of `layout`."""
-    edges = tuple(dataclasses.replace(layout.edges[p], id=i) for i, p in enumerate(perm))
-    return GraphLayout(edges=edges, nodes=layout.nodes)
+    edges = edges_of(layout)
+    return make_layout((edges[p] for p in perm), nodes=layout.nodes)
 
 
 class TestInitialEmbedding:

@@ -6,7 +6,7 @@ from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import ColorEmbedding, OptimizerConfig, stress
 from peacock.dissimilarity import build_dissimilarity_matrix
-from peacock.model import EdgeCurve, GraphLayout, Point2
+from conftest import make_layout
 from peacock.pipeline import StageError, run_peacock
 
 
@@ -34,14 +34,10 @@ def test_global_mode_beats_baseline(ordered_fixture):
 
 
 def test_zero_epsilon_without_bundles_attributed_to_optimizer():
-    far = GraphLayout(
-        edges=(
-            EdgeCurve(id=0, v1=Point2(0, 0), v2=Point2(1, 0),
-                      controls=(Point2(0, 0), Point2(1, 0))),
-            EdgeCurve(id=1, v1=Point2(0, 99), v2=Point2(1, 99),
-                      controls=(Point2(0, 99), Point2(1, 99))),
-        )
-    )
+    far = make_layout([
+        ((0, 0), (1, 0), [(0, 0), (1, 0)]),
+        ((0, 99), (1, 99), [(0, 99), (1, 99)]),
+    ])
     params = DetectionParams(t_abs=0.5, t_frac=None, epsilon=0.0)
     with pytest.raises(StageError) as err:
         run_peacock(far, params, OptimizerConfig())

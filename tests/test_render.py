@@ -1,65 +1,64 @@
-import re
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
-import pytest
 
+from conftest import edges_of, make_layout, runs_by_pair
 from peacock.bundling import DetectionParams, build_weight_matrix, required_run_length
-from peacock.coloring import colors_to_display
+from peacock.coloring import OptimizerConfig, colors_to_display
 from peacock.fixtures import make_crossing_bundles
-from peacock.model import EdgeCurve, GraphLayout, Point2
 from peacock.pipeline import run_peacock
-from peacock.coloring import OptimizerConfig
-from peacock.render import FanSegments, find_fan_segments, render_svg
+from peacock.render import _fans, render_svg
 
 DATA = Path(__file__).parent / "data"
 
 
-def line_edge(eid, xs, y):
-    pts = tuple(Point2(float(x), float(y)) for x in xs)
-    return EdgeCurve(id=eid, v1=pts[0], v2=pts[-1], controls=pts)
+def line_edge(xs, y):
+    pts = [(float(x), float(y)) for x in xs]
+    return (pts[0], pts[-1], pts)
+
+
+def fans_of(layout, t, k_min=1.0):
+    """{(i, j): (run_start, run_end, fan_in, fan_out)} of every flagged pair,
+    with None where a run touches that end of its edge."""
+    w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
+    counts = np.diff(layout.offsets)
+    out = {}
+    for (i, j), (start, end) in runs_by_pair(w).items():
+        fan_in, fan_out = (int(s) for s in _fans(start, end, counts[i]))
+        out[i, j] = (start, end, fan_in if fan_in >= 0 else None, fan_out if fan_out >= 0 else None)
+    return out
 
 
 class TestFanSegments:
     def test_run_spans_everything(self):
-        e1 = line_edge(0, range(5), 0.0)
-        e2 = line_edge(1, range(5), 0.2)
-        fs = find_fan_segments(e1, e2, t=0.5, k_ij=3)
-        assert fs.fan_in is None and fs.fan_out is None
-        assert fs.run_start == 0 and fs.run_end == 4
+        layout = make_layout([line_edge(range(5), 0.0), line_edge(range(5), 0.2)])
+        assert fans_of(layout, t=0.5)[0, 1] == (0, 4, None, None)
 
     def test_interior_run(self):
         # 9 controls; only controls 2..5 are close to the partner.
-        ys = [5, 5, 0, 0, 0, 0, 5, 5, 5]
-        pts = tuple(Point2(float(x), float(y)) for x, y in enumerate(ys))
-        e1 = EdgeCurve(id=0, v1=pts[0], v2=pts[-1], controls=pts)
-        e2 = line_edge(1, range(9), 0.2)
-        fs = find_fan_segments(e1, e2, t=0.5, k_ij=2)
-        assert fs.run_start == 2 and fs.run_end == 5
-        assert fs.fan_in == 1   # segment ending at the run's first control
-        assert fs.fan_out == 5  # segment starting at the run's last control
+        pts = [(float(x), float(y)) for x, y in enumerate([5, 5, 0, 0, 0, 0, 5, 5, 5])]
+        layout = make_layout([(pts[0], pts[-1], pts), line_edge(range(9), 0.2)])
+        start, end, fan_in, fan_out = fans_of(layout, t=0.5, k_min=0.25)[0, 1]
+        assert (start, end) == (2, 5)
+        assert fan_in == 1   # segment ending at the run's first control
+        assert fan_out == 5  # segment starting at the run's last control
 
-    def test_not_bundled_raises(self):
-        e1 = line_edge(0, range(4), 0.0)
-        e2 = line_edge(1, range(4), 50.0)
-        with pytest.raises(ValueError, match="not bundled"):
-            find_fan_segments(e1, e2, t=0.5, k_ij=2)
+    def test_not_bundled_has_no_run(self):
+        layout = make_layout([line_edge(range(4), 0.0), line_edge(range(4), 50.0)])
+        assert fans_of(layout, t=0.5) == {}
 
     def test_fixture_pair_matches_brute_trace(self, ordered_fixture):
         layout = ordered_fixture.layout
         t, k_min = ordered_fixture.t, ordered_fixture.k_min
         i, j = ordered_fixture.bundles[0][:2]
-        ei, ej = layout.edges[i], layout.edges[j]
-        k_ij = required_run_length(ei.n_controls, ej.n_controls, k_min)
-        fs = find_fan_segments(ei, ej, t, k_ij)
+        run_start, run_end, fan_in, fan_out = fans_of(layout, t, k_min)[i, j]
 
         # brute trace of the qualifying run
-        import math
-
-        near = []
-        for p in ei.controls:
-            near.append(min(math.dist((p.x, p.y), (q.x, q.y)) for q in ej.controls) <= t)
+        ci, cj = (c for _, _, c in (edges_of(layout)[e] for e in (i, j)))
+        k_ij = required_run_length(len(ci), len(cj), k_min)
+        near = [min(math.dist(p, q) for q in cj) <= t for p in ci]
         start = next(
             r0 for r0 in range(len(near)) if all(near[r0 : r0 + k_ij]) and len(near[r0 : r0 + k_ij]) == k_ij
         )
@@ -68,16 +67,16 @@ class TestFanSegments:
         end = start
         while end + 1 < len(near) and near[end + 1]:
             end += 1
-        assert (fs.run_start, fs.run_end) == (start, end)
-        if fs.fan_in is not None:
-            assert fs.fan_in < fs.run_start
-        if fs.fan_out is not None:
-            assert fs.fan_out >= fs.run_end
+        assert (run_start, run_end) == (start, end)
+        if fan_in is not None:
+            assert fan_in < run_start
+        if fan_out is not None:
+            assert fan_out >= run_end
 
 
 class TestRenderSvg:
     def test_single_edge_red_path(self):
-        layout = GraphLayout(edges=(line_edge(0, [0, 1, 2], 0.0),))
+        layout = make_layout([line_edge([0, 1, 2], 0.0)])
         svg = render_svg(layout, [[1.0, 0.0, 0.0]])
         assert svg.count("<path") == 1
         assert 'stroke="#ff0000"' in svg
