@@ -19,15 +19,21 @@ import numpy as np
 
 from .model import GraphLayout, layout_extent
 
-# Peak bytes per M x M entry of a full run, measured as peak RSS above the
-# interpreter's at M = 1000 and 2000, q = 3 (64-72 B): about eight float64
-# matrices live at once while the optimizer inverts V + P.
-DENSE_BYTES_PER_PAIR = 75
+# Peak bytes per M x M entry of a run, apart from the optimizer's
+# per-component block inverses (see coloring.INVERSE_BYTES_PER_PAIR).
+# Measured as peak RSS above the interpreter's, q = 3: 54 B at M = 2000 on
+# a crossing layout with every pair flagged, where detection's per-pair
+# arrays set the peak (49 B marginal from M = 1000 to 2000); ordered
+# layouts with small bundles stay under 35 B.
+DENSE_BYTES_PER_PAIR = 56
 
-# Largest M whose dense matrices fit in half of an 8 GB machine, leaving the
-# rest to the interpreter, the OS and other processes. Sparse matrices are
+# Half of an 8 GB machine, leaving the rest to the interpreter, the OS and
+# other processes.
+DENSE_BUDGET = 4 * 2**30
+
+# Largest M whose dense matrices fit in DENSE_BUDGET. Sparse matrices are
 # out of scope.
-MAX_DENSE_EDGES = math.isqrt(4 * 2**30 // DENSE_BYTES_PER_PAIR)
+MAX_DENSE_EDGES = math.isqrt(DENSE_BUDGET // DENSE_BYTES_PER_PAIR)
 
 # Candidate point pairs examined per batch. Batches hold whole edges, so
 # transient memory is bounded by this budget or by one edge's candidates.

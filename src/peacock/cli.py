@@ -157,13 +157,8 @@ def _cmd_color(args) -> int:
 
 
 def _read_rgb(path) -> np.ndarray:
-    """The `rgb` rows of a color dump, which must be an object of finite numbers."""
-    try:
-        doc = read_color_dump(path)
-    except TypeError:  # the `'rgb' in doc` test on a JSON number or null
-        doc = None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a color dump (not a JSON object)")
+    """The `rgb` rows of a color dump, which must all be finite numbers."""
+    doc = read_color_dump(path)
     try:
         rgb = np.asarray(doc["rgb"], dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -3,9 +3,18 @@
 The embedding places every edge in a 1- to 3-dimensional color space so
 that distances between bundled edges match their endpoint
 dissimilarities; non-bundled pairs enter with the tradeoff weight. The
-optimizer is SMACOF stress majorization, so the cost never increases
+optimizer is SMACOF stress majorization (Gansner, Koren & North, "Graph
+Drawing by Stress Majorization", GD 2004), so the cost never increases
 across iterations. Afterwards every edge's value is rescaled against its
 bundle neighborhood so each bundle spans the full color range.
+
+The Laplacian of the symmetrized weights splits as V = u (M I - J) + L_R:
+u is the smallest pair weight (2 epsilon unless every pair is bundled one
+way or both) and L_R the Laplacian of the residual weights, which only
+bundled pairs have. So V+ is one small inverse per connected component of
+the residual graph, not an M x M matrix (`_prepare`). Each iteration is
+one pass over row blocks of the upper triangle that yields the iterate's
+stress and B(Y) Y together (`_stress_pass`), with no M x M temporary.
 """
 
 from __future__ import annotations
@@ -14,11 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import BundleWeightMatrix
-from .dissimilarity import DissimilarityMatrix, distances
+from .bundling import DENSE_BUDGET, BundleWeightMatrix
+from .dissimilarity import DissimilarityMatrix, distances, upper_row_blocks
 from .model import GraphLayout
 
 _TINY = 1e-30
+
+# Peak bytes while the largest component's c x c block is inverted:
+# RESIDENT per M x M entry for the arrays alive then (weights, flags, d,
+# w_sym and the component graph), INVERSE per c x c entry for the block,
+# its inverse and LAPACK's copies. Measured as peak RSS above the
+# interpreter's on a chain of edges each bundled with its neighbours only,
+# one component of all M edges, q = 3: 59-61 B per entry at M = 2000 and
+# 3000, of which about 31 B went to the inverse.
+RESIDENT_BYTES_PER_PAIR = 26
+INVERSE_BYTES_PER_PAIR = 36
 
 
 class OptimizationError(ValueError):
@@ -84,34 +103,42 @@ class OptimizeResult:
         return self.stop_reason == "tolerance"
 
 
-def _stress(weights: np.ndarray, d: np.ndarray, delta: np.ndarray) -> float:
-    r = np.subtract(d, delta)
-    r *= r
-    r *= weights
-    return float(r.sum())
+def _stress_pass(y: np.ndarray, w_up: np.ndarray, d: np.ndarray, by=None) -> float:
+    """Stress of the embedding y; adds B(Y) Y into `by` when it is given.
+
+    `w_up` holds w_ij + w_ji at i < j and 0 elsewhere, which reproduces the
+    sum over ordered pairs because d is symmetric. One pass over upper row
+    blocks (`upper_row_blocks`), so no M x M temporary is made. Row i of
+    B(Y) Y is the sum over j of c_ij (y_i - y_j), c_ij = w_ij d_ij / delta_ij
+    (0 where the distance delta_ij is 0); each block adds its pairs to both
+    of their rows.
+    """
+    total = 0.0
+    for lo, hi in upper_row_blocks(len(y)):
+        w_b = w_up[lo:hi, lo:]
+        d_b = d[lo:hi, lo:]
+        delta = distances(y[lo:hi], y[lo:])
+        r = np.subtract(d_b, delta)
+        r *= r
+        r *= w_b
+        total += r.sum()
+        if by is not None:
+            c = np.divide(d_b, delta, out=delta, where=delta > 0)
+            c *= w_b
+            by[lo:hi] += c.sum(axis=1)[:, None] * y[lo:hi] - c @ y[lo:]
+            by[lo:] += c.sum(axis=0)[:, None] * y[lo:] - c.T @ y[lo:hi]
+    return float(total)
 
 
 def stress(y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix) -> float:
     """Weighted squared mismatch between dissimilarities and embedding distances.
 
-    The sum runs over all ordered pairs; asymmetric weights enter both
-    directions as-is.
+    The sum runs over all ordered pairs i != j; asymmetric weights enter
+    both directions as-is, and d is symmetric.
     """
     if not (y.m == w.m == d.m):
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    return _stress(w.weights, d.d, distances(y.y, y.y))
-
-
-def _guttman_update(
-    y: np.ndarray, delta: np.ndarray, w_sym: np.ndarray, v_plus: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """The Guttman transform V+ B(Y) Y, where `delta` holds the distances of y."""
-    b = np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)
-    b *= w_sym
-    np.negative(b, out=b)
-    np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, -b.sum(axis=1))
-    return v_plus @ (b @ y)
+    return _stress_pass(y.y, np.triu(w.weights + w.weights.T, 1), d.d)
 
 
 def _components(adj: np.ndarray) -> np.ndarray:
@@ -134,40 +161,71 @@ def _components(adj: np.ndarray) -> np.ndarray:
 
 
 def _prepare(w: BundleWeightMatrix):
-    """Symmetrized weights and V+, the pseudo-inverse of their Laplacian V.
+    """Symmetrized weights w_ij + w_ji at i < j (the `w_up` of
+    `_stress_pass`), and V+, the pseudo-inverse of their Laplacian V.
 
-    P averages over each connected component of the weight graph (P = J/M
-    when epsilon > 0). V + P is nonsingular and V+ = (V + P)^-1 - P for
-    any epsilon, including partnerless edges, whose rows of V are zero; so
-    one LU inverse stands in for an SVD.
+    With u the smallest pair weight, V = u (M I - J) + L_R, L_R being the
+    Laplacian of the residual weights w_sym - u. On centered vectors, and
+    B(Y) Y is one, V acts as u M I + L_R, which is block-diagonal by the
+    components of the residual graph. Each component of c edges thus gets
+    the inverse of its block u M I + L_k; when u = 0 that block is singular
+    along its constant vector, so J_k / c is added before the inverse and
+    subtracted after it, as for the pseudo-inverse.
+
+    V+ is a list of (idx, inv): idx (n, c) holds, in ascending order, the
+    edges of the n components of size c, and inv (n, c, c) their inverses.
     """
-    # SMACOF needs symmetric weights; w_ij + w_ji reproduces the ordered
-    # double sum exactly.
+    m = w.m
     w_sym = w.weights + w.weights.T
-    adj = w_sym > 0
-    if not adj.any():
+    # The diagonal enters neither the stress nor V; setting it to u keeps
+    # it out of the residual graph.
+    np.fill_diagonal(w_sym, np.inf)
+    u = float(w_sym.min()) if m > 1 else 0.0
+    np.fill_diagonal(w_sym, u)
+    adj = w_sym > u
+    if not u > 0 and not adj.any():
         raise OptimizationError("all weights are zero; nothing to optimize")
     label = _components(adj)
     del adj
-    same = label[:, None] == label[None, :]
-    p_row = (1.0 / np.bincount(label)[label])[:, None]
-    v = np.negative(w_sym)
-    v.flat[:: w.m + 1] += w_sym.sum(axis=1)
-    np.add(v, p_row, out=v, where=same)
-    v_plus = np.linalg.inv(v)
-    np.subtract(v_plus, p_row, out=v_plus, where=same)
+    sizes = np.bincount(label)
+    largest = int(sizes.max())
+    need = m * m * RESIDENT_BYTES_PER_PAIR + largest * largest * INVERSE_BYTES_PER_PAIR
+    if need > DENSE_BUDGET:
+        raise OptimizationError(
+            f"{largest} of the {m} edges form one bundle component; inverting "
+            f"its block would need about {need / 1e9:.1f} GB"
+        )
+    size = sizes[label]
+    order = np.lexsort((label, size))
+    v_plus = []
+    for c in np.unique(size):
+        idx = order[size[order] == c].reshape(-1, c)
+        block = w_sym[idx[:, :, None], idx[:, None, :]] - u
+        diag = np.arange(c)
+        block[:, diag, diag] = 0.0
+        degree = block.sum(axis=2)
+        np.negative(block, out=block)
+        block[:, diag, diag] = degree + u * m
+        if u == 0:
+            block += 1.0 / c
+        inv = np.linalg.inv(block)
+        if u == 0:
+            inv -= 1.0 / c
+        v_plus.append((idx, inv))
+    for i in range(m):
+        w_sym[i, : i + 1] = 0.0
     return w_sym, v_plus
 
 
-def smacof_step(
-    y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix
-) -> ColorEmbedding:
-    """One majorization update; never increases the stress."""
-    if not (y.m == w.m == d.m):
-        raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    w_sym, v_plus = _prepare(w)
-    y_next = _guttman_update(y.y, distances(y.y, y.y), w_sym, v_plus, d.d)
-    return ColorEmbedding(m=y.m, q=y.q, y=y_next)
+def _smacof_step(y: np.ndarray, w_up: np.ndarray, d: np.ndarray, v_plus):
+    """The stress of y and its Guttman transform V+ B(Y) Y, from one pass
+    over the pairs; the transform never increases the stress."""
+    by = np.zeros_like(y)
+    s = _stress_pass(y, w_up, d, by)
+    y_next = np.empty_like(by)
+    for idx, inv in v_plus:
+        y_next[idx] = inv @ by[idx]
+    return s, y_next
 
 
 # Standardized init coordinates closer than _TIE_TOL count as tied; tied
@@ -266,29 +324,31 @@ def optimize(
     """Iterate majorization steps until the relative stress decrease stalls."""
     if w.m != d.m:
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
-    w_sym, v_plus = _prepare(w)
-    emb = initial_embedding(w.m, cfg, layout)
-    # One distance matrix per iterate: it gives that iterate's stress and
-    # then the next Guttman update.
-    delta = distances(emb.y, emb.y)
-    s_prev = _stress(w.weights, d.d, delta)
+    w_up, v_plus = _prepare(w)
+    y = initial_embedding(w.m, cfg, layout).y
+    s_prev, y_next = _smacof_step(y, w_up, d.d, v_plus)
     n_iters = 0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        emb = ColorEmbedding(
-            m=w.m, q=cfg.q, y=_guttman_update(emb.y, delta, w_sym, v_plus, d.d)
-        )
+        y = y_next
         n_iters += 1
-        delta = distances(emb.y, emb.y)
-        s = _stress(w.weights, d.d, delta)
+        s, y_next = _smacof_step(y, w_up, d.d, v_plus)
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
-            # A rise within the rounding error of the M*M-term stress sum is noise.
-            noise = w.m * w.m * np.finfo(float).eps * float((w.weights * d.d**2).sum())
+            # A rise within the rounding error of the M*M-term stress sum is
+            # noise. That sum's scale, sum of w d^2, is the stress of the
+            # embedding collapsed to one point.
+            scale = _stress_pass(np.zeros((w.m, 1)), w_up, d.d)
+            noise = w.m * w.m * np.finfo(float).eps * scale
             stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
             break
         s_prev = s
-    return OptimizeResult(embedding=emb, stress=s_prev, n_iters=n_iters, stop_reason=stop_reason)
+    return OptimizeResult(
+        embedding=ColorEmbedding(m=w.m, q=cfg.q, y=y),
+        stress=s_prev,
+        n_iters=n_iters,
+        stop_reason=stop_reason,
+    )
 
 
 def normalize_colors(y: ColorEmbedding, w: BundleWeightMatrix) -> ColorTable:

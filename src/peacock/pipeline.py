@@ -94,8 +94,14 @@ def write_color_dump(path, table: ColorTable, diag: Diagnostics | None = None) -
 
 
 def read_color_dump(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The color dump at `path`: a JSON object with an 'rgb' member."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a color dump (not a JSON object)")
     if "rgb" not in doc:
         raise ValueError(f"{path}: not a color dump (missing 'rgb')")
     return doc

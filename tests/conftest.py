@@ -157,11 +157,24 @@ def oracle_dissimilarity(layout):
 
 
 def oracle_prepare(w):
-    """Symmetrized weights and the SVD pseudo-inverse of their Laplacian;
-    a stand-in for `peacock.coloring._prepare`."""
+    """Symmetrized weights, upper triangle only, and the SVD pseudo-inverse
+    of their Laplacian as the one M x M block of V+; a stand-in for
+    `peacock.coloring._prepare`."""
     w_sym = w.weights + w.weights.T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
-    return w_sym, np.linalg.pinv(v)
+    return np.triu(w_sym, 1), [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
+
+
+def oracle_smacof_step(y, w, d):
+    """One Guttman transform V+ B(Y) Y through dense M x M matrices and the
+    SVD pseudo-inverse of V."""
+    w_sym = w.weights + w.weights.T
+    v = np.diag(w_sym.sum(axis=1)) - w_sym
+    delta = np.linalg.norm(y[:, None, :] - y[None, :, :], axis=2)
+    b = -w_sym * np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)
+    np.fill_diagonal(b, 0.0)
+    np.fill_diagonal(b, -b.sum(axis=1))
+    return np.linalg.pinv(v) @ (b @ y)
 
 
 def oracle_projection_init(layout, q):

@@ -24,13 +24,12 @@ from peacock.coloring import (
     OptimizerConfig,
     normalize_colors,
     optimize,
-    smacof_step,
     stress,
 )
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_ordered_bundles
 from peacock.pipeline import run_peacock
-from test_coloring import random_instance, weight_matrix
+from test_coloring import random_instance, smacof_step, weight_matrix
 
 
 def report(n, text):

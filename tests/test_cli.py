@@ -201,6 +201,8 @@ def test_nodes_not_an_array_is_one_error_line(tmp_path, fixture_file, capsys):
         ('["rgb"]', "not a color dump (not a JSON object)"),
         ("5", "not a color dump (not a JSON object)"),
         ("null", "not a color dump (not a JSON object)"),
+        ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"colors": []}', "not a color dump (missing 'rgb')"),
         ('{"rgb": [[NaN, 0, 0]]}', "'rgb' holds a value that is not a finite number"),
         ('{"rgb": [[Infinity, 0, 0]]}', "'rgb' holds a value that is not a finite number"),
         ('{"rgb": [[1, 0], [0]]}', "'rgb' holds a value that is not a finite number"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     oracle_normalize_colors,
     oracle_prepare,
     oracle_projection_init,
+    oracle_smacof_step,
     oracle_stress,
     random_layout,
 )
@@ -28,10 +30,9 @@ from peacock.coloring import (
     initial_embedding,
     normalize_colors,
     optimize,
-    smacof_step,
     stress,
 )
-from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix, distances
+from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
 
@@ -55,6 +56,13 @@ def random_instance(rng, m, q, epsilon=0.1):
     dm = DissimilarityMatrix(m=m, d=d)
     y = ColorEmbedding(m=m, q=q, y=rng.standard_normal((m, q)))
     return y, w, dm
+
+
+def smacof_step(y, w, d):
+    """One update of the step `optimize` iterates; never increases the stress."""
+    w_sym, v_plus = peacock.coloring._prepare(w)
+    _, y_next = peacock.coloring._smacof_step(y.y, w_sym, d.d, v_plus)
+    return ColorEmbedding(m=y.m, q=y.q, y=y_next)
 
 
 def two_point_instance(y_vals=(0.0, 1.0), d12=2.0):
@@ -139,19 +147,14 @@ class TestSmacofStep:
             smacof_step(y, w, d)
 
 
-def guttman_with(prepare, y, w, d):
-    w_sym, v_plus = prepare(w)
-    return peacock.coloring._guttman_update(y.y, distances(y.y, y.y), w_sym, v_plus, d.d)
-
-
 def assert_matches_pinv(y, w, d):
-    want = guttman_with(oracle_prepare, y, w, d)
-    got = guttman_with(peacock.coloring._prepare, y, w, d)
+    want = oracle_smacof_step(y.y, w, d.d)
+    got = smacof_step(y, w, d).y
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestPrepare:
-    """The exact inverse of V + P against the SVD pseudo-inverse of V."""
+    """The block inverses of u M I + L_R against the SVD pseudo-inverse of V."""
 
     def test_random_instance(self):
         for seed in range(20):
@@ -176,6 +179,44 @@ class TestPrepare:
         assert 0 < alone.sum() < layout.m
         y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
         assert_matches_pinv(y, w, build_dissimilarity_matrix(layout))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_every_pair_flagged_both_ways(self, epsilon):
+        # u is then the flagged weight 2, and every block is a scalar.
+        y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
+        w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
+        _, v_plus = peacock.coloring._prepare(w)
+        assert [idx.shape for idx, _ in v_plus] == [(12, 1)]
+        assert_matches_pinv(y, w, d)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_asymmetric_flags(self, epsilon):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            y, _, d = random_instance(rng, m=10, q=3)
+            # One-way flags only, then every pair flagged one way and some
+            # both ways, so that u = 1 + epsilon.
+            one_way = np.triu(rng.random((10, 10)) < 0.3, 1)
+            assert_matches_pinv(y, weight_matrix(one_way, epsilon), d)
+            tournament = np.triu(rng.random((10, 10)) < 0.5, 1)
+            tournament |= np.tril(~tournament.T, -1) | (rng.random((10, 10)) < 0.2)
+            w = weight_matrix(tournament, epsilon)
+            off = ~np.eye(10, dtype=bool)
+            assert (w.weights + w.weights.T)[off].min() == 1.0 + epsilon
+            assert_matches_pinv(y, w, d)
+
+    def test_oversize_component_refused_before_inverting(self, monkeypatch):
+        # A chain of edges each bundled with its neighbours only is one
+        # component of all M edges: its block is M x M.
+        m = 20
+        flags = np.zeros((m, m), dtype=bool)
+        flags[np.arange(m - 1), np.arange(1, m)] = True
+        w = weight_matrix(flags, 0.01)
+        dense = m * m * peacock.coloring.RESIDENT_BYTES_PER_PAIR
+        monkeypatch.setattr(peacock.coloring, "DENSE_BUDGET", dense + 1)
+        monkeypatch.setattr(np.linalg, "inv", None)
+        with pytest.raises(OptimizationError, match="20 of the 20 edges form one bundle"):
+            peacock.coloring._prepare(w)
 
 
 def permuted(layout, perm):
@@ -291,9 +332,9 @@ class TestOptimize:
 
     def test_stop_reason_stress_increase(self, monkeypatch):
         # Guttman updates never raise stress, so stand in a step that does.
-        import peacock.coloring
-
-        monkeypatch.setattr(peacock.coloring, "_guttman_update", lambda y, *_: 3.0 * y)
+        step = peacock.coloring._smacof_step
+        monkeypatch.setattr(peacock.coloring, "_smacof_step",
+                            lambda y, *args: (step(y, *args)[0], 3.0 * y))
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
         res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
@@ -315,6 +356,24 @@ class TestOptimize:
             y = smacof_step(y, w, d)
         assert np.array_equal(res.embedding.y, y.y)
         assert res.stress == stress(res.embedding, w, d)
+
+    def test_allocates_about_one_matrix_beyond_inputs(self):
+        # w_sym is the one M x M float array optimize holds; the component
+        # graph (M x M bools) and the row-block temporaries add a fraction of
+        # one. A dense V+, V + P or B(Y) would add a whole one.
+        layout = make_ordered_bundles(64, 25, reverse_last=True, seed=0).layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        cfg = OptimizerConfig(q=3, max_iters=3)
+        optimize(w, d, cfg, layout)  # leaves out first-call allocations
+        tracemalloc.start()
+        try:
+            optimize(w, d, cfg, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout.m == 800
+        assert peak <= 1.5 * 8 * layout.m**2
 
     def test_endpoint_projection_needs_layout(self):
         w = weight_matrix(~np.eye(2, dtype=bool))

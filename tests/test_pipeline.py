@@ -7,7 +7,7 @@ from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import ColorEmbedding, OptimizerConfig, stress
 from peacock.dissimilarity import build_dissimilarity_matrix
 from conftest import make_layout
-from peacock.pipeline import StageError, run_peacock
+from peacock.pipeline import StageError, read_color_dump, run_peacock
 
 
 def test_fixture_rank_correlation(ordered_fixture):
@@ -56,3 +56,21 @@ def test_diagnostics_bundled_pairs(ordered_fixture):
     w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
     assert diag.bundled_pairs == int(w.bundled_flag.sum())
     assert set(diag.stage_seconds) == {"bundling", "dissimilarity", "optimize", "normalize"}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("5", "not a color dump (not a JSON object)"),
+        ("null", "not a color dump (not a JSON object)"),
+        ('["rgb"]', "not a color dump (not a JSON object)"),
+        ('{"q": 1}', "not a color dump (missing 'rgb')"),
+        ("{bad", "Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_read_color_dump_rejects_non_dump(tmp_path, text, reason):
+    path = tmp_path / "colors.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_color_dump(path)
+    assert str(info.value).startswith(f"{path}: {reason}")
