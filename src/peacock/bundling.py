@@ -3,7 +3,8 @@
 Two edges count as bundled (directionally, i against j) when some run of
 consecutive control points of edge i all lie within a distance threshold
 of edge j's control points. The weight matrix holds 1 for bundled
-ordered pairs and a small user tradeoff weight for everything else.
+ordered pairs and a small user tradeoff weight for everything else; it
+is kept as the list of bundled pairs plus that weight.
 
 Detection is one array pass over all control points of the layout: a
 uniform grid yields the point pairs within the threshold, and sorting
@@ -20,23 +21,25 @@ import numpy as np
 from .model import GraphLayout, layout_extent
 
 # Peak bytes per M x M entry of a run, apart from the optimizer's
-# per-component block inverses (see coloring.INVERSE_BYTES_PER_PAIR).
-# Measured as peak RSS above the interpreter's, q = 3: 54 B at M = 2000 on
-# a crossing layout with every pair flagged, where detection's per-pair
-# arrays set the peak (49 B marginal from M = 1000 to 2000); ordered
-# layouts with small bundles stay under 35 B.
+# per-component blocks (see coloring.INVERSE_BYTES_PER_PAIR). Measured as
+# peak RSS above the interpreter's, q = 3: 51.3 B at M = 2000 on a crossing
+# layout with every pair flagged, where detection's per-pair arrays set the
+# peak and no later stage goes higher (the weight matrix keeps 24 B per
+# flagged pair); a chain of M = 2000 edges, each bundled with its
+# neighbours only, holds 9 B after the dissimilarities.
 DENSE_BYTES_PER_PAIR = 56
 
 # Half of an 8 GB machine, leaving the rest to the interpreter, the OS and
 # other processes.
 DENSE_BUDGET = 4 * 2**30
 
-# Largest M whose dense matrices fit in DENSE_BUDGET. Sparse matrices are
-# out of scope.
+# Largest M whose dense dissimilarities and flagged pairs fit in
+# DENSE_BUDGET.
 MAX_DENSE_EDGES = math.isqrt(DENSE_BUDGET // DENSE_BYTES_PER_PAIR)
 
 # Candidate point pairs examined per batch. Batches hold whole edges, so
 # transient memory is bounded by this budget or by one edge's candidates.
+# Later stages read the flagged pairs in batches of the same size.
 PAIR_BUDGET = 1 << 16
 
 
@@ -85,32 +88,30 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class BundleWeightMatrix:
-    """Detection outcome plus tradeoff weights, both dense M x M.
+    """Detection outcome plus the tradeoff weight, one entry per flagged pair.
 
-    `bundled_flag[i, j]` is the raw directional detection; `weights` is 1
-    where flagged, epsilon elsewhere, 0 on the diagonal. The matrix may
-    be asymmetric. Row n of `runs` is the (start, end) control index of
-    the first maximal qualifying run of the n-th flagged pair, in
-    `np.nonzero(bundled_flag)` order.
+    `pairs` holds the flagged ordered pairs (i, j), edge i bundled against
+    edge j, as ascending codes i * M + j; flags may be one-way. The weight
+    of an ordered pair is 1 where flagged and `epsilon` elsewhere (0 on the
+    diagonal), so no M x M matrix is kept. Row n of `runs` is the
+    (start, end) control index of the first maximal qualifying run of
+    pair n.
     """
 
     m: int
-    weights: np.ndarray
-    bundled_flag: np.ndarray
+    epsilon: float
+    pairs: np.ndarray
     runs: np.ndarray
 
     def __post_init__(self):
-        if self.weights.shape != (self.m, self.m) or self.bundled_flag.shape != (self.m, self.m):
-            raise ValueError("matrix shape mismatch")
-        if self.runs.shape != (self.bundled_pair_count, 2):
+        if self.pairs.ndim != 1 or self.runs.shape != (len(self.pairs), 2):
             raise ValueError("runs must hold one (start, end) row per flagged pair")
-        self.weights.setflags(write=False)
-        self.bundled_flag.setflags(write=False)
+        self.pairs.setflags(write=False)
         self.runs.setflags(write=False)
 
     @property
     def bundled_pair_count(self) -> int:
-        return int(self.bundled_flag.sum())
+        return len(self.pairs)
 
 
 def required_run_length(c_i, c_j, k_min: float):
@@ -215,8 +216,8 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_for):
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
     """Run pairwise detection for every ordered pair and apply the tradeoff.
 
-    This is the first stage to allocate M x M matrices, so it refuses a
-    layout too large for them before doing any work.
+    The run goes on to build M x M dissimilarities, so this first stage
+    refuses a layout too large for them before doing any work.
     """
     if layout.m > MAX_DENSE_EDGES:
         gb = layout.m**2 * DENSE_BYTES_PER_PAIR / 1e9
@@ -229,14 +230,10 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
         layout.points, layout.offsets, t,
         lambda c_i, c_j: required_run_length(c_i, c_j, params.k_min),
     )
-    flags = np.zeros((layout.m, layout.m), dtype=bool)
-    flags.flat[pairs] = True
-    weights = np.where(flags, 1.0, params.epsilon)
-    np.fill_diagonal(weights, 0.0)
-    return BundleWeightMatrix(m=layout.m, weights=weights, bundled_flag=flags, runs=runs)
+    return BundleWeightMatrix(m=layout.m, epsilon=params.epsilon, pairs=pairs, runs=runs)
 
 
 def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:
     """Flagged ordered pairs as [{"i": ..., "j": ...}], lexicographic."""
-    ii, jj = np.nonzero(w.bundled_flag)
-    return [{"i": int(i), "j": int(j)} for i, j in zip(ii, jj)]
+    ii, jj = np.divmod(w.pairs, w.m)
+    return [{"i": i, "j": j} for i, j in zip(ii.tolist(), jj.tolist())]

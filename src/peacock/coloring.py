@@ -8,13 +8,16 @@ Drawing by Stress Majorization", GD 2004), so the cost never increases
 across iterations. Afterwards every edge's value is rescaled against its
 bundle neighborhood so each bundle spans the full color range.
 
-The Laplacian of the symmetrized weights splits as V = u (M I - J) + L_R:
-u is the smallest pair weight (2 epsilon unless every pair is bundled one
-way or both) and L_R the Laplacian of the residual weights, which only
-bundled pairs have. So V+ is one small inverse per connected component of
-the residual graph, not an M x M matrix (`_prepare`). Each iteration is
-one pass over row blocks of the upper triangle that yields the iterate's
-stress and B(Y) Y together (`_stress_pass`), with no M x M temporary.
+The weights come as the bundled pairs plus the tradeoff, and the only
+M x M array is the dissimilarity matrix d. The Laplacian of the
+symmetrized weights splits as V = u (M I - J) + L_R: u is the smallest
+pair weight (2 epsilon unless every pair is bundled one way or both) and
+L_R the Laplacian of the residual weights, which only bundled pairs have.
+So V+ is one small inverse per connected component of the residual graph
+(`_prepare`). Each iteration splits B(Y) Y and the stress the same way:
+one pass over row blocks of the upper triangle of d for the part every
+pair shares, and one small block per component for the rest
+(`_smacof_step`), with no M x M temporary.
 """
 
 from __future__ import annotations
@@ -23,21 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import DENSE_BUDGET, BundleWeightMatrix
+from .bundling import DENSE_BUDGET, PAIR_BUDGET, BundleWeightMatrix
 from .dissimilarity import DissimilarityMatrix, distances, upper_row_blocks
 from .model import GraphLayout
 
 _TINY = 1e-30
 
-# Peak bytes while the largest component's c x c block is inverted:
-# RESIDENT per M x M entry for the arrays alive then (weights, flags, d,
-# w_sym and the component graph), INVERSE per c x c entry for the block,
-# its inverse and LAPACK's copies. Measured as peak RSS above the
-# interpreter's on a chain of edges each bundled with its neighbours only,
-# one component of all M edges, q = 3: 59-61 B per entry at M = 2000 and
-# 3000, of which about 31 B went to the inverse.
-RESIDENT_BYTES_PER_PAIR = 26
-INVERSE_BYTES_PER_PAIR = 36
+# Peak bytes while the largest component's c x c blocks are built:
+# RESIDENT per M x M entry for d and the interpreter's growth by then, on
+# top of the weight matrix's own arrays; INVERSE per c x c entry for the
+# residual weights, the block, LAPACK's copies, the inverse and the
+# gathered dissimilarities. Measured as peak RSS above the interpreter's on
+# a chain of edges each bundled with its neighbours only, one component of
+# all M edges, q = 3: 8.7-8.8 B per entry after the dissimilarities and
+# 50.9-51.5 B at the peak, at M = 2000 and 3000.
+RESIDENT_BYTES_PER_PAIR = 9
+INVERSE_BYTES_PER_PAIR = 44
 
 
 class OptimizationError(ValueError):
@@ -103,129 +107,175 @@ class OptimizeResult:
         return self.stop_reason == "tolerance"
 
 
-def _stress_pass(y: np.ndarray, w_up: np.ndarray, d: np.ndarray, by=None) -> float:
-    """Stress of the embedding y; adds B(Y) Y into `by` when it is given.
+def _components(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of m vertices under the edges
+    (a[k], b[k]); components are numbered in the order of their smallest
+    vertex."""
+    root = np.arange(m)
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            return np.unique(root, return_inverse=True)[1]
+        # Hook each edge's larger root under its smaller one, then point
+        # every vertex at its root; a root is always its tree's smallest
+        # vertex.
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
-    `w_up` holds w_ij + w_ji at i < j and 0 elsewhere, which reproduces the
-    sum over ordered pairs because d is symmetric. One pass over upper row
-    blocks (`upper_row_blocks`), so no M x M temporary is made. Row i of
-    B(Y) Y is the sum over j of c_ij (y_i - y_j), c_ij = w_ij d_ij / delta_ij
-    (0 where the distance delta_ij is 0); each block adds its pairs to both
-    of their rows.
+
+def _residual_pairs(w: BundleWeightMatrix):
+    """u, the smallest symmetrized pair weight w_ij + w_ji, and the pairs
+    i < j whose weight exceeds it, as (i, j, w_ij + w_ji - u).
+
+    An unordered pair weighs 2 when flagged both ways, 1 + epsilon when
+    flagged one way and 2 epsilon when not flagged, so u is 2 epsilon
+    unless every pair is flagged. The flagged pairs are read in batches
+    of PAIR_BUDGET, so no array holds more than one entry per pair.
     """
-    total = 0.0
-    for lo, hi in upper_row_blocks(len(y)):
-        w_b = w_up[lo:hi, lo:]
-        d_b = d[lo:hi, lo:]
-        delta = distances(y[lo:hi], y[lo:])
-        r = np.subtract(d_b, delta)
-        r *= r
-        r *= w_b
-        total += r.sum()
-        if by is not None:
-            c = np.divide(d_b, delta, out=delta, where=delta > 0)
-            c *= w_b
-            by[lo:hi] += c.sum(axis=1)[:, None] * y[lo:hi] - c @ y[lo:]
-            by[lo:] += c.sum(axis=0)[:, None] * y[lo:] - c.T @ y[lo:hi]
-    return float(total)
+    m, pairs = w.m, w.pairs
+    codes, both = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
+    for lo in range(0, len(pairs), PAIR_BUDGET):
+        i, j = np.divmod(pairs[lo : lo + PAIR_BUDGET], m)
+        rev = j * m + i
+        mutual = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] == rev
+        once = (i < j) | ~mutual
+        codes.append(np.minimum(i, j)[once] * m + np.maximum(i, j)[once])
+        both.append(mutual[once])
+    code, mutual = np.concatenate(codes), np.concatenate(both)
+    w_sym = np.where(mutual, 2.0, 1.0 + w.epsilon)
+    if len(code) < m * (m - 1) // 2:
+        u = 2.0 * w.epsilon
+    else:
+        u = float(w_sym.min()) if len(code) else 0.0
+    r = w_sym - u
+    keep = r > 0
+    i, j = np.divmod(code[keep], m)
+    return u, i, j, r[keep]
 
 
-def stress(y: ColorEmbedding, w: BundleWeightMatrix, d: DissimilarityMatrix) -> float:
-    """Weighted squared mismatch between dissimilarities and embedding distances.
+def _prepare(w: BundleWeightMatrix, d: np.ndarray):
+    """Everything `_smacof_step` needs besides d: (u, sum of d_ij^2 over
+    i < j, blocks).
 
-    The sum runs over all ordered pairs i != j; asymmetric weights enter
-    both directions as-is, and d is symmetric.
-    """
-    if not (y.m == w.m == d.m):
-        raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}, d={d.m}")
-    return _stress_pass(y.y, np.triu(w.weights + w.weights.T, 1), d.d)
+    With u the smallest symmetrized pair weight, V = u (M I - J) + L_R, L_R
+    being the Laplacian of the residual weights w_ij + w_ji - u, which
+    only bundled pairs have. On centered vectors, and B(Y) Y is one, V
+    acts as u M I + L_R, which is block-diagonal by the components of the
+    residual graph. Each component of c edges thus gets the inverse of its
+    block u M I + L_k; when u = 0 that block is singular along its
+    constant vector, so J_k / c is added before the inverse and subtracted
+    after it, as for the pseudo-inverse.
 
-
-def _components(adj: np.ndarray) -> np.ndarray:
-    """Connected-component label of every vertex of the graph `adj`."""
-    m = len(adj)
-    label = np.full(m, -1)
-    n = 0
-    for start in range(m):
-        if label[start] >= 0:
-            continue
-        members = np.zeros(m, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~members
-            members |= frontier
-        label[members] = n
-        n += 1
-    return label
-
-
-def _prepare(w: BundleWeightMatrix):
-    """Symmetrized weights w_ij + w_ji at i < j (the `w_up` of
-    `_stress_pass`), and V+, the pseudo-inverse of their Laplacian V.
-
-    With u the smallest pair weight, V = u (M I - J) + L_R, L_R being the
-    Laplacian of the residual weights w_sym - u. On centered vectors, and
-    B(Y) Y is one, V acts as u M I + L_R, which is block-diagonal by the
-    components of the residual graph. Each component of c edges thus gets
-    the inverse of its block u M I + L_k; when u = 0 that block is singular
-    along its constant vector, so J_k / c is added before the inverse and
-    subtracted after it, as for the pseudo-inverse.
-
-    V+ is a list of (idx, inv): idx (n, c) holds, in ascending order, the
-    edges of the n components of size c, and inv (n, c, c) their inverses.
+    `blocks` is a list of (idx, inv, res, dist), one per component size c:
+    idx (n, c) holds, in ascending order, the edges of the n components of
+    that size, inv (n, c, c) their inverses, res their residual weights
+    and dist their dissimilarities.
     """
     m = w.m
-    w_sym = w.weights + w.weights.T
-    # The diagonal enters neither the stress nor V; setting it to u keeps
-    # it out of the residual graph.
-    np.fill_diagonal(w_sym, np.inf)
-    u = float(w_sym.min()) if m > 1 else 0.0
-    np.fill_diagonal(w_sym, u)
-    adj = w_sym > u
-    if not u > 0 and not adj.any():
+    u, a, b, r = _residual_pairs(w)
+    if not u > 0 and not len(r):
         raise OptimizationError("all weights are zero; nothing to optimize")
-    label = _components(adj)
-    del adj
+    label = _components(m, a, b)
     sizes = np.bincount(label)
     largest = int(sizes.max())
-    need = m * m * RESIDENT_BYTES_PER_PAIR + largest * largest * INVERSE_BYTES_PER_PAIR
+    need = (m * m * RESIDENT_BYTES_PER_PAIR + w.pairs.nbytes + w.runs.nbytes
+            + largest * largest * INVERSE_BYTES_PER_PAIR)
     if need > DENSE_BUDGET:
         raise OptimizationError(
             f"{largest} of the {m} edges form one bundle component; inverting "
             f"its block would need about {need / 1e9:.1f} GB"
         )
+    # Each block's diagonal holds u M beside residual degrees up to `top`.
+    # Where u M falls below the rounding level of a c x c LU, the block is
+    # singular in floating point; u >= 1 unless u = 2 epsilon.
+    top = (np.bincount(a, r, m) + np.bincount(b, r, m)).max()
+    floor = largest * np.finfo(float).eps * top
+    if 0 < u * m <= floor:
+        # The factor 1.05 keeps the value printed to one decimal above it.
+        raise OptimizationError(
+            f"epsilon {w.epsilon:g} is too small for these bundles; use 0 or at "
+            f"least {floor / (2 * m) * 1.05:.1e}"
+        )
     size = sizes[label]
     order = np.lexsort((label, size))
-    v_plus = []
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    blocks = []
     for c in np.unique(size):
         idx = order[size[order] == c].reshape(-1, c)
-        block = w_sym[idx[:, :, None], idx[:, None, :]] - u
+        inside = size[a] == c
+        first = rank[idx[0, 0]]
+        row, pa = np.divmod(rank[a[inside]] - first, c)
+        pb = (rank[b[inside]] - first) % c
+        res = np.zeros((len(idx), c, c))
+        res[row, pa, pb] = res[row, pb, pa] = r[inside]
         diag = np.arange(c)
-        block[:, diag, diag] = 0.0
-        degree = block.sum(axis=2)
-        np.negative(block, out=block)
-        block[:, diag, diag] = degree + u * m
+        block = np.negative(res)
+        block[:, diag, diag] = res.sum(axis=2) + u * m
         if u == 0:
             block += 1.0 / c
         inv = np.linalg.inv(block)
+        del block
         if u == 0:
             inv -= 1.0 / c
-        v_plus.append((idx, inv))
-    for i in range(m):
-        w_sym[i, : i + 1] = 0.0
-    return w_sym, v_plus
+        blocks.append((idx, inv, res, d[idx[:, :, None], idx[:, None, :]]))
+    return u, 0.5 * float(np.vdot(d, d)), blocks
 
 
-def _smacof_step(y: np.ndarray, w_up: np.ndarray, d: np.ndarray, v_plus):
-    """The stress of y and its Guttman transform V+ B(Y) Y, from one pass
-    over the pairs; the transform never increases the stress."""
+def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
+    """The stress of y and its Guttman transform V+ B(Y) Y; the transform
+    never increases the stress.
+
+    B(Y) Y and the stress split as V does. The part every pair shares is u
+    times that of unit weights, from one pass over upper row blocks of d
+    (`upper_row_blocks`): with c_ij = d_ij / delta_ij (0 where the distance
+    delta_ij is 0), row and column sums of c and c Y come from one product
+    per side with [1 | Y], and the stress is u times
+    sum d^2 - 2 sum d delta + sum delta^2 over i < j, the last sum being
+    M sum |y_i|^2 - |sum y_i|^2. The middle sum is added up as it stands:
+    taken as <Y, B Y> it loses digits wherever two iterates nearly
+    coincide. The residual part is summed over each component's block.
+    """
+    u, d2, blocks = plan
+    m = len(y)
     by = np.zeros_like(y)
-    s = _stress_pass(y, w_up, d, by)
+    ones_y = np.column_stack([np.ones(m), y])
+    d_delta = 0.0  # twice the sum of d_ij delta_ij over i < j
+    for lo, hi in upper_row_blocks(m):
+        n = hi - lo
+        d_b = d[lo:hi, lo:]
+        delta = distances(y[lo:hi], y[lo:])
+        # The first n columns hold the pairs within rows lo..hi-1 both ways,
+        # so their rows alone take those pairs' share of B(Y) Y.
+        d_delta += 2.0 * np.einsum("ij,ij->i", d_b, delta).sum()
+        d_delta -= np.einsum("ij,ij->i", d_b[:, :n], delta[:, :n]).sum()
+        c = np.divide(d_b, delta, out=delta, where=delta > 0)
+        rows = c @ ones_y[lo:]
+        cols = c[:, n:].T @ ones_y[lo:hi]
+        by[lo:hi] += rows[:, :1] * y[lo:hi] - rows[:, 1:]
+        by[hi:] += cols[:, :1] * y[hi:] - cols[:, 1:]
+        del c, delta  # before the next block's distances are allocated
+    total = y.sum(axis=0)
+    s = max(0.0, u * (d2 - d_delta + m * np.vdot(y, y) - total @ total))
+    by *= u
+    for idx, _, res, dist in blocks:
+        yy = y[idx]
+        delta = distances(yy, yy)
+        err = np.subtract(dist, delta)
+        err *= err
+        err *= res
+        s += 0.5 * err.sum()  # each pair sits in its block both ways
+        c = np.divide(dist, delta, out=delta, where=delta > 0)
+        c *= res
+        by[idx] += c.sum(axis=2)[..., None] * yy - c @ yy
     y_next = np.empty_like(by)
-    for idx, inv in v_plus:
+    for idx, inv, _, _ in blocks:
         y_next[idx] = inv @ by[idx]
-    return s, y_next
+    return float(s), y_next
 
 
 # Standardized init coordinates closer than _TIE_TOL count as tied; tied
@@ -324,20 +374,20 @@ def optimize(
     """Iterate majorization steps until the relative stress decrease stalls."""
     if w.m != d.m:
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
-    w_up, v_plus = _prepare(w)
+    plan = _prepare(w, d.d)
     y = initial_embedding(w.m, cfg, layout).y
-    s_prev, y_next = _smacof_step(y, w_up, d.d, v_plus)
+    s_prev, y_next = _smacof_step(y, d.d, plan)
     n_iters = 0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         y = y_next
         n_iters += 1
-        s, y_next = _smacof_step(y, w_up, d.d, v_plus)
+        s, y_next = _smacof_step(y, d.d, plan)
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is
             # noise. That sum's scale, sum of w d^2, is the stress of the
             # embedding collapsed to one point.
-            scale = _stress_pass(np.zeros((w.m, 1)), w_up, d.d)
+            scale = _smacof_step(np.zeros((w.m, 1)), d.d, plan)[0]
             noise = w.m * w.m * np.finfo(float).eps * scale
             stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
@@ -361,16 +411,18 @@ def normalize_colors(y: ColorEmbedding, w: BundleWeightMatrix) -> ColorTable:
     """
     if y.m != w.m:
         raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}")
-    sym_flag = w.bundled_flag | w.bundled_flag.T
-    alone = ~sym_flag.any(axis=1)
-    np.fill_diagonal(sym_flag, True)
-    lo = np.empty_like(y.y)
-    hi = np.empty_like(y.y)
-    for dim in range(y.q):
-        # Row i of `values` is all of column dim; the mask keeps i's neighborhood.
-        values = np.broadcast_to(y.y[:, dim], (y.m, y.m))
-        lo[:, dim] = values.min(axis=1, where=sym_flag, initial=np.inf)
-        hi[:, dim] = values.max(axis=1, where=sym_flag, initial=-np.inf)
+    # Per dimension (rows of the transposes), a running min and max over
+    # both ends of each flagged pair; both are exact in any order.
+    lo, hi = y.y.T.copy(), y.y.T.copy()
+    alone = np.ones(y.m, dtype=bool)
+    for start in range(0, len(w.pairs), PAIR_BUDGET):
+        i, j = np.divmod(w.pairs[start : start + PAIR_BUDGET], w.m)
+        alone[i] = alone[j] = False
+        for a, b in ((i, j), (j, i)):
+            for dim in range(y.q):
+                np.minimum.at(lo[dim], a, y.y[b, dim])
+                np.maximum.at(hi[dim], a, y.y[b, dim])
+    lo, hi = lo.T, hi.T
     lo[alone] = y.y.min(axis=0)
     hi[alone] = y.y.max(axis=0)
     span = hi - lo

@@ -35,20 +35,24 @@ class DissimilarityMatrix:
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a and the rows of b.
+    """Euclidean distances between the rows of a and the rows of b, over
+    any leading batch axes: (..., k, q) and (..., l, q) give (..., k, l).
 
     Squared differences are added one coordinate at a time, the order in
-    which `np.linalg.norm(a[:, None] - b[None], axis=2)` adds them, with no
-    (len(a), len(b), q) tensor.
+    which `np.linalg.norm` over the last axis of a difference tensor adds
+    them, with no (..., k, l, q) tensor. In one dimension the distance is
+    |a - b|, which equals the square root of its square bit for bit as
+    long as the square neither overflows nor underflows.
     """
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out = np.subtract(a[..., :, None, 0], b[..., None, :, 0])
+    if a.shape[-1] == 1:
+        return np.abs(out, out=out)
     out *= out
-    if a.shape[1] > 1:
-        diff = np.empty_like(out)
-        for k in range(1, a.shape[1]):
-            np.subtract.outer(a[:, k], b[:, k], out=diff)
-            diff *= diff
-            out += diff
+    diff = np.empty_like(out)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., :, None, k], b[..., None, :, k], out=diff)
+        diff *= diff
+        out += diff
     return np.sqrt(out, out=out)
 
 

@@ -58,7 +58,7 @@ def _curves(layout: GraphLayout) -> list[list[str]]:
 
 
 def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
-    ii = np.nonzero(fans.bundled_flag)[0]
+    ii = fans.pairs // fans.m
     counts = np.diff(layout.offsets)
     fan_in, fan_out = _fans(fans.runs[:, 0], fans.runs[:, 1], counts[ii])
     edge = np.concatenate([ii, ii])
@@ -86,9 +86,9 @@ def render_svg(
 ) -> str:
     """Deterministic SVG document; one path per edge in id order.
 
-    With `fans`, detection's flags and runs, edge bodies are gray and only
-    the segments where edges enter or leave a bundle are colored, plus
-    the endpoints.
+    With `fans`, detection's flagged pairs and runs, edge bodies are gray
+    and only the segments where edges enter or leave a bundle are
+    colored, plus the endpoints.
     """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (layout.m, 3):

@@ -93,9 +93,24 @@ def oracle_flags(layout, t, k_min):
     return flags
 
 
+def dense_flags(w):
+    """The M x M boolean matrix of a weight matrix's flagged ordered pairs."""
+    flags = np.zeros((w.m, w.m), dtype=bool)
+    flags.flat[w.pairs] = True
+    return flags
+
+
+def dense_weights(w):
+    """The M x M weights: 1 where flagged, epsilon elsewhere, 0 on the
+    diagonal."""
+    weights = np.where(dense_flags(w), 1.0, w.epsilon)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
 def runs_by_pair(w):
     """{(i, j): (start, end)} of every flagged pair of a weight matrix."""
-    pairs = zip(*np.nonzero(w.bundled_flag))
+    pairs = zip(*np.nonzero(dense_flags(w)))
     return {(int(i), int(j)): tuple(int(v) for v in r) for (i, j), r in zip(pairs, w.runs)}
 
 
@@ -156,19 +171,23 @@ def oracle_dissimilarity(layout):
     return d
 
 
-def oracle_prepare(w):
-    """Symmetrized weights, upper triangle only, and the SVD pseudo-inverse
-    of their Laplacian as the one M x M block of V+; a stand-in for
-    `peacock.coloring._prepare`."""
-    w_sym = w.weights + w.weights.T
+def oracle_prepare(w, d):
+    """A stand-in for `peacock.coloring._prepare`: u, the smallest
+    symmetrized weight, and one block of all M edges holding the SVD
+    pseudo-inverse of the Laplacian V and the residual weights."""
+    w_sym = dense_weights(w) + dense_weights(w).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
-    return np.triu(w_sym, 1), [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
+    u = w_sym[~np.eye(w.m, dtype=bool)].min() if w.m > 1 else 0.0
+    res = w_sym - u
+    np.fill_diagonal(res, 0.0)
+    idx = np.arange(w.m)[None, :]
+    return u, 0.5 * (d * d).sum(), [(idx, np.linalg.pinv(v)[None], res[None], d[None])]
 
 
 def oracle_smacof_step(y, w, d):
     """One Guttman transform V+ B(Y) Y through dense M x M matrices and the
     SVD pseudo-inverse of V."""
-    w_sym = w.weights + w.weights.T
+    w_sym = dense_weights(w) + dense_weights(w).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     delta = np.linalg.norm(y[:, None, :] - y[None, :, :], axis=2)
     b = -w_sym * np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)

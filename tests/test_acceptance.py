@@ -8,6 +8,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from conftest import (
+    dense_flags,
+    dense_weights,
     edges_of,
     make_layout,
     oracle_flags,
@@ -24,12 +26,11 @@ from peacock.coloring import (
     OptimizerConfig,
     normalize_colors,
     optimize,
-    stress,
 )
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_ordered_bundles
 from peacock.pipeline import run_peacock
-from test_coloring import random_instance, smacof_step, weight_matrix
+from test_coloring import random_instance, smacof_step, stress, weight_matrix
 
 
 def report(n, text):
@@ -45,7 +46,7 @@ def test_criterion_1_detection_oracle_equivalence():
         k_min = float(rng.uniform(0.1, 0.9))
         params = DetectionParams(t_abs=t, t_frac=None, k_min=k_min)
         w = build_weight_matrix(layout, params)
-        assert (w.bundled_flag == oracle_flags(layout, t, k_min)).all()
+        assert (dense_flags(w) == oracle_flags(layout, t, k_min)).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(1, f"200 random layouts, array detection == oracle, {elapsed:.1f}s")
@@ -56,15 +57,15 @@ def test_criterion_2_monotonicity():
     for _ in range(50):
         layout = random_layout(rng, m=int(rng.integers(2, 25)), max_controls=10)
         t = float(rng.uniform(2.0, 8.0))
-        base = build_weight_matrix(
+        base = dense_flags(build_weight_matrix(
             layout, DetectionParams(t_abs=t, t_frac=None, k_min=0.5)
-        ).bundled_flag
-        wider = build_weight_matrix(
+        ))
+        wider = dense_flags(build_weight_matrix(
             layout, DetectionParams(t_abs=1.5 * t, t_frac=None, k_min=0.5)
-        ).bundled_flag
-        stricter = build_weight_matrix(
+        ))
+        stricter = dense_flags(build_weight_matrix(
             layout, DetectionParams(t_abs=t, t_frac=None, k_min=0.8)
-        ).bundled_flag
+        ))
         assert (wider | ~base).all()      # flags grow with t
         assert (base | ~stricter).all()   # flags shrink with k_min
     report(2, "flags monotone in T and anti-monotone in K_min on 50 layouts")
@@ -91,7 +92,7 @@ def test_criterion_4_stress_oracle():
         m = int(rng.integers(2, 20))
         q = int(rng.integers(1, 4))
         y, w, d = random_instance(rng, m=m, q=q, epsilon=float(rng.uniform(0, 1)))
-        want = oracle_stress(y.y, w.weights, d.d)
+        want = oracle_stress(y.y, dense_weights(w), d.d)
         got = stress(y, w, d)
         assert got == pytest.approx(want, rel=1e-10)
     report(4, "stress equals naive double loop within 1e-10 relative")
@@ -162,13 +163,13 @@ def test_criterion_8_rigid_motion_invariance():
     moved = quarter_turn(layout)
     after_w = build_weight_matrix(moved, params)
     after_d = build_dissimilarity_matrix(moved)
-    assert (before_w.bundled_flag == after_w.bundled_flag).all()
+    assert (dense_flags(before_w) == dense_flags(after_w)).all()
     assert (before_d.d == after_d.d).all()
 
     # generic rotation: flags still invariant (distances shift only in ulps)
     generic = rigid_transform(layout, angle=0.83, dx=5.5, dy=-3.25)
     assert (
-        build_weight_matrix(generic, params).bundled_flag == before_w.bundled_flag
+        dense_flags(build_weight_matrix(generic, params)) == dense_flags(before_w)
     ).all()
     report(8, "flags and dissimilarities bit-identical under exact rigid motion")
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_flags,
+    dense_weights,
     edges_of,
     make_layout,
     oracle_detect,
@@ -23,6 +27,7 @@ from peacock.bundling import (
     near_pairs,
     required_run_length,
 )
+from peacock.fixtures import make_ordered_bundles
 
 
 def layout_from_points(controls):
@@ -144,16 +149,16 @@ class TestWeightMatrix:
     def test_epsilon_zero_no_bundles_gives_zero_matrix(self):
         layout = layout_from_points([[(0, 0), (1, 0)], [(0, 99), (1, 99)]])
         w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None, epsilon=0.0))
-        assert not w.weights.any()
-        assert not w.bundled_flag.any()
+        assert not dense_weights(w).any()
+        assert not dense_flags(w).any()
 
     def test_epsilon_one_weights_all_pairs(self):
         rng = np.random.default_rng(1)
         layout = random_layout(rng, m=6)
         w = build_weight_matrix(layout, DetectionParams(epsilon=1.0))
         off = ~np.eye(6, dtype=bool)
-        assert (w.weights[off] == 1.0).all()
-        assert (np.diag(w.weights) == 0.0).all()
+        assert (dense_weights(w)[off] == 1.0).all()
+        assert (np.diag(dense_weights(w)) == 0.0).all()
 
     def test_matrix_invariants(self):
         rng = np.random.default_rng(2)
@@ -161,14 +166,26 @@ class TestWeightMatrix:
         eps = 0.001
         w = build_weight_matrix(layout, DetectionParams(epsilon=eps))
         off = ~np.eye(12, dtype=bool)
-        assert set(np.unique(w.weights[off])) <= {eps, 1.0}
-        assert ((w.weights == 1.0) == w.bundled_flag).all()
-        assert not np.diag(w.bundled_flag).any()
+        assert set(np.unique(dense_weights(w)[off])) <= {eps, 1.0}
+        assert ((dense_weights(w) == 1.0) == dense_flags(w)).all()
+        assert not np.diag(dense_flags(w)).any()
+
+    def test_holds_pairs_not_matrices(self):
+        layout = make_ordered_bundles(64, 25, reverse_last=True, seed=0).layout
+        build_weight_matrix(layout, DetectionParams())  # leaves out first-call allocations
+        tracemalloc.start()
+        try:
+            w = build_weight_matrix(layout, DetectionParams())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert w.bundled_pair_count > 0
+        assert held <= 32 * w.bundled_pair_count
 
     def test_fixture_flags_match_brute_force(self, ordered_fixture):
         w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
         flags = oracle_flags(ordered_fixture.layout, ordered_fixture.t, 0.4)
-        assert (w.bundled_flag == flags).all()
+        assert (dense_flags(w) == flags).all()
 
     def test_index_equals_brute_force_path(self):
         rng = np.random.default_rng(5)
@@ -177,7 +194,7 @@ class TestWeightMatrix:
             params = DetectionParams(t_frac=rng.uniform(0.01, 0.2))
             a = build_weight_matrix(layout, params)
             b = oracle_flags(layout, params.resolve_t(layout), params.k_min)
-            assert (a.bundled_flag == b).all()
+            assert (dense_flags(a) == b).all()
 
     def test_monotone_in_t(self):
         rng = np.random.default_rng(6)
@@ -186,7 +203,7 @@ class TestWeightMatrix:
             t = rng.uniform(2.0, 10.0)
             small = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None))
             big = build_weight_matrix(layout, DetectionParams(t_abs=2 * t, t_frac=None))
-            assert (big.bundled_flag | ~small.bundled_flag).all()
+            assert (dense_flags(big) | ~dense_flags(small)).all()
 
     def test_antimonotone_in_k_min(self):
         rng = np.random.default_rng(8)
@@ -194,7 +211,7 @@ class TestWeightMatrix:
             layout = random_layout(rng, m=10)
             loose = build_weight_matrix(layout, DetectionParams(k_min=0.2))
             strict = build_weight_matrix(layout, DetectionParams(k_min=0.8))
-            assert (loose.bundled_flag | ~strict.bundled_flag).all()
+            assert (dense_flags(loose) | ~dense_flags(strict)).all()
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(9)
@@ -203,7 +220,7 @@ class TestWeightMatrix:
         before = build_weight_matrix(layout, params)
         moved = rigid_transform(layout, angle=0.7, dx=13.0, dy=-42.0)
         after = build_weight_matrix(moved, params)
-        assert (before.bundled_flag == after.bundled_flag).all()
+        assert (dense_flags(before) == dense_flags(after)).all()
 
     def test_self_similarity(self):
         layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]] * 2)
@@ -271,7 +288,7 @@ def wide_layouts(draw):
 
 def check_against_oracle(layout, t, k_min):
     w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
-    assert (w.bundled_flag == oracle_flags(layout, t, k_min)).all()
+    assert (dense_flags(w) == oracle_flags(layout, t, k_min)).all()
     controls = [c for _, _, c in edges_of(layout)]
     for (i, j), run in runs_by_pair(w).items():
         k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)
@@ -295,7 +312,7 @@ class TestDetectionProperties:
         layout = layout_from_points([[(0.0, 5.0)], [(1 - 2.0**-53, 0.0)], [(2.0, 0.0)]])
         check_against_oracle(layout, 1.0, 1.0)
         w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None))
-        assert w.bundled_flag[1, 2] and w.bundled_flag[2, 1]
+        assert dense_flags(w)[1, 2] and dense_flags(w)[2, 1]
 
     @settings(max_examples=50, deadline=None)
     @given(lattice_layouts(), st.randoms(use_true_random=False))
@@ -309,7 +326,7 @@ class TestDetectionProperties:
         a = build_weight_matrix(layout, params)
         b = build_weight_matrix(permuted, params)
         perm = np.array(perm)
-        assert (b.bundled_flag == a.bundled_flag[np.ix_(perm, perm)]).all()
+        assert (dense_flags(b) == dense_flags(a)[np.ix_(perm, perm)]).all()
         runs_a = runs_by_pair(a)
         for (i, j), r in runs_by_pair(b).items():
             assert r == runs_a[(perm[i], perm[j])]

@@ -144,6 +144,34 @@ def test_oversize_layout_fails_in_bundling(fixture_file, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def small_bundles_file(tmp_path):
+    path = tmp_path / "small.json"
+    assert main(["gen", "--groups", "6", "--edges", "3", "--out", str(path)]) == 0
+    return path
+
+
+def test_tiny_epsilon_is_one_error_line(small_bundles_file, capsys):
+    # u M = 2 epsilon M would vanish beside the bundle blocks' diagonal.
+    capsys.readouterr()
+    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"peacock: error \[optimize\] epsilon 1e-20 is too small for these bundles; "
+        r"use 0 or at least \S+\n",
+        captured.err,
+    )
+    least = float(captured.err.split()[-1])
+    assert 1e-20 < least <= 1e-12
+    assert main(["color", "--input", str(small_bundles_file), "--epsilon", str(least)]) == 0
+
+
+def test_small_epsilon_runs(small_bundles_file, capsys):
+    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-12"]) == 0
+    assert "bundled pairs" in capsys.readouterr().out
+
+
 def test_crossing_gen(tmp_path):
     path = tmp_path / "x.json"
     assert main(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    dense_flags,
+    dense_weights,
     edges_of,
     make_layout,
     oracle_gradient,
@@ -30,7 +32,6 @@ from peacock.coloring import (
     initial_embedding,
     normalize_colors,
     optimize,
-    stress,
 )
 from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
@@ -38,13 +39,12 @@ from peacock.pipeline import run_peacock
 
 
 def weight_matrix(flags, epsilon=0.0):
-    flags = np.asarray(flags, dtype=bool)
-    m = flags.shape[0]
-    weights = np.where(flags, 1.0, epsilon)
-    np.fill_diagonal(weights, 0.0)
+    """The weight matrix flagging the off-diagonal True entries of `flags`."""
+    flags = np.array(flags, dtype=bool)
     np.fill_diagonal(flags, False)
-    runs = np.zeros((int(flags.sum()), 2), dtype=np.int64)
-    return BundleWeightMatrix(m=m, weights=weights, bundled_flag=flags, runs=runs)
+    pairs = np.flatnonzero(flags)
+    runs = np.zeros((len(pairs), 2), dtype=np.int64)
+    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, runs=runs)
 
 
 def random_instance(rng, m, q, epsilon=0.1):
@@ -60,9 +60,14 @@ def random_instance(rng, m, q, epsilon=0.1):
 
 def smacof_step(y, w, d):
     """One update of the step `optimize` iterates; never increases the stress."""
-    w_sym, v_plus = peacock.coloring._prepare(w)
-    _, y_next = peacock.coloring._smacof_step(y.y, w_sym, d.d, v_plus)
+    plan = peacock.coloring._prepare(w, d.d)
+    _, y_next = peacock.coloring._smacof_step(y.y, d.d, plan)
     return ColorEmbedding(m=y.m, q=y.q, y=y_next)
+
+
+def stress(y, w, d):
+    """The stress of y as the kernel `optimize` iterates computes it."""
+    return peacock.coloring._smacof_step(y.y, d.d, peacock.coloring._prepare(w, d.d))[0]
 
 
 def two_point_instance(y_vals=(0.0, 1.0), d12=2.0):
@@ -91,7 +96,7 @@ class TestStress:
         d = build_dissimilarity_matrix(layout)
         rng = np.random.default_rng(0)
         y = ColorEmbedding(m=layout.m, q=2, y=rng.standard_normal((layout.m, 2)))
-        want = oracle_stress(y.y, w.weights, d.d)
+        want = oracle_stress(y.y, dense_weights(w), d.d)
         assert stress(y, w, d) == pytest.approx(want, rel=1e-10)
 
     def test_translation_invariance(self):
@@ -103,16 +108,34 @@ class TestStress:
     def test_epsilon_zero_masks_unbundled_terms(self):
         rng = np.random.default_rng(12)
         y, w, d = random_instance(rng, m=10, q=2, epsilon=0.0)
-        masked = w.weights * np.asarray(w.bundled_flag, dtype=float)
+        masked = dense_weights(w) * np.asarray(dense_flags(w), dtype=float)
         assert stress(y, w, d) == pytest.approx(
             oracle_stress(y.y, masked, d.d), rel=1e-10
         )
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_kernel_matches_oracle_relative_to_weighted_dissimilarities(self, epsilon):
+        # The shared part is summed as sum d^2 - 2 sum d delta + sum delta^2,
+        # so its rounding is relative to sum w d^2, not to the stress.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m, q = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            y, w, d = random_instance(rng, m=m, q=q, epsilon=epsilon)
+            one_way = weight_matrix(np.triu(rng.random((m, m)) < 0.3, 1), epsilon)
+            everything = weight_matrix(~np.eye(m, dtype=bool), epsilon)
+            for w in (w, one_way, everything):
+                weights = dense_weights(w)
+                if not weights.any():
+                    continue
+                scale = (weights * d.d**2).sum()
+                want = oracle_stress(y.y, weights, d.d)
+                assert abs(stress(y, w, d) - want) <= 1e-12 * scale
 
     def test_dimension_mismatch(self):
         y, w, d = two_point_instance()
         bad = DissimilarityMatrix(m=3, d=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="mismatch"):
-            stress(y, w, bad)
+            optimize(w, bad, OptimizerConfig(init="seeded-random"))
 
 
 class TestSmacofStep:
@@ -165,17 +188,17 @@ class TestPrepare:
         n_components = []
         for seed in range(40):
             y, w, d = random_instance(np.random.default_rng(seed), m=6, q=2, epsilon=0.0)
-            if not w.bundled_flag.any():
+            if not dense_flags(w).any():
                 continue
             assert_matches_pinv(y, w, d)
-            adj = (w.weights + w.weights.T) > 0
-            n_components.append(len(set(peacock.coloring._components(adj))))
+            _, _, blocks = peacock.coloring._prepare(w, d.d)
+            n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
     def test_edges_without_partners(self):
         layout = random_layout(np.random.default_rng(5), m=30, max_controls=6)
         w = build_weight_matrix(layout, DetectionParams(t_abs=4.0, t_frac=None, epsilon=0.0))
-        alone = ~(w.bundled_flag | w.bundled_flag.T).any(axis=1)
+        alone = ~(dense_flags(w) | dense_flags(w).T).any(axis=1)
         assert 0 < alone.sum() < layout.m
         y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
         assert_matches_pinv(y, w, build_dissimilarity_matrix(layout))
@@ -185,8 +208,8 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
-        _, v_plus = peacock.coloring._prepare(w)
-        assert [idx.shape for idx, _ in v_plus] == [(12, 1)]
+        _, _, blocks = peacock.coloring._prepare(w, d.d)
+        assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
@@ -202,8 +225,25 @@ class TestPrepare:
             tournament |= np.tril(~tournament.T, -1) | (rng.random((10, 10)) < 0.2)
             w = weight_matrix(tournament, epsilon)
             off = ~np.eye(10, dtype=bool)
-            assert (w.weights + w.weights.T)[off].min() == 1.0 + epsilon
+            assert (dense_weights(w) + dense_weights(w).T)[off].min() == 1.0 + epsilon
             assert_matches_pinv(y, w, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_components_equal_scipy(self, m, data):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        n_edges = data.draw(st.integers(0, 2 * m))
+        a = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n_edges, max_size=n_edges)),
+                     dtype=np.int64)
+        b = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n_edges, max_size=n_edges)),
+                     dtype=np.int64)
+        label = peacock.coloring._components(m, a, b)
+        graph = coo_matrix((np.ones(n_edges), (a, b)), shape=(m, m))
+        _, want = connected_components(graph, directed=False)
+        # Both number components in the order of their smallest vertex.
+        assert np.array_equal(label, want)
 
     def test_oversize_component_refused_before_inverting(self, monkeypatch):
         # A chain of edges each bundled with its neighbours only is one
@@ -216,7 +256,7 @@ class TestPrepare:
         monkeypatch.setattr(peacock.coloring, "DENSE_BUDGET", dense + 1)
         monkeypatch.setattr(np.linalg, "inv", None)
         with pytest.raises(OptimizationError, match="20 of the 20 edges form one bundle"):
-            peacock.coloring._prepare(w)
+            peacock.coloring._prepare(w, np.zeros((m, m)))
 
 
 def permuted(layout, perm):
@@ -358,9 +398,9 @@ class TestOptimize:
         assert res.stress == stress(res.embedding, w, d)
 
     def test_allocates_about_one_matrix_beyond_inputs(self):
-        # w_sym is the one M x M float array optimize holds; the component
-        # graph (M x M bools) and the row-block temporaries add a fraction of
-        # one. A dense V+, V + P or B(Y) would add a whole one.
+        # optimize holds no M x M array: the per-component blocks and the
+        # row-block temporaries add a fraction of one. Dense weights, a
+        # component graph, V+ or B(Y) would each add most of the bound or more.
         layout = make_ordered_bundles(64, 25, reverse_last=True, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
@@ -373,7 +413,7 @@ class TestOptimize:
         finally:
             tracemalloc.stop()
         assert layout.m == 800
-        assert peak <= 1.5 * 8 * layout.m**2
+        assert peak <= 0.25 * 8 * layout.m**2
 
     def test_endpoint_projection_needs_layout(self):
         w = weight_matrix(~np.eye(2, dtype=bool))

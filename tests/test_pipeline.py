@@ -4,10 +4,13 @@ from scipy.stats import spearmanr
 
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
-from peacock.coloring import ColorEmbedding, OptimizerConfig, stress
+from peacock.coloring import ColorEmbedding, OptimizerConfig
 from peacock.dissimilarity import build_dissimilarity_matrix
-from conftest import make_layout
+from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
+from peacock.model import GraphLayout
+from conftest import dense_flags, make_layout
 from peacock.pipeline import StageError, read_color_dump, run_peacock
+from test_coloring import stress
 
 
 def test_fixture_rank_correlation(ordered_fixture):
@@ -33,6 +36,25 @@ def test_global_mode_beats_baseline(ordered_fixture):
     assert diag.stress < base_stress
 
 
+@pytest.mark.parametrize("k", [-3, 2])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("fixture", [
+    make_ordered_bundles(6, 6, reverse_last=True, seed=0),
+    make_crossing_bundles(3, 5, seed=1),
+], ids=["ordered", "crossing"])
+def test_scaling_layout_scales_only_stress(fixture, q, k):
+    # Scaling by a power of two is exact, and so is every step that follows
+    # from it: the fractional threshold, d, and each Guttman transform.
+    layout, s = fixture.layout, 2.0**k
+    scaled = GraphLayout(points=layout.points * s, offsets=layout.offsets,
+                         ends=layout.ends * s, nodes=layout.nodes)
+    table, diag = run_peacock(layout, DetectionParams(), OptimizerConfig(q=q))
+    scaled_table, scaled_diag = run_peacock(scaled, DetectionParams(), OptimizerConfig(q=q))
+    assert np.array_equal(scaled_table.col, table.col)
+    assert scaled_diag.iterations == diag.iterations
+    assert scaled_diag.stress == pytest.approx(diag.stress * 4.0**k, rel=1e-12)
+
+
 def test_zero_epsilon_without_bundles_attributed_to_optimizer():
     far = make_layout([
         ((0, 0), (1, 0), [(0, 0), (1, 0)]),
@@ -54,7 +76,7 @@ def test_end_to_end_determinism(ordered_fixture):
 def test_diagnostics_bundled_pairs(ordered_fixture):
     _, diag = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
     w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
-    assert diag.bundled_pairs == int(w.bundled_flag.sum())
+    assert diag.bundled_pairs == int(dense_flags(w).sum())
     assert set(diag.stage_seconds) == {"bundling", "dissimilarity", "optimize", "normalize"}
 
 
