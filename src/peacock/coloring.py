@@ -4,9 +4,22 @@ The embedding places every edge in a 1- to 3-dimensional color space so
 that distances between bundled edges match their endpoint
 dissimilarities; non-bundled pairs enter with the tradeoff weight. The
 optimizer is SMACOF stress majorization (Gansner, Koren & North, "Graph
-Drawing by Stress Majorization", GD 2004), so the cost never increases
-across iterations. Afterwards every edge's value is rescaled against its
-bundle neighborhood so each bundle spans the full color range.
+Drawing by Stress Majorization", GD 2004) accelerated by squared
+extrapolation (SQUAREM; Varadhan & Roland, Scand. J. Statist. 2008).
+Afterwards every edge's value is rescaled against its bundle
+neighborhood so each bundle spans the full color range.
+
+The Guttman transform G never increases the stress (de Leeuw, J.
+Classification 1988). One cycle from an accepted iterate y0 takes
+y1 = G(y0) and y2 = G(y1), extrapolates along r = y1 - y0 and
+v = y2 - 2 y1 + y0 to y' = y0 + 2 a r + a^2 v with the S3 step length
+a = |r| / |v|, at least 1 and at most a cap that grows fourfold each
+time a reaches it, and takes one stabilizing transform G(y'). G(y') is
+accepted only if its stress is no higher than that of y1; otherwise the
+cycle falls back to y2, whose stress is no higher either. So the stress
+never rises across accepted iterates (y1 counts as one), and at a = 1,
+where y' = y2, a cycle is three plain steps. `max_iters` counts
+Guttman transforms, the same unit as plain SMACOF's iterations.
 
 The weights come as the bundled pairs plus the tradeoff, and the only
 M x M array is the dissimilarity matrix d. The Laplacian of the
@@ -42,6 +55,13 @@ _TINY = 1e-30
 # 50.9-51.5 B at the peak, at M = 2000 and 3000.
 RESIDENT_BYTES_PER_PAIR = 9
 INVERSE_BYTES_PER_PAIR = 44
+
+# The cap on the S3 step length starts at 1 and grows by this factor each
+# time the step reaches it (Varadhan & Roland's step-length control).
+_CAP_GROWTH = 4.0
+# The largest share of u sum d^2 that the Guttman transform's rounding may
+# add to the stress before `_prepare` refuses epsilon as too small.
+_ROUNDING_SHARE = 1e-2
 
 
 class OptimizationError(ValueError):
@@ -191,14 +211,26 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         )
     # Each block's diagonal holds u M beside residual degrees up to `top`.
     # Where u M falls below the rounding level of a c x c LU, the block is
-    # singular in floating point; u >= 1 unless u = 2 epsilon.
+    # singular in floating point. Above it, the inverse's gain 1 / (u M)
+    # along each component's constant vector lifts the rounding of
+    # inv @ B(Y) Y to about eps rho / (u M) in every row, rho bounding a row
+    # of the residual part of B(Y) Y (sum_j res_ij d_ij, whatever Y is). The
+    # residual weights turn that into up to top M times its square in
+    # stress, which must stay below _ROUNDING_SHARE of u sum d^2, the scale
+    # of the part every pair shares. u >= 1 unless u = 2 epsilon.
+    eps = np.finfo(float).eps
+    d2 = 0.5 * float(np.vdot(d, d))
+    rd = r * d[a, b]
     top = (np.bincount(a, r, m) + np.bincount(b, r, m)).max()
-    floor = largest * np.finfo(float).eps * top
-    if 0 < u * m <= floor:
+    rho = (np.bincount(a, rd, m) + np.bincount(b, rd, m)).max()
+    u_min = largest * eps * top / m
+    if rho > 0:
+        u_min = max(u_min, np.cbrt(top * (eps * rho) ** 2 / (_ROUNDING_SHARE * m * d2)))
+    if 0 < u <= u_min:
         # The factor 1.05 keeps the value printed to one decimal above it.
         raise OptimizationError(
             f"epsilon {w.epsilon:g} is too small for these bundles; use 0 or at "
-            f"least {floor / (2 * m) * 1.05:.1e}"
+            f"least {u_min / 2 * 1.05:.1e}"
         )
     size = sizes[label]
     order = np.lexsort((label, size))
@@ -223,7 +255,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         if u == 0:
             inv -= 1.0 / c
         blocks.append((idx, inv, res, d[idx[:, :, None], idx[:, None, :]]))
-    return u, 0.5 * float(np.vdot(d, d)), blocks
+    return u, d2, blocks
 
 
 def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
@@ -365,30 +397,79 @@ def initial_embedding(
     return ColorEmbedding(m=m, q=cfg.q, y=_break_ties(_standardize(y), _standardize(keys)))
 
 
+def _collapsed_stress(plan) -> float:
+    """The stress of the embedding collapsed to one point, sum of w d^2
+    over ordered pairs: the scale of the stress sum's rounding error."""
+    u, d2, blocks = plan
+    s = u * d2
+    for _, _, res, dist in blocks:
+        s += 0.5 * (dist * dist * res).sum()
+    return float(s)
+
+
+def _iterates(y: np.ndarray, d: np.ndarray, plan, max_iters: int):
+    """The accepted iterates of accelerated SMACOF from y, as (iterate,
+    its stress, Guttman transforms taken so far); the first is y itself.
+
+    Each cycle (see the module docstring) yields y1 = G(y0), then G(y') or
+    y2. After y1 a cycle needs up to three more transforms; with fewer
+    left, plain steps spend the rest of the budget. The stress of an
+    iterate and its transform come from one `_smacof_step` call, so a run
+    makes max_iters + 1 calls at most.
+    """
+    s, g = _smacof_step(y, d, plan)
+    n = 0
+    cap = 1.0
+    yield y, s, n
+    while n < max_iters:
+        s1, g1 = _smacof_step(g, d, plan)
+        n += 1
+        yield g, s1, n
+        if max_iters - n < 3:
+            y, s, g = g, s1, g1
+            continue
+        r = g - y
+        v = g1 - g - r
+        rr, vv = float(np.vdot(r, r)), float(np.vdot(v, v))
+        a = cap if rr >= cap * cap * vv else max(1.0, (rr / vv) ** 0.5)
+        if a == cap:
+            cap *= _CAP_GROWTH
+        # At a = 1, y' is y2; taking y2 itself keeps the cycle plain
+        # SMACOF to the last bit, so iterates scale exactly with d.
+        y_x = g1 if a == 1.0 else y + 2.0 * a * r + a * a * v
+        s_x, y_new = _smacof_step(y_x, d, plan)
+        s_new, g_new = _smacof_step(y_new, d, plan)
+        n += 2
+        if not s_new <= s1:
+            if y_x is g1:  # y2's stress and transform are at hand
+                y_new, s_new, g_new = g1, s_x, y_new
+            else:
+                y_new = g1
+                s_new, g_new = _smacof_step(y_new, d, plan)
+                n += 1
+        y, s, g = y_new, s_new, g_new
+        yield y, s, n
+
+
 def optimize(
     w: BundleWeightMatrix,
     d: DissimilarityMatrix,
     cfg: OptimizerConfig,
     layout: GraphLayout | None = None,
 ) -> OptimizeResult:
-    """Iterate majorization steps until the relative stress decrease stalls."""
+    """Run accelerated SMACOF until the relative stress decrease between
+    accepted iterates stalls or cfg.max_iters Guttman transforms are spent."""
     if w.m != d.m:
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
     plan = _prepare(w, d.d)
-    y = initial_embedding(w.m, cfg, layout).y
-    s_prev, y_next = _smacof_step(y, d.d, plan)
-    n_iters = 0
+    steps = _iterates(initial_embedding(w.m, cfg, layout).y, d.d, plan, cfg.max_iters)
+    y, s_prev, n_iters = next(steps)
     stop_reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        y = y_next
-        n_iters += 1
-        s, y_next = _smacof_step(y, d.d, plan)
+    for y, s, n_iters in steps:
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is
-            # noise. That sum's scale, sum of w d^2, is the stress of the
-            # embedding collapsed to one point.
-            scale = _smacof_step(np.zeros((w.m, 1)), d.d, plan)[0]
-            noise = w.m * w.m * np.finfo(float).eps * scale
+            # noise. That sum's scale is the stress of the collapsed embedding.
+            noise = w.m * w.m * np.finfo(float).eps * _collapsed_stress(plan)
             stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
             break

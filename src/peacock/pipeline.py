@@ -44,10 +44,6 @@ class Diagnostics:
     weight_matrix: BundleWeightMatrix | None = field(default=None, repr=False)
     resolved_t: float | None = None
 
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "tolerance"
-
 
 def _timed(diag: Diagnostics, stage: str, fn):
     start = time.perf_counter()

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from peacock.bundling import required_run_length
+from peacock.bundling import BundleWeightMatrix, required_run_length
+from peacock.coloring import ColorEmbedding
+from peacock.dissimilarity import DissimilarityMatrix
 from peacock.model import GraphLayout
 
 
@@ -45,6 +47,28 @@ def random_layout(rng, m=None, max_controls=12, span=100.0):
         pts = rng.uniform(0, span, size=(c + 2, 2))
         edges.append((pts[0], pts[1], pts[2:]))
     return make_layout(edges)
+
+
+def weight_matrix(flags, epsilon=0.0):
+    """The weight matrix flagging the off-diagonal True entries of `flags`."""
+    flags = np.array(flags, dtype=bool)
+    np.fill_diagonal(flags, False)
+    pairs = np.flatnonzero(flags)
+    runs = np.zeros((len(pairs), 2), dtype=np.int64)
+    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, runs=runs)
+
+
+def random_instance(rng, m, q, epsilon=0.1):
+    """(y, w, d) of m edges: about 30% of the ordered pairs flagged, the
+    distances between m random points as d, and a Gaussian embedding y."""
+    flags = rng.random((m, m)) < 0.3
+    np.fill_diagonal(flags, False)
+    pts = rng.uniform(0, 10, size=(m, 2))
+    d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    w = weight_matrix(flags, epsilon)
+    dm = DissimilarityMatrix(m=m, d=d)
+    y = ColorEmbedding(m=m, q=q, y=rng.standard_normal((m, q)))
+    return y, w, dm
 
 
 def oracle_detect(pi, pj, t, k_ij):
@@ -194,6 +218,58 @@ def oracle_smacof_step(y, w, d):
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=1))
     return np.linalg.pinv(v) @ (b @ y)
+
+
+def oracle_optimize(y, w, d, max_iters, rel_tol):
+    """Accelerated SMACOF over `oracle_smacof_step` and `oracle_stress`:
+    (embedding, stress, transforms, stop reason).
+
+    Each accepted iterate y0 is followed by y1 = G(y0), itself accepted.
+    While three more transforms remain, y2 = G(y1) and the S3 step length
+    a = |y1 - y0| / |y2 - 2 y1 + y0|, clamped to [1, cap] (the cap starts
+    at 1 and grows fourfold whenever a reaches it), give y' = y0 +
+    2 a (y1 - y0) + a^2 (y2 - 2 y1 + y0), or y2 itself at a = 1; G(y') is
+    accepted if its stress is at most that of y1, else y2. Transforms are
+    counted as stress evaluations after the first: G(y') costs one, its
+    stress one more, and y2's stress one unless y' was y2.
+    """
+    weights = dense_weights(w)
+    noise = w.m * w.m * np.finfo(float).eps * (weights * d * d).sum()
+    s, n, cap = oracle_stress(y, weights, d), 0, 1.0
+
+    def stalls(s_next):
+        return (s - s_next) / max(s, 1e-30) < rel_tol
+
+    def stop(y_next, s_next):
+        return y_next, s_next, n, "stress_increase" if s_next - s > noise else "tolerance"
+
+    while n < max_iters:
+        y1 = oracle_smacof_step(y, w, d)
+        s1 = oracle_stress(y1, weights, d)
+        n += 1
+        if stalls(s1):
+            return stop(y1, s1)
+        if max_iters - n < 3:
+            y, s = y1, s1
+            continue
+        y2 = oracle_smacof_step(y1, w, d)
+        r, v = y1 - y, y2 - 2.0 * y1 + y
+        norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+        a = cap if norm_r >= cap * norm_v else max(1.0, norm_r / norm_v)
+        if a == cap:
+            cap *= 4.0
+        jump = y2 if a == 1.0 else y + 2.0 * a * r + a * a * v
+        y_new = oracle_smacof_step(jump, w, d)
+        s_new = oracle_stress(y_new, weights, d)
+        n += 2
+        if s_new > s1:
+            y_new, s_new = y2, oracle_stress(y2, weights, d)
+            n += a != 1.0
+        y, s = y1, s1
+        if stalls(s_new):
+            return stop(y_new, s_new)
+        y, s = y_new, s_new
+    return y, s, n, "max_iters"
 
 
 def oracle_projection_init(layout, q):

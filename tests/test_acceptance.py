@@ -14,8 +14,10 @@ from conftest import (
     make_layout,
     oracle_flags,
     oracle_stress,
+    random_instance,
     random_layout,
     rigid_transform,
+    weight_matrix,
 )
 
 from peacock.baseline import baseline_colors
@@ -30,7 +32,7 @@ from peacock.coloring import (
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_ordered_bundles
 from peacock.pipeline import run_peacock
-from test_coloring import random_instance, smacof_step, stress, weight_matrix
+from test_coloring import smacof_step, stress
 
 
 def report(n, text):

@@ -163,13 +163,31 @@ def test_tiny_epsilon_is_one_error_line(small_bundles_file, capsys):
         captured.err,
     )
     least = float(captured.err.split()[-1])
-    assert 1e-20 < least <= 1e-12
+    assert 1e-12 < least <= 1e-10
     assert main(["color", "--input", str(small_bundles_file), "--epsilon", str(least)]) == 0
 
 
 def test_small_epsilon_runs(small_bundles_file, capsys):
-    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-12"]) == 0
+    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-10"]) == 0
     assert "bundled pairs" in capsys.readouterr().out
+
+
+def test_epsilon_down_to_the_floor_keeps_stress_per_epsilon(tmp_path, small_bundles_file,
+                                                           capsys):
+    # Every bundled pair of this layout can be embedded exactly, so the
+    # optimum's stress is very nearly epsilon times a constant; rounding
+    # that the transform amplifies by 1 / (u M) would show as a departure.
+    def stress_per_epsilon(epsilon):
+        colors = tmp_path / "colors.json"
+        assert main(["color", "--input", str(small_bundles_file), "--epsilon", repr(epsilon),
+                     "--rel-tol", "1e-12", "--out-colors", str(colors)]) == 0
+        return json.loads(colors.read_text())["stress"] / epsilon
+
+    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-12"]) == 1
+    floor = float(capsys.readouterr().err.split()[-1])
+    want = stress_per_epsilon(1e-9)
+    for epsilon in np.geomspace(1e-9, floor, 20):
+        assert stress_per_epsilon(float(epsilon)) == pytest.approx(want, rel=1e-2)
 
 
 def test_crossing_gen(tmp_path):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,15 +14,18 @@ from conftest import (
     make_layout,
     oracle_gradient,
     oracle_normalize_colors,
+    oracle_optimize,
     oracle_prepare,
     oracle_projection_init,
     oracle_smacof_step,
     oracle_stress,
+    random_instance,
     random_layout,
+    weight_matrix,
 )
 
 import peacock.coloring
-from peacock.bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
+from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import (
     ColorEmbedding,
     ColorTable,
@@ -36,26 +39,6 @@ from peacock.coloring import (
 from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
-
-
-def weight_matrix(flags, epsilon=0.0):
-    """The weight matrix flagging the off-diagonal True entries of `flags`."""
-    flags = np.array(flags, dtype=bool)
-    np.fill_diagonal(flags, False)
-    pairs = np.flatnonzero(flags)
-    runs = np.zeros((len(pairs), 2), dtype=np.int64)
-    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, runs=runs)
-
-
-def random_instance(rng, m, q, epsilon=0.1):
-    flags = rng.random((m, m)) < 0.3
-    np.fill_diagonal(flags, False)
-    pts = rng.uniform(0, 10, size=(m, 2))
-    d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-    w = weight_matrix(flags, epsilon)
-    dm = DissimilarityMatrix(m=m, d=d)
-    y = ColorEmbedding(m=m, q=q, y=rng.standard_normal((m, q)))
-    return y, w, dm
 
 
 def smacof_step(y, w, d):
@@ -382,20 +365,60 @@ class TestOptimize:
         assert not res.converged
 
     @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-15), (500, 1e-2)])
-    def test_equals_repeated_smacof_steps(self, max_iters, rel_tol):
-        # Each iterate's stress and next update share one distance matrix;
-        # both must still belong to the current iterate.
+    def test_equals_accelerated_cycles_of_dense_steps(self, max_iters, rel_tol):
         rng = np.random.default_rng(31)
         _, w, d = random_instance(rng, m=15, q=3, epsilon=0.05)
         cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, seed=4,
                               init="seeded-random")
         res = optimize(w, d, cfg)
-        assert res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
-        y = initial_embedding(15, cfg)
-        for _ in range(res.n_iters):
-            y = smacof_step(y, w, d)
-        assert np.array_equal(res.embedding.y, y.y)
+        y, s, n, stop_reason = oracle_optimize(initial_embedding(15, cfg).y, w, d.d,
+                                               max_iters, rel_tol)
+        assert stop_reason == res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
+        assert res.n_iters == n
+        assert np.abs(res.embedding.y - y).max() <= 1e-9 * np.abs(y).max()
+        assert res.stress == pytest.approx(s, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20), q=st.integers(1, 3),
+           epsilon=st.floats(0.0, 1.0), max_iters=st.integers(1, 60))
+    def test_accepted_stress_never_rises(self, seed, m, q, epsilon, max_iters):
+        _, w, d = random_instance(np.random.default_rng(seed), m=m, q=q, epsilon=epsilon)
+        seen = []
+
+        def recorded(*args):
+            for item in iterates(*args):
+                seen.append(item)
+                yield item
+
+        iterates = peacock.coloring._iterates
+        steps = mock.Mock(side_effect=peacock.coloring._smacof_step)
+        cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12, init="seeded-random",
+                              seed=seed)
+        with mock.patch.multiple(peacock.coloring, _iterates=recorded, _smacof_step=steps):
+            try:
+                res = optimize(w, d, cfg)
+            except OptimizationError:  # no weights, or epsilon below the floor
+                assume(False)
+        # Rises are rounding only: the stress sum rounds relative to its
+        # scale, the stress of the collapsed embedding.
+        scale = (dense_weights(w) * d.d**2).sum()
+        stresses = [s for _, s, _ in seen]
+        assert all(b <= a + 1e-12 * scale for a, b in zip(stresses, stresses[1:]))
+        assert [n for _, _, n in seen] == sorted({n for _, _, n in seen})
+        assert steps.call_count - 1 == res.n_iters == seen[-1][2] <= max_iters
         assert res.stress == stress(res.embedding, w, d)
+        want = oracle_stress(res.embedding.y, dense_weights(w), d.d)
+        assert res.stress == pytest.approx(want, rel=1e-10, abs=1e-12 * scale)
+
+    def test_global_mode_converges_within_60_transforms(self, ordered_fixture):
+        # Acceptance criterion 7's instance; plain SMACOF needs 126.
+        layout = ordered_fixture.layout
+        params = DetectionParams(epsilon=1.0)
+        w = build_weight_matrix(layout, params)
+        d = build_dissimilarity_matrix(layout)
+        res = optimize(w, d, OptimizerConfig(q=3), layout)
+        assert res.stop_reason == "tolerance"
+        assert res.n_iters <= 60
 
     def test_allocates_about_one_matrix_beyond_inputs(self):
         # optimize holds no M x M array: the per-component blocks and the
