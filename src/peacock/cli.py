@@ -7,14 +7,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fixtures
 from .baseline import baseline_colors
 from .bundling import DetectionParams, ParameterError, build_weight_matrix, dump_bundled_pairs
 from .coloring import OptimizationError, OptimizerConfig, colors_to_display
 from .model import LayoutError, load_layout, save_layout
-from .pipeline import StageError, read_color_dump, run_peacock, write_color_dump
+from .pipeline import StageError, read_rgb, run_peacock, write_color_dump
 from .render import render_svg
 
 EXIT_OK = 0
@@ -118,59 +116,43 @@ def _cmd_color(args) -> int:
     )
 
     if args.method == "baseline":
-        table = baseline_colors(layout)
-        diag = None
-        weights = None
+        table, result = baseline_colors(layout), None
+        wanted = args.dump_bundles or (args.fans_only and args.out_svg)
+        weights = build_weight_matrix(layout, params) if wanted else None
     else:
         cfg = OptimizerConfig(
             q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
             seed=args.seed, init=args.init,
         )
-        table, diag = run_peacock(layout, params, cfg)
-        weights = diag.weight_matrix
+        run = run_peacock(layout, params, cfg)
+        table, result, weights = run.table, run.result, run.weights
 
     if args.dump_bundles:
-        if weights is None:
-            weights = build_weight_matrix(layout, params)
         with open(args.dump_bundles, "w") as fh:
             json.dump(dump_bundled_pairs(weights), fh, indent=1)
             fh.write("\n")
 
     if args.out_colors:
-        write_color_dump(args.out_colors, table, diag)
+        write_color_dump(args.out_colors, table, result)
 
     if args.out_svg:
-        if args.fans_only and weights is None:
-            weights = build_weight_matrix(layout, params)
         fans = weights if args.fans_only else None
         with open(args.out_svg, "w") as fh:
             fh.write(render_svg(layout, colors_to_display(table), fans))
 
-    if diag is not None:
+    if result is not None:
         print(
-            f"colored {layout.m} edges: {diag.bundled_pairs} bundled pairs, "
-            f"stress {diag.stress:.6g} after {diag.iterations} iterations ({diag.stop_reason})"
+            f"colored {layout.m} edges: {weights.bundled_pair_count} bundled pairs, "
+            f"stress {result.stress:.6g} after {result.n_iters} iterations ({result.stop_reason})"
         )
     else:
         print(f"colored {layout.m} edges with the baseline encoding")
     return EXIT_OK
 
 
-def _read_rgb(path) -> np.ndarray:
-    """The `rgb` rows of a color dump, which must all be finite numbers."""
-    doc = read_color_dump(path)
-    try:
-        rgb = np.asarray(doc["rgb"], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        rgb = None
-    if rgb is None or not np.isfinite(rgb).all():
-        raise ValueError(f"{path}: 'rgb' holds a value that is not a finite number")
-    return rgb
-
-
 def _cmd_render(args) -> int:
     layout = load_layout(args.input)
-    rgb = _read_rgb(args.colors)
+    rgb = read_rgb(args.colors)
     with open(args.out, "w") as fh:
         fh.write(render_svg(layout, rgb))
     print(f"wrote {args.out}")

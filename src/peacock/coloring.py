@@ -93,6 +93,8 @@ class OptimizerConfig:
     init: str = "endpoint-projection"  # or "seeded-random"
 
     def __post_init__(self):
+        if self.q not in (1, 2, 3):
+            raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
@@ -153,8 +155,9 @@ def _residual_pairs(w: BundleWeightMatrix):
 
     An unordered pair weighs 2 when flagged both ways, 1 + epsilon when
     flagged one way and 2 epsilon when not flagged, so u is 2 epsilon
-    unless every pair is flagged. The flagged pairs are read in batches
-    of PAIR_BUDGET, so no array holds more than one entry per pair.
+    unless there are pairs and every one is flagged. The flagged pairs are
+    read in batches of PAIR_BUDGET, so no array holds more than one entry
+    per pair.
     """
     m, pairs = w.m, w.pairs
     codes, both = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
@@ -167,10 +170,10 @@ def _residual_pairs(w: BundleWeightMatrix):
         both.append(mutual[once])
     code, mutual = np.concatenate(codes), np.concatenate(both)
     w_sym = np.where(mutual, 2.0, 1.0 + w.epsilon)
-    if len(code) < m * (m - 1) // 2:
-        u = 2.0 * w.epsilon
+    if 0 < len(code) == m * (m - 1) // 2:
+        u = float(w_sym.min())
     else:
-        u = float(w_sym.min()) if len(code) else 0.0
+        u = 2.0 * w.epsilon
     r = w_sym - u
     keep = r > 0
     i, j = np.divmod(code[keep], m)

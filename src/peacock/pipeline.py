@@ -1,20 +1,21 @@
 """End-to-end run: detect bundles, build dissimilarities, optimize, normalize.
 
-Each invocation is stateless; stages run sequentially and report their
-wall time. Failures carry the name of the stage they came from.
+`run_peacock` returns what the stages produced, and each one's wall time,
+as a `Run`; a failure carries the name of the stage it came from.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
 from .coloring import (
     ColorTable,
+    OptimizeResult,
     OptimizerConfig,
     colors_to_display,
     normalize_colors,
@@ -33,64 +34,52 @@ class StageError(Exception):
         self.cause = cause
 
 
-@dataclass
-class Diagnostics:
-    stress: float = 0.0
-    iterations: int = 0
-    stop_reason: str = ""
-    bundled_pairs: int = 0
-    stage_seconds: dict = field(default_factory=dict)
-    # Kept for downstream consumers (fans-only rendering); not serialized.
-    weight_matrix: BundleWeightMatrix | None = field(default=None, repr=False)
-    resolved_t: float | None = None
+@dataclass(frozen=True)
+class Run:
+    """The stages' outputs, by reference, and their wall times in seconds."""
+
+    weights: BundleWeightMatrix
+    result: OptimizeResult
+    table: ColorTable
+    stage_seconds: dict
 
 
-def _timed(diag: Diagnostics, stage: str, fn):
+def _timed(stage_seconds: dict, stage: str, fn):
     start = time.perf_counter()
     try:
         result = fn()
     except Exception as exc:
         raise StageError(stage, exc) from exc
-    diag.stage_seconds[stage] = time.perf_counter() - start
+    stage_seconds[stage] = time.perf_counter() - start
     return result
 
 
-def run_peacock(
-    layout: GraphLayout, params: DetectionParams, cfg: OptimizerConfig
-) -> tuple[ColorTable, Diagnostics]:
-    diag = Diagnostics()
-    w = _timed(diag, "bundling", lambda: build_weight_matrix(layout, params))
-    diag.bundled_pairs = w.bundled_pair_count
-    diag.weight_matrix = w
-    diag.resolved_t = params.resolve_t(layout)
-    d = _timed(diag, "dissimilarity", lambda: build_dissimilarity_matrix(layout))
-    result = _timed(diag, "optimize", lambda: optimize(w, d, cfg, layout))
-    diag.stress = result.stress
-    diag.iterations = result.n_iters
-    diag.stop_reason = result.stop_reason
-    table = _timed(diag, "normalize", lambda: normalize_colors(result.embedding, w))
-    return table, diag
+def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConfig) -> Run:
+    seconds: dict = {}
+    w = _timed(seconds, "bundling", lambda: build_weight_matrix(layout, params))
+    d = _timed(seconds, "dissimilarity", lambda: build_dissimilarity_matrix(layout))
+    result = _timed(seconds, "optimize", lambda: optimize(w, d, cfg, layout))
+    table = _timed(seconds, "normalize", lambda: normalize_colors(result.embedding, w))
+    return Run(w, result, table, seconds)
 
 
-def color_dump_dict(table: ColorTable, rgb: np.ndarray, diag: Diagnostics | None) -> dict:
-    return {
+def write_color_dump(path, table: ColorTable, result: OptimizeResult | None = None) -> None:
+    """Write `table`, its display colors and `result`'s stress and iterations."""
+    rgb = colors_to_display(table)
+    doc = {
         "q": table.q,
         "colors": [[float(v) for v in row] for row in table.col],
         "rgb": [[float(v) for v in row] for row in rgb],
-        "stress": diag.stress if diag is not None else None,
-        "iters": diag.iterations if diag is not None else 0,
+        "stress": result.stress if result is not None else None,
+        "iters": result.n_iters if result is not None else 0,
     }
-
-
-def write_color_dump(path, table: ColorTable, diag: Diagnostics | None = None) -> None:
-    rgb = colors_to_display(table)
     with open(path, "w") as fh:
-        json.dump(color_dump_dict(table, rgb, diag), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def read_color_dump(path) -> dict:
-    """The color dump at `path`: a JSON object with an 'rgb' member."""
+def read_rgb(path) -> np.ndarray:
+    """The 'rgb' rows of the color dump at `path`, which must all be finite numbers."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -100,4 +89,10 @@ def read_color_dump(path) -> dict:
         raise ValueError(f"{path}: not a color dump (not a JSON object)")
     if "rgb" not in doc:
         raise ValueError(f"{path}: not a color dump (missing 'rgb')")
-    return doc
+    try:
+        rgb = np.asarray(doc["rgb"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rgb = None
+    if rgb is None or not np.isfinite(rgb).all():
+        raise ValueError(f"{path}: 'rgb' holds a value that is not a finite number")
+    return rgb

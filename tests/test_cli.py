@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,35 @@ def test_fans_only(tmp_path, fixture_file):
         ["color", "--input", str(fixture_file), "--fans-only", "--out-svg", str(svg)]
     ) == 0
     assert "circle" in svg.read_text()
+
+
+def test_baseline_builds_the_same_bundles_for_dump_and_fans(tmp_path, fixture_file):
+    outs = {}
+    for method in ("peacock", "baseline"):
+        dump, svg = tmp_path / f"{method}.bundles.json", tmp_path / f"{method}.svg"
+        assert main(["color", "--input", str(fixture_file), "--method", method,
+                     "--dump-bundles", str(dump), "--fans-only", "--out-svg", str(svg)]) == 0
+        outs[method] = dump.read_bytes(), ET.parse(svg).getroot()
+    assert outs["baseline"][0] == outs["peacock"][0]
+    root, ns = outs["baseline"][1], "{http://www.w3.org/2000/svg}"
+    gray = [p for p in root.iter(f"{ns}path") if p.get("stroke") == "#b2b2b2"]
+    assert len(gray) == 18
+    assert len(root.findall(f"{ns}circle")) == 2 * 18
+
+
+def test_one_edge_layout(tmp_path, capsys):
+    layout = tmp_path / "one.json"
+    layout.write_text(json.dumps(
+        {"edges": [{"id": 0, "v1": [0, 0], "v2": [10, 0], "controls": [[5, 2]]}]}
+    ))
+    colors = tmp_path / "colors.json"
+    assert main(["color", "--input", str(layout), "--out-colors", str(colors)]) == 0
+    assert capsys.readouterr().out.endswith("after 1 iterations (tolerance)\n")
+    doc = json.loads(colors.read_text())
+    assert doc["colors"] == [[0.5]] and doc["stress"] == 0.0 and doc["iters"] == 1
+    # At epsilon 0 nothing has weight; the run is refused as for two unbundled edges.
+    assert main(["color", "--input", str(layout), "--epsilon", "0"]) == 1
+    one_error_line(capsys, "peacock: error [optimize] all weights are zero")
 
 
 def test_q3_color_dump_golden(tmp_path, fixture_file):

@@ -280,8 +280,8 @@ class TestInitialEmbedding:
         moved = permuted(layout, perm)
         y = initial_embedding(layout.m, cfg, layout).y
         assert np.allclose(initial_embedding(layout.m, cfg, moved).y, y[perm], rtol=0, atol=1e-12)
-        table, _ = run_peacock(layout, DetectionParams(), cfg)
-        moved_table, _ = run_peacock(moved, DetectionParams(), cfg)
+        table = run_peacock(layout, DetectionParams(), cfg).table
+        moved_table = run_peacock(moved, DetectionParams(), cfg).table
         assert np.allclose(moved_table.col, table.col[perm], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("fixture", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import peacock.pipeline
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import ColorEmbedding, OptimizerConfig
@@ -9,15 +10,13 @@ from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.model import GraphLayout
 from conftest import dense_flags, make_layout
-from peacock.pipeline import StageError, read_color_dump, run_peacock
+from peacock.pipeline import StageError, read_rgb, run_peacock
 from test_coloring import stress
 
 
 def test_fixture_rank_correlation(ordered_fixture):
-    table, diag = run_peacock(
-        ordered_fixture.layout, DetectionParams(), OptimizerConfig()
-    )
-    col = table.col[:, 0]
+    run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
+    col = run.table.col[:, 0]
     for ids, order in zip(ordered_fixture.bundles, ordered_fixture.order):
         rho = spearmanr(col[ids], order).statistic
         assert abs(rho) >= 0.9
@@ -27,13 +26,13 @@ def test_global_mode_beats_baseline(ordered_fixture):
     layout = ordered_fixture.layout
     params = DetectionParams(epsilon=1.0)
     cfg = OptimizerConfig(q=3)
-    table, diag = run_peacock(layout, params, cfg)
+    run = run_peacock(layout, params, cfg)
 
     w = build_weight_matrix(layout, params)
     d = build_dissimilarity_matrix(layout)
     base = baseline_colors(layout)
     base_stress = stress(ColorEmbedding(m=layout.m, q=3, y=base.col.copy()), w, d)
-    assert diag.stress < base_stress
+    assert run.result.stress < base_stress
 
 
 @pytest.mark.parametrize("k", [-3, 2])
@@ -48,11 +47,11 @@ def test_scaling_layout_scales_only_stress(fixture, q, k):
     layout, s = fixture.layout, 2.0**k
     scaled = GraphLayout(points=layout.points * s, offsets=layout.offsets,
                          ends=layout.ends * s, nodes=layout.nodes)
-    table, diag = run_peacock(layout, DetectionParams(), OptimizerConfig(q=q))
-    scaled_table, scaled_diag = run_peacock(scaled, DetectionParams(), OptimizerConfig(q=q))
-    assert np.array_equal(scaled_table.col, table.col)
-    assert scaled_diag.iterations == diag.iterations
-    assert scaled_diag.stress == pytest.approx(diag.stress * 4.0**k, rel=1e-12)
+    run = run_peacock(layout, DetectionParams(), OptimizerConfig(q=q))
+    scaled_run = run_peacock(scaled, DetectionParams(), OptimizerConfig(q=q))
+    assert np.array_equal(scaled_run.table.col, run.table.col)
+    assert scaled_run.result.n_iters == run.result.n_iters
+    assert scaled_run.result.stress == pytest.approx(run.result.stress * 4.0**k, rel=1e-12)
 
 
 def test_zero_epsilon_without_bundles_attributed_to_optimizer():
@@ -66,18 +65,30 @@ def test_zero_epsilon_without_bundles_attributed_to_optimizer():
     assert err.value.stage == "optimize"
 
 
+@pytest.mark.parametrize("q", [0, 4])
+def test_bad_q_is_refused_before_any_stage(ordered_fixture, monkeypatch, q):
+    def stage(*args):
+        raise AssertionError("a stage ran")
+
+    for name in ("build_weight_matrix", "build_dissimilarity_matrix", "optimize",
+                 "normalize_colors"):
+        monkeypatch.setattr(peacock.pipeline, name, stage)
+    with pytest.raises(ValueError, match=f"q must be 1, 2 or 3, got {q}"):
+        run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig(q=q))
+
+
 def test_end_to_end_determinism(ordered_fixture):
-    a, da = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    b, db = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    assert (a.col == b.col).all()
-    assert da.stress == db.stress and da.iterations == db.iterations
+    a = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
+    b = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
+    assert (a.table.col == b.table.col).all()
+    assert a.result.stress == b.result.stress and a.result.n_iters == b.result.n_iters
 
 
 def test_diagnostics_bundled_pairs(ordered_fixture):
-    _, diag = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
+    run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
     w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
-    assert diag.bundled_pairs == int(dense_flags(w).sum())
-    assert set(diag.stage_seconds) == {"bundling", "dissimilarity", "optimize", "normalize"}
+    assert run.weights.bundled_pair_count == int(dense_flags(w).sum())
+    assert set(run.stage_seconds) == {"bundling", "dissimilarity", "optimize", "normalize"}
 
 
 @pytest.mark.parametrize(
@@ -94,5 +105,5 @@ def test_read_color_dump_rejects_non_dump(tmp_path, text, reason):
     path = tmp_path / "colors.json"
     path.write_text(text)
     with pytest.raises(ValueError) as info:
-        read_color_dump(path)
+        read_rgb(path)
     assert str(info.value).startswith(f"{path}: {reason}")

@@ -111,16 +111,14 @@ class TestRenderSvg:
         assert len(circles) == 2 * layout.m
 
     def test_golden_snapshot(self, ordered_fixture):
-        table, diag = run_peacock(
-            ordered_fixture.layout, DetectionParams(), OptimizerConfig()
-        )
-        svg = render_svg(ordered_fixture.layout, colors_to_display(table))
+        run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
+        svg = render_svg(ordered_fixture.layout, colors_to_display(run.table))
         golden = DATA / "ordered_fixture_golden.svg"
         assert svg == golden.read_text()
 
     def test_fans_only_golden_snapshot(self):
         layout = make_crossing_bundles(3, 5, seed=1).layout
-        table, diag = run_peacock(layout, DetectionParams(), OptimizerConfig())
-        svg = render_svg(layout, colors_to_display(table), fans=diag.weight_matrix)
+        run = run_peacock(layout, DetectionParams(), OptimizerConfig())
+        svg = render_svg(layout, colors_to_display(run.table), fans=run.weights)
         golden = DATA / "crossing_fans_golden.svg"
         assert svg == golden.read_text()
