@@ -81,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--out-svg")
     color.add_argument("--fans-only", action="store_true")
     color.add_argument("--dump-bundles")
+    color.set_defaults(usage_error=color.error)  # for checks that span flags
 
     render = sub.add_parser("render", help="render a layout with precomputed colors")
     render.add_argument("--input", required=True)
@@ -117,7 +118,7 @@ def _cmd_color(args) -> int:
 
     if args.method == "baseline":
         table, result = baseline_colors(layout), None
-        wanted = args.dump_bundles or (args.fans_only and args.out_svg)
+        wanted = args.dump_bundles or args.fans_only
         weights = build_weight_matrix(layout, params) if wanted else None
     else:
         cfg = OptimizerConfig(
@@ -163,6 +164,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "color" and args.fans_only and not args.out_svg:
+            args.usage_error("--fans-only only shapes the SVG; it needs --out-svg")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

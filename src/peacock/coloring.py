@@ -27,10 +27,11 @@ symmetrized weights splits as V = u (M I - J) + L_R: u is the smallest
 pair weight (2 epsilon unless every pair is bundled one way or both) and
 L_R the Laplacian of the residual weights, which only bundled pairs have.
 So V+ is one small inverse per connected component of the residual graph
-(`_prepare`). Each iteration splits B(Y) Y and the stress the same way:
-one pass over row blocks of the upper triangle of d for the part every
-pair shares, and one small block per component for the rest
-(`_smacof_step`), with no M x M temporary.
+(`_prepare`), one formula for every u >= 0 that never divides by u. Each
+iteration splits B(Y) Y and the stress the same way: one pass over row
+blocks of the upper triangle of d for the part every pair shares, and one
+small block per component for the rest (`_smacof_step`), with no M x M
+temporary.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ INVERSE_BYTES_PER_PAIR = 44
 # The cap on the S3 step length starts at 1 and grows by this factor each
 # time the step reaches it (Varadhan & Roland's step-length control).
 _CAP_GROWTH = 4.0
-# The largest share of u sum d^2 that the Guttman transform's rounding may
-# add to the stress before `_prepare` refuses epsilon as too small.
-_ROUNDING_SHARE = 1e-2
 
 
 class OptimizationError(ValueError):
@@ -188,10 +186,11 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     being the Laplacian of the residual weights w_ij + w_ji - u, which
     only bundled pairs have. On centered vectors, and B(Y) Y is one, V
     acts as u M I + L_R, which is block-diagonal by the components of the
-    residual graph. Each component of c edges thus gets the inverse of its
-    block u M I + L_k; when u = 0 that block is singular along its
-    constant vector, so J_k / c is added before the inverse and subtracted
-    after it, as for the pseudo-inverse.
+    residual graph. A component of c edges inverts B_k = u M I + L_k + J / c
+    and keeps B_k^-1 - J / (c (u M + 1)): V+ on the component's centered
+    vectors and 0 on its constant vector, whose eigenvalue u M (0, or tiny
+    at a small epsilon) thus never enters an inverse. `_smacof_step` adds
+    the component's mean move.
 
     `blocks` is a list of (idx, inv, res, dist), one per component size c:
     idx (n, c) holds, in ascending order, the edges of the n components of
@@ -212,29 +211,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
             f"{largest} of the {m} edges form one bundle component; inverting "
             f"its block would need about {need / 1e9:.1f} GB"
         )
-    # Each block's diagonal holds u M beside residual degrees up to `top`.
-    # Where u M falls below the rounding level of a c x c LU, the block is
-    # singular in floating point. Above it, the inverse's gain 1 / (u M)
-    # along each component's constant vector lifts the rounding of
-    # inv @ B(Y) Y to about eps rho / (u M) in every row, rho bounding a row
-    # of the residual part of B(Y) Y (sum_j res_ij d_ij, whatever Y is). The
-    # residual weights turn that into up to top M times its square in
-    # stress, which must stay below _ROUNDING_SHARE of u sum d^2, the scale
-    # of the part every pair shares. u >= 1 unless u = 2 epsilon.
-    eps = np.finfo(float).eps
     d2 = 0.5 * float(np.vdot(d, d))
-    rd = r * d[a, b]
-    top = (np.bincount(a, r, m) + np.bincount(b, r, m)).max()
-    rho = (np.bincount(a, rd, m) + np.bincount(b, rd, m)).max()
-    u_min = largest * eps * top / m
-    if rho > 0:
-        u_min = max(u_min, np.cbrt(top * (eps * rho) ** 2 / (_ROUNDING_SHARE * m * d2)))
-    if 0 < u <= u_min:
-        # The factor 1.05 keeps the value printed to one decimal above it.
-        raise OptimizationError(
-            f"epsilon {w.epsilon:g} is too small for these bundles; use 0 or at "
-            f"least {u_min / 2 * 1.05:.1e}"
-        )
     size = sizes[label]
     order = np.lexsort((label, size))
     rank = np.empty(m, dtype=np.int64)
@@ -251,12 +228,10 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         diag = np.arange(c)
         block = np.negative(res)
         block[:, diag, diag] = res.sum(axis=2) + u * m
-        if u == 0:
-            block += 1.0 / c
+        block += 1.0 / c
         inv = np.linalg.inv(block)
         del block
-        if u == 0:
-            inv -= 1.0 / c
+        inv -= 1.0 / (c * (u * m + 1.0))
         blocks.append((idx, inv, res, d[idx[:, :, None], idx[:, None, :]]))
     return u, d2, blocks
 
@@ -266,18 +241,22 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     never increases the stress.
 
     B(Y) Y and the stress split as V does. The part every pair shares is u
-    times that of unit weights, from one pass over upper row blocks of d
+    times that of unit weights, S, from one pass over upper row blocks of d
     (`upper_row_blocks`): with c_ij = d_ij / delta_ij (0 where the distance
     delta_ij is 0), row and column sums of c and c Y come from one product
     per side with [1 | Y], and the stress is u times
     sum d^2 - 2 sum d delta + sum delta^2 over i < j, the last sum being
     M sum |y_i|^2 - |sum y_i|^2. The middle sum is added up as it stands:
     taken as <Y, B Y> it loses digits wherever two iterates nearly
-    coincide. The residual part is summed over each component's block.
+    coincide. The residual part R is summed over each component's block.
+
+    B(Y) Y = u S + R, where R sums to 0 over each component, so V+ moves
+    a component's mean by mean_k(S) / M if u > 0 and not at all if u = 0;
+    `_prepare`'s block inverse gives the rest.
     """
     u, d2, blocks = plan
     m = len(y)
-    by = np.zeros_like(y)
+    sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
     d_delta = 0.0  # twice the sum of d_ij delta_ij over i < j
     for lo, hi in upper_row_blocks(m):
@@ -291,13 +270,13 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
         c = np.divide(d_b, delta, out=delta, where=delta > 0)
         rows = c @ ones_y[lo:]
         cols = c[:, n:].T @ ones_y[lo:hi]
-        by[lo:hi] += rows[:, :1] * y[lo:hi] - rows[:, 1:]
-        by[hi:] += cols[:, :1] * y[hi:] - cols[:, 1:]
+        sy[lo:hi] += rows[:, :1] * y[lo:hi] - rows[:, 1:]
+        sy[hi:] += cols[:, :1] * y[hi:] - cols[:, 1:]
         del c, delta  # before the next block's distances are allocated
     total = y.sum(axis=0)
     s = max(0.0, u * (d2 - d_delta + m * np.vdot(y, y) - total @ total))
-    by *= u
-    for idx, _, res, dist in blocks:
+    y_next = np.empty_like(y)
+    for idx, inv, res, dist in blocks:
         yy = y[idx]
         delta = distances(yy, yy)
         err = np.subtract(dist, delta)
@@ -306,10 +285,9 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
         s += 0.5 * err.sum()  # each pair sits in its block both ways
         c = np.divide(dist, delta, out=delta, where=delta > 0)
         c *= res
-        by[idx] += c.sum(axis=2)[..., None] * yy - c @ yy
-    y_next = np.empty_like(by)
-    for idx, inv, _, _ in blocks:
-        y_next[idx] = inv @ by[idx]
+        sk = sy[idx]
+        by = u * sk + c.sum(axis=2)[..., None] * yy - c @ yy
+        y_next[idx] = inv @ by + (u > 0) / m * sk.mean(axis=1, keepdims=True)
     return float(s), y_next
 
 
@@ -371,7 +349,8 @@ def initial_embedding(
     cfg: OptimizerConfig,
     layout: GraphLayout | None = None,
 ) -> ColorEmbedding:
-    """Starting point: projected edge midpoints, or seeded Gaussian noise.
+    """Starting point: projected edge midpoints (and, for q = 3, edge
+    half-lengths), or seeded Gaussian noise.
 
     Projected midpoints of distinct edges can coincide; such ties are
     broken by the midpoint's other coordinate, then by the edge's
@@ -385,15 +364,12 @@ def initial_embedding(
         raise OptimizationError("endpoint-projection init requires the layout")
     ends = layout.ends
     mids = (ends[:, 0] + ends[:, 1]) / 2.0
-    if cfg.q == 1:
-        y = mids[:, [0]]
-    elif cfg.q == 2:
-        y = mids
-    else:
-        y = np.column_stack([mids[:, 0], mids[:, 1], mids[:, 0] + mids[:, 1]])
+    hx, hy = ((ends[:, 1] - ends[:, 0]) / 2.0).T
+    # q = 3 adds the half-length |h|: a third column linear in the first two
+    # would stay in their plane through every transform.
+    y = np.column_stack([mids, np.hypot(hx, hy)])[:, : cfg.q]
     # Edges that share a midpoint differ in their half-vector h, up to its
     # sign; hx², hy² and hx·hy tell them apart and ignore endpoint order.
-    hx, hy = ((ends[:, 1] - ends[:, 0]) / 2.0).T
     keys = np.column_stack([hx * hx, hy * hy, hx * hy])
     if cfg.q == 1:
         keys = np.column_stack([mids[:, 1], keys])

@@ -273,9 +273,10 @@ def oracle_optimize(y, w, d, max_iters, rel_tol):
 
 
 def oracle_projection_init(layout, q):
-    """Standardized projected midpoints, with no tie-breaking."""
-    mids = np.array([[(v1[0] + v2[0]) / 2.0, (v1[1] + v2[1]) / 2.0] for v1, v2 in layout.ends])
-    y = [mids[:, [0]], mids, np.column_stack([mids[:, 0], mids[:, 1], mids.sum(axis=1)])][q - 1]
+    """Standardized projected midpoints, then half-lengths, with no tie-breaking."""
+    cols = [[(v1[0] + v2[0]) / 2.0, (v1[1] + v2[1]) / 2.0,
+             math.hypot(v2[0] - v1[0], v2[1] - v1[1]) / 2.0] for v1, v2 in layout.ends]
+    y = np.array(cols)[:, :q]
     std = y.std(axis=0)
     std[std == 0] = 1.0
     return (y - y.mean(axis=0)) / std

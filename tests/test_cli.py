@@ -119,6 +119,18 @@ def test_fans_only(tmp_path, fixture_file):
     assert "circle" in svg.read_text()
 
 
+@pytest.mark.parametrize("method", ["peacock", "baseline"])
+def test_fans_only_without_svg_is_usage_error(fixture_file, capsys, method):
+    code = main(["color", "--input", str(fixture_file), "--method", method, "--fans-only"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: peacock color")
+    assert captured.err.endswith(
+        "\npeacock color: error: --fans-only only shapes the SVG; it needs --out-svg\n"
+    )
+
+
 def test_baseline_builds_the_same_bundles_for_dump_and_fans(tmp_path, fixture_file):
     outs = {}
     for method in ("peacock", "baseline"):
@@ -181,20 +193,21 @@ def small_bundles_file(tmp_path):
     return path
 
 
-def test_tiny_epsilon_is_one_error_line(small_bundles_file, capsys):
-    # u M = 2 epsilon M would vanish beside the bundle blocks' diagonal.
-    capsys.readouterr()
-    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-20"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(
-        r"peacock: error \[optimize\] epsilon 1e-20 is too small for these bundles; "
-        r"use 0 or at least \S+\n",
-        captured.err,
-    )
-    least = float(captured.err.split()[-1])
-    assert 1e-12 < least <= 1e-10
-    assert main(["color", "--input", str(small_bundles_file), "--epsilon", str(least)]) == 0
+def colors_and_stress(tmp_path, layout, epsilon, *extra):
+    colors = tmp_path / "colors.json"
+    assert main(["color", "--input", str(layout), "--epsilon", repr(epsilon), *extra,
+                 "--out-colors", str(colors)]) == 0
+    doc = json.loads(colors.read_text())
+    return np.array(doc["colors"]), doc["stress"]
+
+
+def test_tiny_epsilon_colors_as_small_epsilon_does(tmp_path, small_bundles_file):
+    # u M = 2 epsilon M vanishes beside the bundle blocks' diagonal, down to
+    # the smallest positive float.
+    want, _ = colors_and_stress(tmp_path, small_bundles_file, 1e-12)
+    for epsilon in (1e-20, 5e-324):
+        got, _ = colors_and_stress(tmp_path, small_bundles_file, epsilon)
+        assert np.abs(got - want).max() <= 1e-8
 
 
 def test_small_epsilon_runs(small_bundles_file, capsys):
@@ -202,22 +215,17 @@ def test_small_epsilon_runs(small_bundles_file, capsys):
     assert "bundled pairs" in capsys.readouterr().out
 
 
-def test_epsilon_down_to_the_floor_keeps_stress_per_epsilon(tmp_path, small_bundles_file,
-                                                           capsys):
+def test_stress_per_epsilon_holds_down_to_1e_20(tmp_path, small_bundles_file):
     # Every bundled pair of this layout can be embedded exactly, so the
     # optimum's stress is very nearly epsilon times a constant; rounding
-    # that the transform amplifies by 1 / (u M) would show as a departure.
+    # that the transform amplified by 1 / (u M) would show as a departure.
     def stress_per_epsilon(epsilon):
-        colors = tmp_path / "colors.json"
-        assert main(["color", "--input", str(small_bundles_file), "--epsilon", repr(epsilon),
-                     "--rel-tol", "1e-12", "--out-colors", str(colors)]) == 0
-        return json.loads(colors.read_text())["stress"] / epsilon
+        _, stress = colors_and_stress(tmp_path, small_bundles_file, epsilon, "--rel-tol", "1e-12")
+        return stress / epsilon
 
-    assert main(["color", "--input", str(small_bundles_file), "--epsilon", "1e-12"]) == 1
-    floor = float(capsys.readouterr().err.split()[-1])
     want = stress_per_epsilon(1e-9)
-    for epsilon in np.geomspace(1e-9, floor, 20):
-        assert stress_per_epsilon(float(epsilon)) == pytest.approx(want, rel=1e-2)
+    for epsilon in np.geomspace(1e-9, 1e-20, 12):
+        assert stress_per_epsilon(float(epsilon)) == pytest.approx(want, rel=1e-9)
 
 
 def test_crossing_gen(tmp_path):
