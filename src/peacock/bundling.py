@@ -180,14 +180,15 @@ def near_pairs(points: np.ndarray, offsets: np.ndarray, t: float):
         yield np.repeat(pts, per_point)[keep], order[at[keep]]
 
 
-def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_for):
+def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
     """Flagged ordered pairs and the first maximal qualifying run of each.
 
     A maximal run of edge i against edge j is a longest stretch of
     consecutive controls of i that all lie within t of some control of
-    j; it qualifies when its length reaches `k_for(C_i, C_j)`. Returns
-    the pair codes i * M + j in ascending order and their (start, end)
-    control indices as a (P, 2) array.
+    j; it qualifies when its length reaches
+    `required_run_length(C_i, C_j, k_min)`. Returns the pair codes
+    i * M + j in ascending order and their (start, end) control indices as
+    a (P, 2) array.
     """
     m, n = len(offsets) - 1, len(points)
     owner = np.repeat(np.arange(m), np.diff(offsets))
@@ -205,7 +206,7 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_for):
         start = np.flatnonzero(np.concatenate(([True], cut)))
         stop = np.append(start[1:], len(p)) - 1
         i, j = owner[p[start]], j[start]
-        ok = stop - start + 1 >= k_for(counts[i], counts[j])
+        ok = stop - start + 1 >= required_run_length(counts[i], counts[j], k_min)
         code, first = np.unique(i[ok] * m + j[ok], return_index=True)
         lo = p[start[ok]][first] - offsets[i[ok]][first]
         pairs.append(code)
@@ -226,10 +227,7 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
             f"(a run would need about {gb:.1f} GB)"
         )
     t = params.resolve_t(layout)
-    pairs, runs = _detect(
-        layout.points, layout.offsets, t,
-        lambda c_i, c_j: required_run_length(c_i, c_j, params.k_min),
-    )
+    pairs, runs = _detect(layout.points, layout.offsets, t, params.k_min)
     return BundleWeightMatrix(m=layout.m, epsilon=params.epsilon, pairs=pairs, runs=runs)
 
 

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--bundles", type=_number("--bundles", int, lambda v: v >= 1, ">= 1"),
                      default=3, help="bundle count for --style crossing")
     gen.add_argument("--reverse-last", action="store_true")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_number("--seed", int, lambda v: v >= 0, ">= 0"), default=0)
     gen.add_argument("--out", required=True)
 
     # Detection and optimizer flags default to the fields of the config they set.
@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--kmin", default=DetectionParams.k_min,
                        type=_number("--kmin", float, lambda v: 0 < v <= 1, "in (0.0, 1.0]"))
     color.add_argument("--dims", type=int, choices=[1, 2, 3], default=OptimizerConfig.q)
-    color.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    color.add_argument("--seed", default=OptimizerConfig.seed,
+                       type=_number("--seed", int, lambda v: v >= 0, ">= 0"))
     color.add_argument("--max-iters", default=OptimizerConfig.max_iters,
                        type=_number("--max-iters", int, lambda v: v >= 1, ">= 1"))
     color.add_argument("--rel-tol", default=OptimizerConfig.rel_tol,

@@ -7,7 +7,8 @@ optimizer is SMACOF stress majorization (Gansner, Koren & North, "Graph
 Drawing by Stress Majorization", GD 2004) accelerated by squared
 extrapolation (SQUAREM; Varadhan & Roland, Scand. J. Statist. 2008).
 Afterwards every edge's value is rescaled against its bundle
-neighborhood so each bundle spans the full color range.
+neighborhood so each bundle spans the full color range. The embedding and
+the normalized colors are read-only (M, q) arrays.
 
 The Guttman transform G never increases the stress (de Leeuw, J.
 Classification 1988). One cycle from an accepted iterate y0 takes
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import DENSE_BUDGET, PAIR_BUDGET, BundleWeightMatrix
-from .dissimilarity import DissimilarityMatrix, distances, upper_row_blocks
+from .dissimilarity import distances, upper_row_blocks
 from .model import GraphLayout
 
 _TINY = 1e-30
@@ -67,22 +68,6 @@ class OptimizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ColorEmbedding:
-    m: int
-    q: int
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.q not in (1, 2, 3):
-            raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
-        if self.y.shape != (self.m, self.q):
-            raise ValueError("embedding shape mismatch")
-        if not np.isfinite(self.y).all():
-            raise ValueError("embedding contains non-finite values")
-        self.y.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     q: int = 1
     max_iters: int = 500
@@ -95,6 +80,8 @@ class OptimizerConfig:
             raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if self.init not in ("endpoint-projection", "seeded-random"):
@@ -102,22 +89,8 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class ColorTable:
-    m: int
-    q: int
-    col: np.ndarray
-
-    def __post_init__(self):
-        if self.col.shape != (self.m, self.q):
-            raise ValueError("color table shape mismatch")
-        if (self.col < 0).any() or (self.col > 1).any():
-            raise ValueError("color table entries must lie in [0, 1]")
-        self.col.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
-    embedding: ColorEmbedding
+    embedding: np.ndarray  # (M, q), read-only
     stress: float
     n_iters: int
     stop_reason: str  # "tolerance", "max_iters" or "stress_increase"
@@ -348,17 +321,18 @@ def initial_embedding(
     m: int,
     cfg: OptimizerConfig,
     layout: GraphLayout | None = None,
-) -> ColorEmbedding:
-    """Starting point: projected edge midpoints (and, for q = 3, edge
-    half-lengths), or seeded Gaussian noise.
+) -> np.ndarray:
+    """Starting point (m, q): projected edge midpoints (and, for q = 3,
+    edge half-lengths), or seeded Gaussian noise.
 
     Projected midpoints of distinct edges can coincide; such ties are
     broken by the midpoint's other coordinate, then by the edge's
     endpoints (see `_break_ties`).
     """
     if cfg.init == "seeded-random":
-        rng = np.random.default_rng(cfg.seed)
-        return ColorEmbedding(m=m, q=cfg.q, y=rng.standard_normal((m, cfg.q)))
+        y = np.random.default_rng(cfg.seed).standard_normal((m, cfg.q))
+        y.setflags(write=False)
+        return y
 
     if layout is None:
         raise OptimizationError("endpoint-projection init requires the layout")
@@ -373,7 +347,9 @@ def initial_embedding(
     keys = np.column_stack([hx * hx, hy * hy, hx * hy])
     if cfg.q == 1:
         keys = np.column_stack([mids[:, 1], keys])
-    return ColorEmbedding(m=m, q=cfg.q, y=_break_ties(_standardize(y), _standardize(keys)))
+    y = _break_ties(_standardize(y), _standardize(keys))
+    y.setflags(write=False)
+    return y
 
 
 def _collapsed_stress(plan) -> float:
@@ -432,16 +408,16 @@ def _iterates(y: np.ndarray, d: np.ndarray, plan, max_iters: int):
 
 def optimize(
     w: BundleWeightMatrix,
-    d: DissimilarityMatrix,
+    d: np.ndarray,
     cfg: OptimizerConfig,
     layout: GraphLayout | None = None,
 ) -> OptimizeResult:
     """Run accelerated SMACOF until the relative stress decrease between
     accepted iterates stalls or cfg.max_iters Guttman transforms are spent."""
-    if w.m != d.m:
-        raise ValueError(f"dimension mismatch: w={w.m}, d={d.m}")
-    plan = _prepare(w, d.d)
-    steps = _iterates(initial_embedding(w.m, cfg, layout).y, d.d, plan, cfg.max_iters)
+    if d.shape != (w.m, w.m):
+        raise ValueError(f"dimension mismatch: w={w.m}, d={d.shape}")
+    plan = _prepare(w, d)
+    steps = _iterates(initial_embedding(w.m, cfg, layout), d, plan, cfg.max_iters)
     y, s_prev, n_iters = next(steps)
     stop_reason = "max_iters"
     for y, s, n_iters in steps:
@@ -453,57 +429,64 @@ def optimize(
             s_prev = s
             break
         s_prev = s
+    if not np.isfinite(y).all():
+        raise ValueError("embedding contains non-finite values")
+    y.setflags(write=False)
     return OptimizeResult(
-        embedding=ColorEmbedding(m=w.m, q=cfg.q, y=y),
+        embedding=y,
         stress=s_prev,
         n_iters=n_iters,
         stop_reason=stop_reason,
     )
 
 
-def normalize_colors(y: ColorEmbedding, w: BundleWeightMatrix) -> ColorTable:
-    """Rescale each edge against its bundle neighborhood into [0, 1].
+def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
+    """Rescale each edge of the embedding y (M, q) against its bundle
+    neighborhood into [0, 1], as a read-only (M, q) array.
 
     The neighborhood of edge i is i itself plus every edge bundled with
     it in either direction; each output dimension is min-max mapped over
     the neighborhood. Edges with no bundle partners fall back to the
     global min-max; a dimension with no spread maps to 0.5.
     """
-    if y.m != w.m:
-        raise ValueError(f"dimension mismatch: y={y.m}, w={w.m}")
+    if len(y) != w.m:
+        raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
     # both ends of each flagged pair; both are exact in any order.
-    lo, hi = y.y.T.copy(), y.y.T.copy()
-    alone = np.ones(y.m, dtype=bool)
+    lo, hi = y.T.copy(), y.T.copy()
+    alone = np.ones(w.m, dtype=bool)
     for start in range(0, len(w.pairs), PAIR_BUDGET):
         i, j = np.divmod(w.pairs[start : start + PAIR_BUDGET], w.m)
         alone[i] = alone[j] = False
         for a, b in ((i, j), (j, i)):
-            for dim in range(y.q):
-                np.minimum.at(lo[dim], a, y.y[b, dim])
-                np.maximum.at(hi[dim], a, y.y[b, dim])
+            for dim in range(y.shape[1]):
+                np.minimum.at(lo[dim], a, y[b, dim])
+                np.maximum.at(hi[dim], a, y[b, dim])
     lo, hi = lo.T, hi.T
-    lo[alone] = y.y.min(axis=0)
-    hi[alone] = y.y.max(axis=0)
+    lo[alone] = y.min(axis=0)
+    hi[alone] = y.max(axis=0)
     span = hi - lo
-    col = np.divide(y.y - lo, span, out=np.full_like(y.y, 0.5), where=span > 0)
-    return ColorTable(m=y.m, q=y.q, col=np.clip(col, 0.0, 1.0))
+    col = np.divide(y - lo, span, out=np.full_like(y, 0.5), where=span > 0)
+    np.clip(col, 0.0, 1.0, out=col)
+    col.setflags(write=False)
+    return col
 
 
 # Fixed gradient for 1-D colorings: blue -> red -> yellow.
 _GRADIENT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
 
 
-def colors_to_display(col: ColorTable) -> np.ndarray:
-    """Map the normalized table to RGB triples in [0, 1]^3."""
-    if col.q == 3:
-        return col.col.copy()
-    if col.q == 2:
-        rgb = np.zeros((col.m, 3))
-        rgb[:, 0] = col.col[:, 0]
-        rgb[:, 2] = col.col[:, 1]
+def colors_to_display(col: np.ndarray) -> np.ndarray:
+    """Map normalized colors (M, q) to RGB triples in [0, 1]^3."""
+    q = col.shape[1]
+    if q == 3:
+        return col.copy()
+    if q == 2:
+        rgb = np.zeros((len(col), 3))
+        rgb[:, 0] = col[:, 0]
+        rgb[:, 2] = col[:, 1]
         return rgb
-    v = col.col[:, [0]]
+    v = col[:, [0]]
     lower = v <= 0.5
     a = np.where(lower, v / 0.5, (v - 0.5) / 0.5)
     g0 = np.where(lower, _GRADIENT[0], _GRADIENT[1])

@@ -3,12 +3,11 @@
 The dissimilarity of two edges is the smaller of the two ways of pairing
 their endpoints, each pairing scored by the sum of Euclidean endpoint
 distances. Edges connecting nearby node pairs come out similar no matter
-which way around their endpoints are stored.
+which way around their endpoints are stored. `build_dissimilarity_matrix`
+returns them as one read-only (M, M) array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +18,6 @@ from .model import GraphLayout
 # 64 KiB to 4 MiB, 256 KiB gave the fastest SMACOF step at M = 500 to 2000
 # on a Xeon with 2 MiB of L2 per core.
 BLOCK_BUDGET = 1 << 18
-
-
-@dataclass(frozen=True)
-class DissimilarityMatrix:
-    """Endpoint dissimilarities; `d` is symmetric with a zero diagonal."""
-
-    m: int
-    d: np.ndarray
-
-    def __post_init__(self):
-        if self.d.shape != (self.m, self.m):
-            raise ValueError("matrix shape mismatch")
-        self.d.setflags(write=False)
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,8 +52,10 @@ def upper_row_blocks(m: int):
         start = stop
 
 
-def build_dissimilarity_matrix(layout: GraphLayout) -> DissimilarityMatrix:
-    """The matrix is built from its upper row blocks and mirrored: every
+def build_dissimilarity_matrix(layout: GraphLayout) -> np.ndarray:
+    """The read-only (M, M) dissimilarities, symmetric with a zero diagonal.
+
+    The matrix is built from its upper row blocks and mirrored: every
     distance is a sum of squared differences, and (a - b)^2 == (b - a)^2, so
     each entry equals its transpose bit for bit."""
     v1 = layout.ends[:, 0, :]
@@ -82,4 +70,5 @@ def build_dissimilarity_matrix(layout: GraphLayout) -> DissimilarityMatrix:
         d[lo:hi, lo:] = block
         d[lo:, lo:hi] = block.T
     np.fill_diagonal(d, 0.0)
-    return DissimilarityMatrix(m=layout.m, d=d)
+    d.setflags(write=False)
+    return d

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
-from .coloring import (
-    ColorTable,
-    OptimizeResult,
-    OptimizerConfig,
-    colors_to_display,
-    normalize_colors,
-    optimize,
-)
+from .coloring import OptimizeResult, OptimizerConfig, colors_to_display, normalize_colors, optimize
 from .dissimilarity import build_dissimilarity_matrix
 from .model import GraphLayout
 
@@ -36,11 +29,12 @@ class StageError(Exception):
 
 @dataclass(frozen=True)
 class Run:
-    """The stages' outputs, by reference, and their wall times in seconds."""
+    """The stages' outputs, by reference, and their wall times in seconds;
+    `table` holds the normalized colors as a read-only (M, q) array."""
 
     weights: BundleWeightMatrix
     result: OptimizeResult
-    table: ColorTable
+    table: np.ndarray
     stage_seconds: dict
 
 
@@ -63,12 +57,13 @@ def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConf
     return Run(w, result, table, seconds)
 
 
-def write_color_dump(path, table: ColorTable, result: OptimizeResult | None = None) -> None:
-    """Write `table`, its display colors and `result`'s stress and iterations."""
+def write_color_dump(path, table: np.ndarray, result: OptimizeResult | None = None) -> None:
+    """Write the colors `table` (M, q), their display colors and `result`'s
+    stress and iterations."""
     rgb = colors_to_display(table)
     doc = {
-        "q": table.q,
-        "colors": [[float(v) for v in row] for row in table.col],
+        "q": table.shape[1],
+        "colors": [[float(v) for v in row] for row in table],
         "rgb": [[float(v) for v in row] for row in rgb],
         "stress": result.stress if result is not None else None,
         "iters": result.n_iters if result is not None else 0,

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from peacock.bundling import BundleWeightMatrix, required_run_length
-from peacock.coloring import ColorEmbedding
-from peacock.dissimilarity import DissimilarityMatrix
 from peacock.model import GraphLayout
 
 
@@ -66,9 +64,8 @@ def random_instance(rng, m, q, epsilon=0.1):
     pts = rng.uniform(0, 10, size=(m, 2))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     w = weight_matrix(flags, epsilon)
-    dm = DissimilarityMatrix(m=m, d=d)
-    y = ColorEmbedding(m=m, q=q, y=rng.standard_normal((m, q)))
-    return y, w, dm
+    y = rng.standard_normal((m, q))
+    return y, w, d
 
 
 def oracle_detect(pi, pj, t, k_ij):

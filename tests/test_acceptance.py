@@ -23,12 +23,7 @@ from conftest import (
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.cli import main
-from peacock.coloring import (
-    ColorEmbedding,
-    OptimizerConfig,
-    normalize_colors,
-    optimize,
-)
+from peacock.coloring import OptimizerConfig, normalize_colors, optimize
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_ordered_bundles
 from peacock.pipeline import run_peacock
@@ -94,20 +89,18 @@ def test_criterion_4_stress_oracle():
         m = int(rng.integers(2, 20))
         q = int(rng.integers(1, 4))
         y, w, d = random_instance(rng, m=m, q=q, epsilon=float(rng.uniform(0, 1)))
-        want = oracle_stress(y.y, dense_weights(w), d.d)
+        want = oracle_stress(y, dense_weights(w), d)
         got = stress(y, w, d)
         assert got == pytest.approx(want, rel=1e-10)
     report(4, "stress equals naive double loop within 1e-10 relative")
 
 
 def test_criterion_5_two_point_closed_form():
-    from peacock.dissimilarity import DissimilarityMatrix
-
     w = weight_matrix(np.array([[False, True], [True, False]]))
-    d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+    d = np.array([[0.0, 2.0], [2.0, 0.0]])
     cfg = OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random")
     res = optimize(w, d, cfg)
-    dist = abs(res.embedding.y[0, 0] - res.embedding.y[1, 0])
+    dist = abs(res.embedding[0, 0] - res.embedding[1, 0])
     assert res.n_iters <= 50
     assert dist == pytest.approx(2.0, abs=1e-6)
     report(5, f"two-point distance {dist:.9f} after {res.n_iters} iterations")
@@ -116,7 +109,7 @@ def test_criterion_5_two_point_closed_form():
 def test_criterion_6_ordered_fixture_behavior(ordered_fixture):
     start = time.perf_counter()
     run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    col = run.table.col[:, 0]
+    col = run.table[:, 0]
     rhos = []
     for ids, order in zip(ordered_fixture.bundles, ordered_fixture.order):
         rho = spearmanr(col[ids], order).statistic
@@ -136,7 +129,7 @@ def test_criterion_7_global_mode_beats_baseline(ordered_fixture):
     w = build_weight_matrix(layout, params)
     d = build_dissimilarity_matrix(layout)
     base = baseline_colors(layout)
-    base_stress = stress(ColorEmbedding(m=layout.m, q=3, y=base.col.copy()), w, d)
+    base_stress = stress(base, w, d)
     assert optimized < base_stress
     report(7, f"optimized stress {optimized:.4g} < baseline {base_stress:.4g}")
 
@@ -164,7 +157,7 @@ def test_criterion_8_rigid_motion_invariance():
     after_w = build_weight_matrix(moved, params)
     after_d = build_dissimilarity_matrix(moved)
     assert (dense_flags(before_w) == dense_flags(after_w)).all()
-    assert (before_d.d == after_d.d).all()
+    assert (before_d == after_d).all()
 
     # generic rotation: flags still invariant (distances shift only in ulps)
     generic = rigid_transform(layout, angle=0.83, dx=5.5, dy=-3.25)
@@ -192,10 +185,10 @@ def test_criterion_9_cli_determinism(tmp_path):
 def test_criterion_10_baseline_contract(ordered_fixture):
     layout = ordered_fixture.layout
     table = baseline_colors(layout)
-    assert (table.col >= 0).all() and (table.col <= 1).all()
+    assert (table >= 0).all() and (table <= 1).all()
 
     swapped = make_layout(((v2, v1, c) for v1, v2, c in edges_of(layout)), nodes=layout.nodes)
-    assert (baseline_colors(swapped).col == table.col).all()
+    assert (baseline_colors(swapped) == table).all()
 
     raw = np.array(
         [[min(x1, x2), 0.0, min(y1, y2)] for (x1, y1), (x2, y2) in layout.ends.tolist()]
@@ -204,5 +197,5 @@ def test_criterion_10_baseline_contract(ordered_fixture):
     for c in range(3):
         lo, hi = raw[:, c].min(), raw[:, c].max()
         want[:, c] = 0.5 if hi == lo else (raw[:, c] - lo) / (hi - lo)
-    assert np.allclose(table.col, want, atol=1e-12, rtol=0)
+    assert np.allclose(table, want, atol=1e-12, rtol=0)
     report(10, "baseline swap-invariant, in range, matches recomputation")

@@ -31,18 +31,18 @@ def naive_baseline(layout):
 def test_two_edge_min_endpoints():
     layout = make_layout([edge((0, 0), (5, 5)), edge((10, 10), (20, 20))])
     table = baseline_colors(layout)
-    assert np.allclose(table.col[0], [0.0, 0.5, 0.0])
-    assert np.allclose(table.col[1], [1.0, 0.5, 1.0])
+    assert np.allclose(table[0], [0.0, 0.5, 0.0])
+    assert np.allclose(table[1], [1.0, 0.5, 1.0])
 
 
 def test_single_edge_degenerate():
     layout = make_layout([edge((1, 2), (3, 4))])
-    assert np.allclose(baseline_colors(layout).col, [[0.5, 0.5, 0.5]])
+    assert np.allclose(baseline_colors(layout), [[0.5, 0.5, 0.5]])
 
 
 def test_matches_independent_recomputation(ordered_fixture):
     table = baseline_colors(ordered_fixture.layout)
-    assert np.allclose(table.col, naive_baseline(ordered_fixture.layout), atol=1e-12)
+    assert np.allclose(table, naive_baseline(ordered_fixture.layout), atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,20 +50,20 @@ def test_matches_independent_recomputation(ordered_fixture):
 def test_equals_naive_recomputation_exactly(seed, m):
     layout = random_layout(np.random.default_rng(seed), m=m, max_controls=3)
     table = baseline_colors(layout)
-    assert (table.m, table.q) == (layout.m, 3)
-    assert np.array_equal(table.col, naive_baseline(layout))
+    assert table.shape == (layout.m, 3)
+    assert np.array_equal(table, naive_baseline(layout))
 
 
 def test_endpoint_swap_invariance(ordered_fixture):
     layout = ordered_fixture.layout
-    assert np.array_equal(baseline_colors(layout).col, baseline_colors(swap_endpoints(layout)).col)
+    assert np.array_equal(baseline_colors(layout), baseline_colors(swap_endpoints(layout)))
 
 
 def test_entries_in_unit_interval(ordered_fixture):
-    col = baseline_colors(ordered_fixture.layout).col
+    col = baseline_colors(ordered_fixture.layout)
     assert (col >= 0).all() and (col <= 1).all()
 
 
 def test_green_channel_constant(ordered_fixture):
-    col = baseline_colors(ordered_fixture.layout).col
+    col = baseline_colors(ordered_fixture.layout)
     assert (col[:, 1] == col[0, 1]).all()

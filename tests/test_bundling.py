@@ -36,9 +36,9 @@ def layout_from_points(controls):
     return make_layout((pts[0], pts[-1], pts) for pts in controls)
 
 
-def fixed_k_flags(layout, t, k_ij):
-    """Detection flags of every ordered pair with one run length for all."""
-    pairs, _ = _detect(layout.points, layout.offsets, t, lambda c_i, c_j: k_ij)
+def detect_flags(layout, t, k_min):
+    """Detection flags of every ordered pair."""
+    pairs, _ = _detect(layout.points, layout.offsets, t, k_min)
     flags = np.zeros((layout.m, layout.m), dtype=bool)
     flags.flat[pairs] = True
     return flags
@@ -74,15 +74,15 @@ class TestRequiredRunLength:
 class TestDetectPair:
     def test_identical_controls(self):
         layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0)]] * 2)
-        assert fixed_k_flags(layout, t=0.5, k_ij=4)[0, 1]
+        assert detect_flags(layout, t=0.5, k_min=1.0)[0, 1]  # a run of 4
 
     def test_all_far(self):
         layout = layout_from_points([[(0, 0), (1, 0)], [(0, 100), (1, 100)]])
-        assert not fixed_k_flags(layout, t=1.0, k_ij=1).any()
+        assert not detect_flags(layout, t=1.0, k_min=0.5).any()  # a run of 1
 
     def test_too_few_controls_is_false(self):
         layout = layout_from_points([[(0, 0), (1, 0)]] * 2)
-        assert not fixed_k_flags(layout, t=1.0, k_ij=3).any()
+        assert not detect_flags(layout, t=1.0, k_min=1.5).any()  # a run of 3 of 2
 
     def test_three_edge_configuration(self):
         # Edge 2 runs along y=0; edge 1 travels beside it at y=0.5 except
@@ -93,9 +93,10 @@ class TestDetectPair:
             [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)],
             [(6, 1.6), (6, 0.8), (6, 0.0), (6, -0.8)],
         ]
-        t, k = 1.0, 2
+        # k_min = 0.4 asks for a run of 2 of every pair: floor(0.4 * 5) = floor(0.4 * 7) = 2.
+        t, k_min, k = 1.0, 0.4, 2
         expected = np.array([[False, True, False], [True, False, True], [False, True, False]])
-        assert (fixed_k_flags(layout_from_points(controls), t, k) == expected).all()
+        assert (detect_flags(layout_from_points(controls), t, k_min) == expected).all()
         for i, ci in enumerate(controls):
             for j, cj in enumerate(controls):
                 if i != j:
@@ -108,7 +109,7 @@ class TestDetectPair:
             (_, _, c1), (_, _, c2) = edges_of(layout)
             t = rng.uniform(0.5, 5.0)
             k = int(rng.integers(1, 5))
-            flags = fixed_k_flags(layout, t, k)
+            flags = detect_flags(layout, t, (k + 0.5) / max(len(c1), len(c2)))  # a run of k
             assert flags[0, 1] == oracle_detect(c1, c2, t, k)
             assert flags[1, 0] == oracle_detect(c2, c1, t, k)
 
@@ -224,7 +225,7 @@ class TestWeightMatrix:
 
     def test_self_similarity(self):
         layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]] * 2)
-        assert fixed_k_flags(layout, t=0.1, k_ij=5).all(where=~np.eye(2, dtype=bool))
+        assert detect_flags(layout, t=0.1, k_min=1.0).all(where=~np.eye(2, dtype=bool))
 
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -131,6 +134,22 @@ def test_fans_only_without_svg_is_usage_error(fixture_file, capsys, method):
     )
 
 
+@pytest.mark.parametrize("command", ["gen", "color"])
+def test_negative_seed_is_usage_error(tmp_path, fixture_file, capsys, command):
+    # seeded-random is the init that reads the seed.
+    args = {
+        "gen": ["gen", "--out", str(tmp_path / "g2.json")],
+        "color": ["color", "--input", str(fixture_file), "--init", "seeded-random"],
+    }[command]
+    assert main([*args, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: peacock {command}")
+    assert captured.err.endswith(
+        f"\npeacock {command}: error: argument --seed: --seed must be >= 0, got -1\n"
+    )
+
+
 def test_baseline_builds_the_same_bundles_for_dump_and_fans(tmp_path, fixture_file):
     outs = {}
     for method in ("peacock", "baseline"):
@@ -252,6 +271,31 @@ def test_readme_color_flags_match_parser():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == parsed
+
+
+def test_runs_without_importing_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test extra whose
+    # import alone would cost most of a small call.
+    script = """if True:
+        import sys
+        from peacock.cli import main
+        layout, out = sys.argv[1], sys.argv[2]
+        assert main(["gen", "--groups", "4", "--edges", "3", "--out", layout]) == 0
+        for method in ("peacock", "baseline"):
+            assert main(["color", "--input", layout, "--method", method, "--dims", "3",
+                         "--out-colors", out + ".json", "--out-svg", out + ".svg",
+                         "--fans-only", "--dump-bundles", out + ".bundles.json"]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+    src = str(Path(peacock.bundling.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "g.json"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def one_error_line(capsys, prefix):

@@ -27,8 +27,6 @@ from conftest import (
 import peacock.coloring
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import (
-    ColorEmbedding,
-    ColorTable,
     OptimizationError,
     OptimizerConfig,
     colors_to_display,
@@ -36,27 +34,25 @@ from peacock.coloring import (
     normalize_colors,
     optimize,
 )
-from peacock.dissimilarity import DissimilarityMatrix, build_dissimilarity_matrix
+from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
 
 
 def smacof_step(y, w, d):
     """One update of the step `optimize` iterates; never increases the stress."""
-    plan = peacock.coloring._prepare(w, d.d)
-    _, y_next = peacock.coloring._smacof_step(y.y, d.d, plan)
-    return ColorEmbedding(m=y.m, q=y.q, y=y_next)
+    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d))[1]
 
 
 def stress(y, w, d):
     """The stress of y as the kernel `optimize` iterates computes it."""
-    return peacock.coloring._smacof_step(y.y, d.d, peacock.coloring._prepare(w, d.d))[0]
+    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d))[0]
 
 
 def two_point_instance(y_vals=(0.0, 1.0), d12=2.0):
     w = weight_matrix(np.array([[False, True], [True, False]]))
-    d = DissimilarityMatrix(m=2, d=np.array([[0.0, d12], [d12, 0.0]]))
-    y = ColorEmbedding(m=2, q=1, y=np.array([[y_vals[0]], [y_vals[1]]]))
+    d = np.array([[0.0, d12], [d12, 0.0]])
+    y = np.array([[y_vals[0]], [y_vals[1]]])
     return y, w, d
 
 
@@ -78,14 +74,14 @@ class TestStress:
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
         rng = np.random.default_rng(0)
-        y = ColorEmbedding(m=layout.m, q=2, y=rng.standard_normal((layout.m, 2)))
-        want = oracle_stress(y.y, dense_weights(w), d.d)
+        y = rng.standard_normal((layout.m, 2))
+        want = oracle_stress(y, dense_weights(w), d)
         assert stress(y, w, d) == pytest.approx(want, rel=1e-10)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         y, w, d = random_instance(rng, m=8, q=3)
-        shifted = ColorEmbedding(m=8, q=3, y=y.y + np.array([5.0, -2.0, 0.5]))
+        shifted = y + np.array([5.0, -2.0, 0.5])
         assert stress(shifted, w, d) == pytest.approx(stress(y, w, d), rel=1e-12)
 
     def test_epsilon_zero_masks_unbundled_terms(self):
@@ -93,7 +89,7 @@ class TestStress:
         y, w, d = random_instance(rng, m=10, q=2, epsilon=0.0)
         masked = dense_weights(w) * np.asarray(dense_flags(w), dtype=float)
         assert stress(y, w, d) == pytest.approx(
-            oracle_stress(y.y, masked, d.d), rel=1e-10
+            oracle_stress(y, masked, d), rel=1e-10
         )
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
@@ -110,13 +106,13 @@ class TestStress:
                 weights = dense_weights(w)
                 if not weights.any():
                     continue
-                scale = (weights * d.d**2).sum()
-                want = oracle_stress(y.y, weights, d.d)
+                scale = (weights * d**2).sum()
+                want = oracle_stress(y, weights, d)
                 assert abs(stress(y, w, d) - want) <= 1e-12 * scale
 
     def test_dimension_mismatch(self):
         y, w, d = two_point_instance()
-        bad = DissimilarityMatrix(m=3, d=np.zeros((3, 3)))
+        bad = np.zeros((3, 3))
         with pytest.raises(ValueError, match="mismatch"):
             optimize(w, bad, OptimizerConfig(init="seeded-random"))
 
@@ -126,13 +122,13 @@ class TestSmacofStep:
         y, w, d = two_point_instance(y_vals=(0.0, 2.0))
         y2 = smacof_step(y, w, d)
         assert stress(y2, w, d) == pytest.approx(0.0, abs=1e-20)
-        assert abs(y2.y[0, 0] - y2.y[1, 0]) == pytest.approx(2.0)
+        assert abs(y2[0, 0] - y2[1, 0]) == pytest.approx(2.0)
 
     def test_two_point_closed_form(self):
         # Guttman transform for two points lands on the target distance.
         y, w, d = two_point_instance()
         y2 = smacof_step(y, w, d)
-        assert abs(y2.y[0, 0] - y2.y[1, 0]) == pytest.approx(2.0, abs=1e-12)
+        assert abs(y2[0, 0] - y2[1, 0]) == pytest.approx(2.0, abs=1e-12)
         assert stress(y2, w, d) == pytest.approx(0.0, abs=1e-18)
 
     def test_descent_over_100_steps(self):
@@ -147,15 +143,15 @@ class TestSmacofStep:
 
     def test_all_zero_weights_rejected(self):
         w = weight_matrix(np.zeros((3, 3), dtype=bool), epsilon=0.0)
-        d = DissimilarityMatrix(m=3, d=np.ones((3, 3)) - np.eye(3))
-        y = ColorEmbedding(m=3, q=1, y=np.zeros((3, 1)))
+        d = np.ones((3, 3)) - np.eye(3)
+        y = np.zeros((3, 1))
         with pytest.raises(OptimizationError):
             smacof_step(y, w, d)
 
 
 def assert_matches_pinv(y, w, d):
-    want = oracle_smacof_step(y.y, w, d.d)
-    got = smacof_step(y, w, d).y
+    want = oracle_smacof_step(y, w, d)
+    got = smacof_step(y, w, d)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -174,7 +170,7 @@ class TestPrepare:
             if not dense_flags(w).any():
                 continue
             assert_matches_pinv(y, w, d)
-            _, _, blocks = peacock.coloring._prepare(w, d.d)
+            _, _, blocks = peacock.coloring._prepare(w, d)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -191,7 +187,7 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
-        _, _, blocks = peacock.coloring._prepare(w, d.d)
+        _, _, blocks = peacock.coloring._prepare(w, d)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d)
 
@@ -255,7 +251,7 @@ class TestInitialEmbedding:
         # 1.8e-6 apart there, so no row counts as tied.
         layout = make_ordered_bundles(80, 25, reverse_last=True, seed=3).layout
         y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
-        assert np.array_equal(y.y, oracle_projection_init(layout, q))
+        assert np.array_equal(y, oracle_projection_init(layout, q))
 
     @pytest.mark.parametrize("fixture", [
         make_ordered_bundles(6, 6, reverse_last=True, seed=0),
@@ -265,7 +261,7 @@ class TestInitialEmbedding:
         # A third column linear in the first two would keep every iterate in
         # their plane; the midpoints' x + y had sigma_3 = 7e-15 here.
         layout = fixture.layout
-        y = initial_embedding(layout.m, OptimizerConfig(q=3), layout).y
+        y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
         sigma = np.linalg.svd(y, compute_uv=False)
         assert sigma[2] >= 0.1 * sigma[0]
 
@@ -275,7 +271,7 @@ class TestInitialEmbedding:
         # of spoke 0 sits at 0 and spokes 1 and 2 mirror each other.
         layout = make_crossing_bundles(3, 5, seed=1).layout
         plain = oracle_projection_init(layout, q)
-        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout).y
+        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
         gap = np.abs(y[:, None] - y[None]).max(axis=2) + np.eye(layout.m)
         assert gap.min() >= 0.5 * peacock.coloring._TIE_STEP
         plain_gap = np.abs(plain[:, None] - plain[None]).max(axis=2) + np.eye(layout.m)
@@ -290,11 +286,11 @@ class TestInitialEmbedding:
         cfg = OptimizerConfig(q=q)
         perm = np.random.default_rng(2).permutation(layout.m)
         moved = permuted(layout, perm)
-        y = initial_embedding(layout.m, cfg, layout).y
-        assert np.allclose(initial_embedding(layout.m, cfg, moved).y, y[perm], rtol=0, atol=1e-12)
+        y = initial_embedding(layout.m, cfg, layout)
+        assert np.allclose(initial_embedding(layout.m, cfg, moved), y[perm], rtol=0, atol=1e-12)
         table = run_peacock(layout, DetectionParams(), cfg).table
         moved_table = run_peacock(moved, DetectionParams(), cfg).table
-        assert np.allclose(moved_table.col, table.col[perm], rtol=0, atol=1e-9)
+        assert np.allclose(moved_table, table[perm], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("fixture", [
         make_ordered_bundles(6, 6, reverse_last=True, seed=0),
@@ -308,8 +304,8 @@ class TestInitialEmbedding:
         with mock.patch.object(peacock.coloring, "_prepare", oracle_prepare):
             want = optimize(w, d, OptimizerConfig(), layout)
         assert res.n_iters == want.n_iters
-        got_col = normalize_colors(res.embedding, w).col
-        want_col = normalize_colors(want.embedding, w).col
+        got_col = normalize_colors(res.embedding, w)
+        want_col = normalize_colors(want.embedding, w)
         assert np.abs(got_col - want_col).max() <= 1e-9
 
 
@@ -318,17 +314,17 @@ class TestOptimize:
         flags = ~np.eye(3, dtype=bool)
         w = weight_matrix(flags)
         side = 3.0
-        d = DissimilarityMatrix(m=3, d=side * (1 - np.eye(3)))
+        d = side * (1 - np.eye(3))
         cfg = OptimizerConfig(q=2, seed=1, init="seeded-random", rel_tol=1e-12)
         res = optimize(w, d, cfg)
-        y = res.embedding.y
+        y = res.embedding
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(y[i] - y[j]) == pytest.approx(side, abs=1e-6)
 
     def test_all_zero_weights_error(self):
         w = weight_matrix(np.zeros((2, 2), dtype=bool), epsilon=0.0)
-        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(OptimizationError):
             optimize(w, d, OptimizerConfig(init="seeded-random"))
 
@@ -342,13 +338,13 @@ class TestOptimize:
         cfg = OptimizerConfig(q=2, seed=3)
         a = optimize(w, d, cfg, layout)
         b = optimize(w, d, cfg, layout)
-        assert (a.embedding.y == b.embedding.y).all()
+        assert (a.embedding == b.embedding).all()
         assert a.stress == b.stress and a.n_iters == b.n_iters
 
     def test_stop_reason_tolerance(self):
         # The two-point instance of acceptance criterion 5.
         w = weight_matrix(np.array([[False, True], [True, False]]))
-        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
         res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
         assert res.stop_reason == "tolerance"
         assert res.converged
@@ -371,7 +367,7 @@ class TestOptimize:
         monkeypatch.setattr(peacock.coloring, "_smacof_step",
                             lambda y, *args: (step(y, *args)[0], 3.0 * y))
         w = weight_matrix(np.array([[False, True], [True, False]]))
-        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
         res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
         assert res.stop_reason == "stress_increase"
         assert not res.converged
@@ -383,11 +379,11 @@ class TestOptimize:
         cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, seed=4,
                               init="seeded-random")
         res = optimize(w, d, cfg)
-        y, s, n, stop_reason = oracle_optimize(initial_embedding(15, cfg).y, w, d.d,
+        y, s, n, stop_reason = oracle_optimize(initial_embedding(15, cfg), w, d,
                                                max_iters, rel_tol)
         assert stop_reason == res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
         assert res.n_iters == n
-        assert np.abs(res.embedding.y - y).max() <= 1e-9 * np.abs(y).max()
+        assert np.abs(res.embedding - y).max() <= 1e-9 * np.abs(y).max()
         assert res.stress == pytest.approx(s, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -413,13 +409,13 @@ class TestOptimize:
                 assume(False)
         # Rises are rounding only: the stress sum rounds relative to its
         # scale, the stress of the collapsed embedding.
-        scale = (dense_weights(w) * d.d**2).sum()
+        scale = (dense_weights(w) * d**2).sum()
         stresses = [s for _, s, _ in seen]
         assert all(b <= a + 1e-12 * scale for a, b in zip(stresses, stresses[1:]))
         assert [n for _, _, n in seen] == sorted({n for _, _, n in seen})
         assert steps.call_count - 1 == res.n_iters == seen[-1][2] <= max_iters
         assert res.stress == stress(res.embedding, w, d)
-        want = oracle_stress(res.embedding.y, dense_weights(w), d.d)
+        want = oracle_stress(res.embedding, dense_weights(w), d)
         assert res.stress == pytest.approx(want, rel=1e-10, abs=1e-12 * scale)
 
     def test_global_mode_takes_a_quarter_of_plain_smacofs_transforms(self, ordered_fixture):
@@ -432,10 +428,10 @@ class TestOptimize:
         res = optimize(w, d, cfg, layout)
         assert res.stop_reason == "tolerance"
         assert res.stress <= 12
-        plan = peacock.coloring._prepare(w, d.d)
-        s, y = peacock.coloring._smacof_step(initial_embedding(layout.m, cfg, layout).y, d.d, plan)
+        plan = peacock.coloring._prepare(w, d)
+        s, y = peacock.coloring._smacof_step(initial_embedding(layout.m, cfg, layout), d, plan)
         for plain in range(1, 4 * cfg.max_iters):
-            s_next, y = peacock.coloring._smacof_step(y, d.d, plan)
+            s_next, y = peacock.coloring._smacof_step(y, d, plan)
             if (s - s_next) / s < cfg.rel_tol:
                 break
             s = s_next
@@ -451,8 +447,8 @@ class TestOptimize:
         # show here as a rise.
         layout = make_ordered_bundles(6, 3, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams(epsilon=epsilon))
-        d = build_dissimilarity_matrix(layout).d
-        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout).y
+        d = build_dissimilarity_matrix(layout)
+        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
         steps = peacock.coloring._iterates(y, d, peacock.coloring._prepare(w, d), 300)
         stresses = [s for _, s, _ in steps]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(stresses, stresses[1:]))
@@ -477,7 +473,7 @@ class TestOptimize:
 
     def test_endpoint_projection_needs_layout(self):
         w = weight_matrix(~np.eye(2, dtype=bool))
-        d = DissimilarityMatrix(m=2, d=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(OptimizationError, match="layout"):
             optimize(w, d, OptimizerConfig())
 
@@ -490,7 +486,7 @@ class TestOptimize:
         d = build_dissimilarity_matrix(layout)
         res = optimize(w, d, OptimizerConfig(q=1), layout)
         for ids in ordered_fixture.bundles:
-            vals = res.embedding.y[ids, 0]
+            vals = res.embedding[ids, 0]
             diffs = np.diff(vals)
             assert (diffs > 0).all() or (diffs < 0).all()
 
@@ -505,28 +501,28 @@ class TestNormalizeColors:
             ]
         )
         w = weight_matrix(flags)
-        y = ColorEmbedding(m=3, q=1, y=np.array([[0.2], [0.6], [1.0]]))
+        y = np.array([[0.2], [0.6], [1.0]])
         table = normalize_colors(y, w)
-        assert table.col[1, 0] == pytest.approx(0.5)
-        assert table.col[0, 0] == 0.0
-        assert table.col[2, 0] == 1.0
+        assert table[1, 0] == pytest.approx(0.5)
+        assert table[0, 0] == 0.0
+        assert table[2, 0] == 1.0
 
     def test_lonely_edge_uses_global_range(self):
         flags = np.zeros((3, 3), dtype=bool)
         flags[0, 1] = flags[1, 0] = True
         w = weight_matrix(flags, epsilon=0.5)
-        y = ColorEmbedding(m=3, q=1, y=np.array([[0.0], [4.0], [1.0]]))
+        y = np.array([[0.0], [4.0], [1.0]])
         table = normalize_colors(y, w)
         # edge 2 has no bundle partners: global min-max over (0, 4, 1)
-        assert table.col[2, 0] == pytest.approx(0.25)
+        assert table[2, 0] == pytest.approx(0.25)
 
     def test_degenerate_dimension_maps_to_half(self):
         flags = np.array([[False, True], [True, False]])
         w = weight_matrix(flags)
-        y = ColorEmbedding(m=2, q=2, y=np.array([[1.0, 3.0], [1.0, 5.0]]))
+        y = np.array([[1.0, 3.0], [1.0, 5.0]])
         table = normalize_colors(y, w)
-        assert (table.col[:, 0] == 0.5).all()
-        assert table.col[0, 1] == 0.0 and table.col[1, 1] == 1.0
+        assert (table[:, 0] == 0.5).all()
+        assert table[0, 1] == 0.0 and table[1, 1] == 1.0
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(17)
@@ -534,9 +530,9 @@ class TestNormalizeColors:
         flags = rng.random((m, m)) < 0.4
         np.fill_diagonal(flags, False)
         w = weight_matrix(flags, epsilon=0.01)
-        y = ColorEmbedding(m=m, q=2, y=rng.standard_normal((m, 2)))
+        y = rng.standard_normal((m, 2))
         table = normalize_colors(y, w)
-        assert (table.col >= 0).all() and (table.col <= 1).all()
+        assert (table >= 0).all() and (table <= 1).all()
 
     def test_cliques_span_full_range(self):
         # Mutually bundled groups share one neighborhood, so their final
@@ -550,12 +546,12 @@ class TestNormalizeColors:
                 for j in ids:
                     flags[i, j] = i != j
         w = weight_matrix(flags, epsilon=0.001)
-        y = ColorEmbedding(m=m, q=2, y=rng.standard_normal((m, 2)))
+        y = rng.standard_normal((m, 2))
         table = normalize_colors(y, w)
         for ids in cliques:
             for dim in range(2):
-                assert table.col[ids, dim].min() == pytest.approx(0.0)
-                assert table.col[ids, dim].max() == pytest.approx(1.0)
+                assert table[ids, dim].min() == pytest.approx(0.0)
+                assert table[ids, dim].max() == pytest.approx(1.0)
 
 
 @st.composite
@@ -576,8 +572,8 @@ class TestNormalizeColorsOracle:
         y, flags = case
         np.fill_diagonal(flags, False)
         m, q = y.shape
-        table = normalize_colors(ColorEmbedding(m=m, q=q, y=y), weight_matrix(flags, 0.1))
-        assert np.array_equal(table.col, oracle_normalize_colors(y, flags))
+        table = normalize_colors(y, weight_matrix(flags, 0.1))
+        assert np.array_equal(table, oracle_normalize_colors(y, flags))
 
 
 class TestColorsToDisplay:
@@ -585,21 +581,21 @@ class TestColorsToDisplay:
     @given(arrays(float, st.integers(1, 20),
                   elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)))
     def test_q1_equals_loop_oracle(self, values):
-        table = ColorTable(m=len(values), q=1, col=values[:, None].copy())
+        table = values[:, None]
         want = oracle_gradient(values, np.array([[0, 0, 1], [1, 0, 0], [1, 1, 0]], float))
         assert np.array_equal(colors_to_display(table), want)
 
     def test_q3_identity(self):
-        table = ColorTable(m=1, q=3, col=np.array([[0.1, 0.5, 0.9]]))
+        table = np.array([[0.1, 0.5, 0.9]])
         assert np.allclose(colors_to_display(table), [[0.1, 0.5, 0.9]])
 
     def test_q1_gradient_endpoints(self):
-        table = ColorTable(m=3, q=1, col=np.array([[0.0], [0.5], [1.0]]))
+        table = np.array([[0.0], [0.5], [1.0]])
         rgb = colors_to_display(table)
         assert np.allclose(rgb[0], [0, 0, 1])
         assert np.allclose(rgb[1], [1, 0, 0])
         assert np.allclose(rgb[2], [1, 1, 0])
 
     def test_q2_channel_mapping(self):
-        table = ColorTable(m=1, q=2, col=np.array([[0.3, 0.7]]))
+        table = np.array([[0.3, 0.7]])
         assert np.allclose(colors_to_display(table), [[0.3, 0.0, 0.7]])

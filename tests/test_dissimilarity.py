@@ -14,7 +14,7 @@ def edge(v1, v2):
 
 def pair_dissimilarity(ei, ej):
     """Dissimilarity of edge ei against edge ej, through the matrix."""
-    return build_dissimilarity_matrix(make_layout([ei, ej])).d[0, 1]
+    return build_dissimilarity_matrix(make_layout([ei, ej]))[0, 1]
 
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -50,29 +50,29 @@ def test_symmetry_and_swap_invariance(a1, a2, b1, b2):
 def test_single_edge_matrix():
     layout = make_layout([edge((0, 0), (1, 0))])
     dm = build_dissimilarity_matrix(layout)
-    assert dm.d.shape == (1, 1)
-    assert dm.d[0, 0] == 0.0
+    assert dm.shape == (1, 1)
+    assert dm[0, 0] == 0.0
 
 
 def test_two_parallel_edges_matrix():
     layout = make_layout([edge((0, 0), (1, 0)), edge((0, 1), (1, 1))])
     dm = build_dissimilarity_matrix(layout)
-    assert dm.d[0, 1] == dm.d[1, 0] == 2.0
+    assert dm[0, 1] == dm[1, 0] == 2.0
 
 
 def test_fixture_matches_per_pair_oracle(ordered_fixture):
     layout = ordered_fixture.layout
     dm = build_dissimilarity_matrix(layout)
-    assert np.array_equal(dm.d, oracle_dissimilarity(layout))
-    assert np.allclose(dm.d, dm.d.T)
-    assert (np.diag(dm.d) == 0).all()
+    assert np.array_equal(dm, oracle_dissimilarity(layout))
+    assert np.allclose(dm, dm.T)
+    assert (np.diag(dm) == 0).all()
 
 
 def test_rigid_motion_invariance(ordered_fixture):
     before = build_dissimilarity_matrix(ordered_fixture.layout)
     moved = rigid_transform(ordered_fixture.layout, angle=1.1, dx=-5.0, dy=17.0)
     after = build_dissimilarity_matrix(moved)
-    assert np.allclose(before.d, after.d, atol=1e-9)
+    assert np.allclose(before, after, atol=1e-9)
 
 
 # Repeated values give coincident and swapped endpoints.
@@ -84,4 +84,4 @@ lattice_point = st.tuples(st.sampled_from([-3.0, 0.0, 0.5, 2.0]) | coord,
 @given(st.lists(st.tuples(lattice_point, lattice_point), min_size=1, max_size=12))
 def test_matrix_equals_norm_oracle(ends):
     layout = make_layout(edge(a, b) for a, b in ends)
-    assert np.array_equal(build_dissimilarity_matrix(layout).d, oracle_dissimilarity(layout))
+    assert np.array_equal(build_dissimilarity_matrix(layout), oracle_dissimilarity(layout))

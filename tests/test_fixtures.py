@@ -31,7 +31,7 @@ class TestOrderedBundles:
         assert layout_to_dict(a.layout) == layout_to_dict(b.layout)
 
     def test_monotone_dissimilarity_in_order(self, ordered_fixture):
-        d = build_dissimilarity_matrix(ordered_fixture.layout).d
+        d = build_dissimilarity_matrix(ordered_fixture.layout)
         for ids in ordered_fixture.bundles:
             first = ids[0]
             along = [d[first, j] for j in ids]

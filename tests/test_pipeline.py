@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 import peacock.pipeline
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
-from peacock.coloring import ColorEmbedding, OptimizerConfig
+from peacock.coloring import OptimizerConfig, initial_embedding
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.model import GraphLayout
@@ -16,7 +16,7 @@ from test_coloring import stress
 
 def test_fixture_rank_correlation(ordered_fixture):
     run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    col = run.table.col[:, 0]
+    col = run.table[:, 0]
     for ids, order in zip(ordered_fixture.bundles, ordered_fixture.order):
         rho = spearmanr(col[ids], order).statistic
         assert abs(rho) >= 0.9
@@ -31,7 +31,7 @@ def test_global_mode_beats_baseline(ordered_fixture):
     w = build_weight_matrix(layout, params)
     d = build_dissimilarity_matrix(layout)
     base = baseline_colors(layout)
-    base_stress = stress(ColorEmbedding(m=layout.m, q=3, y=base.col.copy()), w, d)
+    base_stress = stress(base, w, d)
     assert run.result.stress < base_stress
 
 
@@ -49,7 +49,7 @@ def test_scaling_layout_scales_only_stress(fixture, q, k):
                          ends=layout.ends * s, nodes=layout.nodes)
     run = run_peacock(layout, DetectionParams(), OptimizerConfig(q=q))
     scaled_run = run_peacock(scaled, DetectionParams(), OptimizerConfig(q=q))
-    assert np.array_equal(scaled_run.table.col, run.table.col)
+    assert np.array_equal(scaled_run.table, run.table)
     assert scaled_run.result.n_iters == run.result.n_iters
     assert scaled_run.result.stress == pytest.approx(run.result.stress * 4.0**k, rel=1e-12)
 
@@ -77,10 +77,25 @@ def test_bad_q_is_refused_before_any_stage(ordered_fixture, monkeypatch, q):
         run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig(q=q))
 
 
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-1)
+
+
+def test_stage_outputs_are_read_only(ordered_fixture):
+    layout = ordered_fixture.layout
+    run = run_peacock(layout, DetectionParams(), OptimizerConfig())
+    outputs = [run.table, run.result.embedding, build_dissimilarity_matrix(layout),
+               baseline_colors(layout)]
+    for init in ("endpoint-projection", "seeded-random"):
+        outputs.append(initial_embedding(layout.m, OptimizerConfig(init=init), layout))
+    assert not any(a.flags.writeable for a in outputs)
+
+
 def test_end_to_end_determinism(ordered_fixture):
     a = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
     b = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    assert (a.table.col == b.table.col).all()
+    assert (a.table == b.table).all()
     assert a.result.stress == b.result.stress and a.result.n_iters == b.result.n_iters
 
 
