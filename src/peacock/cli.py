@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--rel-tol", default=OptimizerConfig.rel_tol,
                        type=_number("--rel-tol", float, lambda v: v > 0, "> 0"))
     color.add_argument("--method", choices=["peacock", "baseline"], default="peacock")
-    color.add_argument("--init", choices=["endpoint-projection", "seeded-random"],
-                       default=OptimizerConfig.init)
     color.add_argument("--out-colors")
     color.add_argument("--out-svg")
     color.add_argument("--fans-only", action="store_true")
@@ -122,10 +120,8 @@ def _cmd_color(args) -> int:
         wanted = args.dump_bundles or args.fans_only
         weights = build_weight_matrix(layout, params) if wanted else None
     else:
-        cfg = OptimizerConfig(
-            q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
-            seed=args.seed, init=args.init,
-        )
+        cfg = OptimizerConfig(q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
+                              seed=args.seed)
         run = run_peacock(layout, params, cfg)
         table, result, weights = run.table, run.result, run.weights
 

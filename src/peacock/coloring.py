@@ -72,20 +72,17 @@ class OptimizerConfig:
     q: int = 1
     max_iters: int = 500
     rel_tol: float = 1e-6
-    seed: int = 0
-    init: str = "endpoint-projection"  # or "seeded-random"
+    seed: int | None = None  # None starts from the layout's geometry
 
     def __post_init__(self):
         if self.q not in (1, 2, 3):
             raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if self.init not in ("endpoint-projection", "seeded-random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -317,34 +314,33 @@ def _break_ties(y: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return y
 
 
-def initial_embedding(
-    m: int,
-    cfg: OptimizerConfig,
-    layout: GraphLayout | None = None,
-) -> np.ndarray:
-    """Starting point (m, q): projected edge midpoints (and, for q = 3,
-    edge half-lengths), or seeded Gaussian noise.
+def initial_embedding(layout: GraphLayout, cfg: OptimizerConfig) -> np.ndarray:
+    """Starting point (M, q): seeded Gaussian noise if cfg.seed is set,
+    else the projected edge midpoints and, for q = 3, the edge half-lengths
+    (the squared x half-extents if every edge has one length).
 
     Projected midpoints of distinct edges can coincide; such ties are
     broken by the midpoint's other coordinate, then by the edge's
     endpoints (see `_break_ties`).
     """
-    if cfg.init == "seeded-random":
-        y = np.random.default_rng(cfg.seed).standard_normal((m, cfg.q))
+    if cfg.seed is not None:
+        y = np.random.default_rng(cfg.seed).standard_normal((layout.m, cfg.q))
         y.setflags(write=False)
         return y
 
-    if layout is None:
-        raise OptimizationError("endpoint-projection init requires the layout")
     ends = layout.ends
     mids = (ends[:, 0] + ends[:, 1]) / 2.0
     hx, hy = ((ends[:, 1] - ends[:, 0]) / 2.0).T
-    # q = 3 adds the half-length |h|: a third column linear in the first two
-    # would stay in their plane through every transform.
-    y = np.column_stack([mids, np.hypot(hx, hy)])[:, : cfg.q]
     # Edges that share a midpoint differ in their half-vector h, up to its
     # sign; hx², hy² and hx·hy tell them apart and ignore endpoint order.
     keys = np.column_stack([hx * hx, hy * hy, hx * hy])
+    # q = 3 adds the half-length |h|: a third column linear in the first two
+    # would stay in their plane through every transform. Where all edges
+    # have one length (to _TIE_TOL), |h| is rounding noise; hx² stands in.
+    length = np.hypot(hx, hy)
+    if np.ptp(length) <= _TIE_TOL * length.max():
+        length = keys[:, 0]
+    y = np.column_stack([mids, length])[:, : cfg.q]
     if cfg.q == 1:
         keys = np.column_stack([mids[:, 1], keys])
     y = _break_ties(_standardize(y), _standardize(keys))
@@ -406,18 +402,18 @@ def _iterates(y: np.ndarray, d: np.ndarray, plan, max_iters: int):
         yield y, s, n
 
 
-def optimize(
-    w: BundleWeightMatrix,
-    d: np.ndarray,
-    cfg: OptimizerConfig,
-    layout: GraphLayout | None = None,
-) -> OptimizeResult:
-    """Run accelerated SMACOF until the relative stress decrease between
-    accepted iterates stalls or cfg.max_iters Guttman transforms are spent."""
+def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
+             cfg: OptimizerConfig) -> OptimizeResult:
+    """Run accelerated SMACOF from the start y (M, q) until the relative
+    stress decrease between accepted iterates stalls or cfg.max_iters
+    Guttman transforms are spent. Any start works; `initial_embedding`
+    gives the default one."""
     if d.shape != (w.m, w.m):
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.shape}")
+    if y.shape != (w.m, cfg.q):
+        raise ValueError(f"start has shape {y.shape}, not ({w.m}, {cfg.q})")
     plan = _prepare(w, d)
-    steps = _iterates(initial_embedding(w.m, cfg, layout), d, plan, cfg.max_iters)
+    steps = _iterates(y, d, plan, cfg.max_iters)
     y, s_prev, n_iters = next(steps)
     stop_reason = "max_iters"
     for y, s, n_iters in steps:

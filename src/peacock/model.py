@@ -59,7 +59,7 @@ class GraphLayout:
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
             raise LayoutValidationError(f"edge {empty[0]}: empty control list")
-        _check_finite(points, offsets, ends)
+        _check_coordinates(points, offsets, ends)
         for nid, x, y in self.nodes:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise LayoutValidationError(f"node {nid}: non-finite coordinate in position")
@@ -76,19 +76,24 @@ class GraphLayout:
         return len(self.offsets) - 1
 
 
-def _check_finite(points, offsets, ends) -> None:
-    """Raise naming the first edge, and its first point, that is not finite."""
-    bad_ends = ~np.isfinite(ends).all(axis=2)
-    bad_points = ~np.isfinite(points).all(axis=1)
-    if not (bad_ends.any() or bad_points.any()):
-        return
-    bad_edges = bad_ends.any(axis=1) | np.logical_or.reduceat(bad_points, offsets[:-1])
-    i = int(np.argmax(bad_edges))
-    if bad_ends[i].any():
-        what = ("v1", "v2")[int(np.argmax(bad_ends[i]))]
-    else:
-        what = f"controls[{np.argmax(bad_points[offsets[i] : offsets[i + 1]])}]"
-    raise LayoutValidationError(f"edge {i}: non-finite coordinate in {what}")
+def _check_coordinates(points, offsets, ends) -> None:
+    """Raise naming the first edge, and its first point, with a coordinate
+    that is not finite, or else beyond 1e60 in magnitude: the pipeline's
+    highest power of a coordinate is the 4th (`coloring._standardize` squares
+    hx²), and 1e60^4 summed over `bundling.MAX_DENSE_EDGES` rows is < 1e245."""
+    for ok, problem in ((np.isfinite, "non-finite coordinate in {}"),
+                        (lambda a: np.abs(a) <= 1e60, "coordinate in {} is too large")):
+        bad_ends = ~ok(ends).all(axis=2)
+        bad_points = ~ok(points).all(axis=1)
+        if not (bad_ends.any() or bad_points.any()):
+            continue
+        bad_edges = bad_ends.any(axis=1) | np.logical_or.reduceat(bad_points, offsets[:-1])
+        i = int(np.argmax(bad_edges))
+        if bad_ends[i].any():
+            what = ("v1", "v2")[int(np.argmax(bad_ends[i]))]
+        else:
+            what = f"controls[{np.argmax(bad_points[offsets[i] : offsets[i + 1]])}]"
+        raise LayoutValidationError(f"edge {i}: " + problem.format(what))
 
 
 def layout_extent(layout: GraphLayout) -> tuple[float, float]:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
-from .coloring import OptimizeResult, OptimizerConfig, colors_to_display, normalize_colors, optimize
+from .coloring import (OptimizeResult, OptimizerConfig, colors_to_display, initial_embedding,
+                       normalize_colors, optimize)
 from .dissimilarity import build_dissimilarity_matrix
 from .model import GraphLayout
 
@@ -52,7 +53,8 @@ def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConf
     seconds: dict = {}
     w = _timed(seconds, "bundling", lambda: build_weight_matrix(layout, params))
     d = _timed(seconds, "dissimilarity", lambda: build_dissimilarity_matrix(layout))
-    result = _timed(seconds, "optimize", lambda: optimize(w, d, cfg, layout))
+    result = _timed(seconds, "optimize",
+                    lambda: optimize(w, d, initial_embedding(layout, cfg), cfg))
     table = _timed(seconds, "normalize", lambda: normalize_colors(result.embedding, w))
     return Run(w, result, table, seconds)
 

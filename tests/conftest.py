@@ -68,6 +68,11 @@ def random_instance(rng, m, q, epsilon=0.1):
     return y, w, d
 
 
+def gaussian_start(seed, m, q):
+    """The (m, q) start that `OptimizerConfig(seed=seed)` gives."""
+    return np.random.default_rng(seed).standard_normal((m, q))
+
+
 def oracle_detect(pi, pj, t, k_ij):
     """Direct evaluation of the run-of-close-control-points rule on the
     control points of edges i and j."""
@@ -270,9 +275,16 @@ def oracle_optimize(y, w, d, max_iters, rel_tol):
 
 
 def oracle_projection_init(layout, q):
-    """Standardized projected midpoints, then half-lengths, with no tie-breaking."""
+    """Standardized projected midpoints, then half-lengths, with no
+    tie-breaking; where all half-lengths agree to 1e-9 of the largest, the
+    squared x half-extent replaces them."""
     cols = [[(v1[0] + v2[0]) / 2.0, (v1[1] + v2[1]) / 2.0,
              math.hypot(v2[0] - v1[0], v2[1] - v1[1]) / 2.0] for v1, v2 in layout.ends]
+    lengths = [c[2] for c in cols]
+    if max(lengths) - min(lengths) <= 1e-9 * max(lengths):
+        for c, (v1, v2) in zip(cols, layout.ends):
+            hx = (v2[0] - v1[0]) / 2.0
+            c[2] = hx * hx
     y = np.array(cols)[:, :q]
     std = y.std(axis=0)
     std[std == 0] = 1.0

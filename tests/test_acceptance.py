@@ -11,6 +11,7 @@ from conftest import (
     dense_flags,
     dense_weights,
     edges_of,
+    gaussian_start,
     make_layout,
     oracle_flags,
     oracle_stress,
@@ -98,8 +99,7 @@ def test_criterion_4_stress_oracle():
 def test_criterion_5_two_point_closed_form():
     w = weight_matrix(np.array([[False, True], [True, False]]))
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    cfg = OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random")
-    res = optimize(w, d, cfg)
+    res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
     dist = abs(res.embedding[0, 0] - res.embedding[1, 0])
     assert res.n_iters <= 50
     assert dist == pytest.approx(2.0, abs=1e-6)

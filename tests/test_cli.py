@@ -12,7 +12,11 @@ import pytest
 from scipy.stats import spearmanr
 
 import peacock.bundling
+from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.cli import build_parser, main
+from peacock.coloring import OptimizerConfig, normalize_colors, optimize
+from peacock.dissimilarity import build_dissimilarity_matrix
+from peacock.model import load_layout
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,12 +138,28 @@ def test_fans_only_without_svg_is_usage_error(fixture_file, capsys, method):
     )
 
 
+def test_seed_alone_selects_the_gaussian_start(tmp_path, fixture_file):
+    colors = tmp_path / "colors.json"
+    assert main(["color", "--input", str(fixture_file), "--seed", "7",
+                 "--out-colors", str(colors)]) == 0
+    layout = load_layout(fixture_file)
+    w = build_weight_matrix(layout, DetectionParams())
+    d = build_dissimilarity_matrix(layout)
+    start = np.random.default_rng(7).standard_normal((layout.m, 1))
+    want = normalize_colors(optimize(w, d, start, OptimizerConfig()).embedding, w)
+    assert json.loads(colors.read_text())["colors"] == want.tolist()
+
+
+def test_init_flag_is_gone(fixture_file, capsys):
+    assert main(["color", "--input", str(fixture_file), "--init", "seeded-random"]) == 2
+    assert "unrecognized arguments: --init" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gen", "color"])
 def test_negative_seed_is_usage_error(tmp_path, fixture_file, capsys, command):
-    # seeded-random is the init that reads the seed.
     args = {
         "gen": ["gen", "--out", str(tmp_path / "g2.json")],
-        "color": ["color", "--input", str(fixture_file), "--init", "seeded-random"],
+        "color": ["color", "--input", str(fixture_file)],
     }[command]
     assert main([*args, "--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -312,6 +332,17 @@ def test_integer_beyond_float_range_is_one_error_line(tmp_path, fixture_file, ca
     path.write_text(json.dumps(doc))
     assert main(["color", "--input", str(path)]) == 1
     one_error_line(capsys, "peacock: error [color] edge 3: coordinate in v2 is too large")
+
+
+def test_coordinates_whose_squares_overflow_are_one_error_line(tmp_path, capsys):
+    # Squared distances of these coordinates overflow; such a layout used to
+    # color every edge 0.5 behind six RuntimeWarnings and exit 0.
+    doc = {"edges": [{"id": i, "v1": [0, i * 1e307], "v2": [1e307, i * 1e307],
+                      "controls": [[5e306, i * 1e307]]} for i in range(3)]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["color", "--input", str(path)]) == 1
+    one_error_line(capsys, "peacock: error [color] edge 0: coordinate in v2 is too large")
 
 
 def test_nodes_not_an_array_is_one_error_line(tmp_path, fixture_file, capsys):

@@ -11,6 +11,7 @@ from conftest import (
     dense_flags,
     dense_weights,
     edges_of,
+    gaussian_start,
     make_layout,
     oracle_gradient,
     oracle_normalize_colors,
@@ -114,7 +115,7 @@ class TestStress:
         y, w, d = two_point_instance()
         bad = np.zeros((3, 3))
         with pytest.raises(ValueError, match="mismatch"):
-            optimize(w, bad, OptimizerConfig(init="seeded-random"))
+            optimize(w, bad, y, OptimizerConfig())
 
 
 class TestSmacofStep:
@@ -179,7 +180,7 @@ class TestPrepare:
         w = build_weight_matrix(layout, DetectionParams(t_abs=4.0, t_frac=None, epsilon=0.0))
         alone = ~(dense_flags(w) | dense_flags(w).T).any(axis=1)
         assert 0 < alone.sum() < layout.m
-        y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
+        y = initial_embedding(layout, OptimizerConfig(q=3))
         assert_matches_pinv(y, w, build_dissimilarity_matrix(layout))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
@@ -250,33 +251,44 @@ class TestInitialEmbedding:
         # Sized like the ordered benchmark layouts; the nearest init rows are
         # 1.8e-6 apart there, so no row counts as tied.
         layout = make_ordered_bundles(80, 25, reverse_last=True, seed=3).layout
-        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
+        y = initial_embedding(layout, OptimizerConfig(q=q))
         assert np.array_equal(y, oracle_projection_init(layout, q))
+        if q == 3:  # edge lengths differ, so the third axis is the half-length
+            length = np.hypot(*((layout.ends[:, 1] - layout.ends[:, 0]) / 2.0).T)
+            want = (length - length.mean()) / length.std()
+            assert np.allclose(y[:, 2], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("fixture", [
         make_ordered_bundles(6, 6, reverse_last=True, seed=0),
         make_ordered_bundles(20, 50, reverse_last=True, seed=0),
-    ], ids=["criterion-6", "ordered-3d"])
+        make_crossing_bundles(8, 50, seed=0),
+        make_crossing_bundles(3, 5, seed=1),
+        make_crossing_bundles(4, 8, seed=0),
+    ], ids=["criterion-6", "ordered-3d", "crossing-8x50", "crossing-3x5", "crossing-4x8"])
     def test_q3_start_has_full_rank(self, fixture):
         # A third column linear in the first two would keep every iterate in
-        # their plane; the midpoints' x + y had sigma_3 = 7e-15 here.
+        # their plane; the midpoints' x + y had sigma_3 = 7e-15 on the ordered
+        # layouts. Every crossing edge has one length, so a half-length column
+        # held only rounding noise (8 x 50) or was 0.
         layout = fixture.layout
-        y = initial_embedding(layout.m, OptimizerConfig(q=3), layout)
+        y = initial_embedding(layout, OptimizerConfig(q=3))
         sigma = np.linalg.svd(y, compute_uv=False)
         assert sigma[2] >= 0.1 * sigma[0]
+        assert np.array_equal(y[:, 2], oracle_projection_init(layout, 3)[:, 2])
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_every_tie_broken(self, q):
         # Each spoke's middle edge has its midpoint at the origin; in x, all
-        # of spoke 0 sits at 0 and spokes 1 and 2 mirror each other.
+        # of spoke 0 sits at 0 and spokes 1 and 2 mirror each other. At
+        # q = 3 the third axis, hx², separates spoke 0's middle edge.
         layout = make_crossing_bundles(3, 5, seed=1).layout
         plain = oracle_projection_init(layout, q)
-        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
+        y = initial_embedding(layout, OptimizerConfig(q=q))
         gap = np.abs(y[:, None] - y[None]).max(axis=2) + np.eye(layout.m)
         assert gap.min() >= 0.5 * peacock.coloring._TIE_STEP
         plain_gap = np.abs(plain[:, None] - plain[None]).max(axis=2) + np.eye(layout.m)
         tied = (plain_gap < 1e-9).any(axis=1)
-        assert tied.sum() == (15 if q == 1 else 3)
+        assert tied.sum() == {1: 15, 2: 3, 3: 2}[q]
         assert np.array_equal(y[~tied], plain[~tied])
         assert np.abs(y - plain).max() < 1e-5
 
@@ -286,8 +298,8 @@ class TestInitialEmbedding:
         cfg = OptimizerConfig(q=q)
         perm = np.random.default_rng(2).permutation(layout.m)
         moved = permuted(layout, perm)
-        y = initial_embedding(layout.m, cfg, layout)
-        assert np.allclose(initial_embedding(layout.m, cfg, moved), y[perm], rtol=0, atol=1e-12)
+        y = initial_embedding(layout, cfg)
+        assert np.allclose(initial_embedding(moved, cfg), y[perm], rtol=0, atol=1e-12)
         table = run_peacock(layout, DetectionParams(), cfg).table
         moved_table = run_peacock(moved, DetectionParams(), cfg).table
         assert np.allclose(moved_table, table[perm], rtol=0, atol=1e-9)
@@ -300,9 +312,11 @@ class TestInitialEmbedding:
         layout = fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        res = optimize(w, d, OptimizerConfig(), layout)
+        cfg = OptimizerConfig()
+        y = initial_embedding(layout, cfg)
+        res = optimize(w, d, y, cfg)
         with mock.patch.object(peacock.coloring, "_prepare", oracle_prepare):
-            want = optimize(w, d, OptimizerConfig(), layout)
+            want = optimize(w, d, y, cfg)
         assert res.n_iters == want.n_iters
         got_col = normalize_colors(res.embedding, w)
         want_col = normalize_colors(want.embedding, w)
@@ -315,8 +329,7 @@ class TestOptimize:
         w = weight_matrix(flags)
         side = 3.0
         d = side * (1 - np.eye(3))
-        cfg = OptimizerConfig(q=2, seed=1, init="seeded-random", rel_tol=1e-12)
-        res = optimize(w, d, cfg)
+        res = optimize(w, d, gaussian_start(1, 3, 2), OptimizerConfig(q=2, rel_tol=1e-12))
         y = res.embedding
         for i in range(3):
             for j in range(i + 1, 3):
@@ -326,7 +339,7 @@ class TestOptimize:
         w = weight_matrix(np.zeros((2, 2), dtype=bool), epsilon=0.0)
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(OptimizationError):
-            optimize(w, d, OptimizerConfig(init="seeded-random"))
+            optimize(w, d, gaussian_start(0, 2, 1), OptimizerConfig())
 
     def test_deterministic(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -335,9 +348,9 @@ class TestOptimize:
         layout = ordered_fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        cfg = OptimizerConfig(q=2, seed=3)
-        a = optimize(w, d, cfg, layout)
-        b = optimize(w, d, cfg, layout)
+        cfg = OptimizerConfig(q=2)
+        a = optimize(w, d, initial_embedding(layout, cfg), cfg)
+        b = optimize(w, d, initial_embedding(layout, cfg), cfg)
         assert (a.embedding == b.embedding).all()
         assert a.stress == b.stress and a.n_iters == b.n_iters
 
@@ -345,7 +358,7 @@ class TestOptimize:
         # The two-point instance of acceptance criterion 5.
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
+        res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
         assert res.stop_reason == "tolerance"
         assert res.converged
 
@@ -356,7 +369,8 @@ class TestOptimize:
         layout = ordered_fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        res = optimize(w, d, OptimizerConfig(q=1, max_iters=1), layout)
+        cfg = OptimizerConfig(q=1, max_iters=1)
+        res = optimize(w, d, initial_embedding(layout, cfg), cfg)
         assert res.n_iters == 1
         assert res.stop_reason == "max_iters"
         assert not res.converged
@@ -368,7 +382,7 @@ class TestOptimize:
                             lambda y, *args: (step(y, *args)[0], 3.0 * y))
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, OptimizerConfig(q=1, max_iters=50, seed=7, init="seeded-random"))
+        res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
         assert res.stop_reason == "stress_increase"
         assert not res.converged
 
@@ -376,11 +390,9 @@ class TestOptimize:
     def test_equals_accelerated_cycles_of_dense_steps(self, max_iters, rel_tol):
         rng = np.random.default_rng(31)
         _, w, d = random_instance(rng, m=15, q=3, epsilon=0.05)
-        cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, seed=4,
-                              init="seeded-random")
-        res = optimize(w, d, cfg)
-        y, s, n, stop_reason = oracle_optimize(initial_embedding(15, cfg), w, d,
-                                               max_iters, rel_tol)
+        start = gaussian_start(4, 15, 3)
+        res = optimize(w, d, start, OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol))
+        y, s, n, stop_reason = oracle_optimize(start, w, d, max_iters, rel_tol)
         assert stop_reason == res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
         assert res.n_iters == n
         assert np.abs(res.embedding - y).max() <= 1e-9 * np.abs(y).max()
@@ -400,11 +412,10 @@ class TestOptimize:
 
         iterates = peacock.coloring._iterates
         steps = mock.Mock(side_effect=peacock.coloring._smacof_step)
-        cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12, init="seeded-random",
-                              seed=seed)
+        cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12)
         with mock.patch.multiple(peacock.coloring, _iterates=recorded, _smacof_step=steps):
             try:
-                res = optimize(w, d, cfg)
+                res = optimize(w, d, gaussian_start(seed, m, q), cfg)
             except OptimizationError:  # no weights
                 assume(False)
         # Rises are rounding only: the stress sum rounds relative to its
@@ -425,11 +436,12 @@ class TestOptimize:
         w = build_weight_matrix(layout, DetectionParams(epsilon=1.0))
         d = build_dissimilarity_matrix(layout)
         cfg = OptimizerConfig(q=3)
-        res = optimize(w, d, cfg, layout)
+        start = initial_embedding(layout, cfg)
+        res = optimize(w, d, start, cfg)
         assert res.stop_reason == "tolerance"
         assert res.stress <= 12
         plan = peacock.coloring._prepare(w, d)
-        s, y = peacock.coloring._smacof_step(initial_embedding(layout.m, cfg, layout), d, plan)
+        s, y = peacock.coloring._smacof_step(start, d, plan)
         for plain in range(1, 4 * cfg.max_iters):
             s_next, y = peacock.coloring._smacof_step(y, d, plan)
             if (s - s_next) / s < cfg.rel_tol:
@@ -448,7 +460,7 @@ class TestOptimize:
         layout = make_ordered_bundles(6, 3, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams(epsilon=epsilon))
         d = build_dissimilarity_matrix(layout)
-        y = initial_embedding(layout.m, OptimizerConfig(q=q), layout)
+        y = initial_embedding(layout, OptimizerConfig(q=q))
         steps = peacock.coloring._iterates(y, d, peacock.coloring._prepare(w, d), 300)
         stresses = [s for _, s, _ in steps]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(stresses, stresses[1:]))
@@ -461,21 +473,22 @@ class TestOptimize:
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
         cfg = OptimizerConfig(q=3, max_iters=3)
-        optimize(w, d, cfg, layout)  # leaves out first-call allocations
+        start = initial_embedding(layout, cfg)
+        optimize(w, d, start, cfg)  # leaves out first-call allocations
         tracemalloc.start()
         try:
-            optimize(w, d, cfg, layout)
+            optimize(w, d, start, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert layout.m == 800
         assert peak <= 0.25 * 8 * layout.m**2
 
-    def test_endpoint_projection_needs_layout(self):
-        w = weight_matrix(~np.eye(2, dtype=bool))
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(OptimizationError, match="layout"):
-            optimize(w, d, OptimizerConfig())
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2,)])
+    def test_start_of_wrong_shape_is_refused(self, shape):
+        _, w, d = two_point_instance()
+        with pytest.raises(ValueError, match=r"^start has shape .+, not \(2, 1\)$"):
+            optimize(w, d, np.zeros(shape), OptimizerConfig())
 
     def test_fixture_monotone_colors(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -484,7 +497,8 @@ class TestOptimize:
         layout = ordered_fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        res = optimize(w, d, OptimizerConfig(q=1), layout)
+        cfg = OptimizerConfig(q=1)
+        res = optimize(w, d, initial_embedding(layout, cfg), cfg)
         for ids in ordered_fixture.bundles:
             vals = res.embedding[ids, 0]
             diffs = np.diff(vals)

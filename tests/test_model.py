@@ -241,6 +241,10 @@ ENDS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]
          "^edge 1: non-finite coordinate in v2"),
         ([[0, 0], [1, 1]], [0, 1, 2], ENDS, (("a", 0.0, np.inf),),
          "^node a: non-finite coordinate in position"),
+        ([[0, 0], [1, 1], [0, -1.01e60]], [0, 1, 3], ENDS, (),
+         r"^edge 1: coordinate in controls\[1\] is too large"),
+        ([[0, 0], [1, 1]], [0, 1, 2], [ENDS[0], [[0, 1], [1e307, np.nan]]], (),
+         "^edge 1: non-finite coordinate in v2"),
     ],
 )
 def test_constructor_validates(points, offsets, ends, nodes, message):

@@ -35,7 +35,7 @@ def test_global_mode_beats_baseline(ordered_fixture):
     assert run.result.stress < base_stress
 
 
-@pytest.mark.parametrize("k", [-3, 2])
+@pytest.mark.parametrize("k", [-3, 2, 192])
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("fixture", [
     make_ordered_bundles(6, 6, reverse_last=True, seed=0),
@@ -44,6 +44,8 @@ def test_global_mode_beats_baseline(ordered_fixture):
 def test_scaling_layout_scales_only_stress(fixture, q, k):
     # Scaling by a power of two is exact, and so is every step that follows
     # from it: the fractional threshold, d, and each Guttman transform.
+    # 2**192 takes the largest coordinate to 6.3e59, just below the layout's
+    # bound of 1e60, where no stage may overflow (a warning fails the test).
     layout, s = fixture.layout, 2.0**k
     scaled = GraphLayout(points=layout.points * s, offsets=layout.offsets,
                          ends=layout.ends * s, nodes=layout.nodes)
@@ -87,8 +89,8 @@ def test_stage_outputs_are_read_only(ordered_fixture):
     run = run_peacock(layout, DetectionParams(), OptimizerConfig())
     outputs = [run.table, run.result.embedding, build_dissimilarity_matrix(layout),
                baseline_colors(layout)]
-    for init in ("endpoint-projection", "seeded-random"):
-        outputs.append(initial_embedding(layout.m, OptimizerConfig(init=init), layout))
+    for seed in (None, 0):
+        outputs.append(initial_embedding(layout, OptimizerConfig(seed=seed)))
     assert not any(a.flags.writeable for a in outputs)
 
 
