@@ -4,7 +4,7 @@ Two edges count as bundled (directionally, i against j) when some run of
 consecutive control points of edge i all lie within a distance threshold
 of edge j's control points. The weight matrix holds 1 for bundled
 ordered pairs and a small user tradeoff weight for everything else; it
-is kept as the list of bundled pairs plus that weight.
+is kept as the bundled pairs, that weight and a per-control fan mark.
 
 Detection is one array pass over all control points of the layout: a
 uniform grid yields the point pairs within the threshold, and sorting
@@ -22,12 +22,12 @@ from .model import GraphLayout, layout_extent
 
 # Peak bytes per M x M entry of a run, apart from the optimizer's
 # per-component blocks (see coloring.INVERSE_BYTES_PER_PAIR). Measured as
-# peak RSS above the interpreter's, q = 3: 51.3 B at M = 2000 on a crossing
-# layout with every pair flagged, where detection's per-pair arrays set the
-# peak and no later stage goes higher (the weight matrix keeps 24 B per
-# flagged pair); a chain of M = 2000 edges, each bundled with its
-# neighbours only, holds 9 B after the dissimilarities.
-DENSE_BYTES_PER_PAIR = 56
+# peak RSS above the interpreter's, q = 3: 35.7 B at M = 2000 on a crossing
+# layout with every pair flagged, where the optimizer's reading of the
+# flagged pairs sets the peak, fans-only SVG included (the weight matrix
+# keeps 8 B per flagged pair); a chain of M = 2000 edges, each bundled
+# with its neighbours only, holds 9.7 B after the dissimilarities.
+DENSE_BYTES_PER_PAIR = 39
 
 # Half of an 8 GB machine, leaving the rest to the interpreter, the OS and
 # other processes.
@@ -93,21 +93,21 @@ class BundleWeightMatrix:
     `pairs` holds the flagged ordered pairs (i, j), edge i bundled against
     edge j, as ascending codes i * M + j; flags may be one-way. The weight
     of an ordered pair is 1 where flagged and `epsilon` elsewhere (0 on the
-    diagonal), so no M x M matrix is kept. Row n of `runs` is the
-    (start, end) control index of the first maximal qualifying run of
-    pair n.
+    diagonal), so no M x M matrix is kept. `fans[offsets[i] + s]` is True
+    where segment s of edge i, joining its controls s and s + 1, enters or
+    leaves the first qualifying run of one of i's flagged pairs.
     """
 
     m: int
     epsilon: float
     pairs: np.ndarray
-    runs: np.ndarray
+    fans: np.ndarray
 
     def __post_init__(self):
-        if self.pairs.ndim != 1 or self.runs.shape != (len(self.pairs), 2):
-            raise ValueError("runs must hold one (start, end) row per flagged pair")
+        if self.pairs.ndim != 1 or self.fans.ndim != 1 or self.fans.dtype != bool:
+            raise ValueError("pairs must be 1-D codes and fans a 1-D bool mark")
         self.pairs.setflags(write=False)
-        self.runs.setflags(write=False)
+        self.fans.setflags(write=False)
 
     @property
     def bundled_pair_count(self) -> int:
@@ -180,20 +180,25 @@ def near_pairs(points: np.ndarray, offsets: np.ndarray, t: float):
         yield np.repeat(pts, per_point)[keep], order[at[keep]]
 
 
+def _fans(start, end, c_i):
+    """Fan-in and fan-out segment of runs (start, end) on edges with c_i
+    controls; -1 where the run touches that end of the edge."""
+    return np.where(start > 0, start - 1, -1), np.where(end < c_i - 1, end, -1)
+
+
 def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
-    """Flagged ordered pairs and the first maximal qualifying run of each.
+    """Each batch's flagged ordered pairs and the first maximal qualifying run of each.
 
     A maximal run of edge i against edge j is a longest stretch of
     consecutive controls of i that all lie within t of some control of
     j; it qualifies when its length reaches
-    `required_run_length(C_i, C_j, k_min)`. Returns the pair codes
-    i * M + j in ascending order and their (start, end) control indices as
-    a (P, 2) array.
+    `required_run_length(C_i, C_j, k_min)`. Each batch is the pair codes
+    i * M + j in ascending order, after those of earlier batches, and the
+    (start, end) control indices of their runs.
     """
     m, n = len(offsets) - 1, len(points)
     owner = np.repeat(np.arange(m), np.diff(offsets))
     counts = np.diff(offsets)
-    pairs, runs = [np.empty(0, dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
     for p, q in near_pairs(points, offsets, t):
         # (partner, control) pairs in that order: each run is a stretch of
         # consecutive controls of one edge under one partner.
@@ -209,9 +214,7 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
         ok = stop - start + 1 >= required_run_length(counts[i], counts[j], k_min)
         code, first = np.unique(i[ok] * m + j[ok], return_index=True)
         lo = p[start[ok]][first] - offsets[i[ok]][first]
-        pairs.append(code)
-        runs.append(np.column_stack([lo, lo + (stop - start)[ok][first]]))
-    return np.concatenate(pairs), np.concatenate(runs)
+        yield code, lo, lo + (stop - start)[ok][first]
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
@@ -227,8 +230,14 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
             f"(a run would need about {gb:.1f} GB)"
         )
     t = params.resolve_t(layout)
-    pairs, runs = _detect(layout.points, layout.offsets, t, params.k_min)
-    return BundleWeightMatrix(m=layout.m, epsilon=params.epsilon, pairs=pairs, runs=runs)
+    offsets, counts = layout.offsets, np.diff(layout.offsets)
+    pairs, fans = [np.empty(0, dtype=np.int64)], np.zeros(len(layout.points), dtype=bool)
+    for code, start, end in _detect(layout.points, offsets, t, params.k_min):
+        i = code // layout.m
+        for seg in _fans(start, end, counts[i]):
+            fans[(offsets[i] + seg)[seg >= 0]] = True
+        pairs.append(code)
+    return BundleWeightMatrix(layout.m, params.epsilon, np.concatenate(pairs), fans)
 
 
 def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:

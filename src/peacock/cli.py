@@ -46,12 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic bundled layout")
     gen.add_argument("--style", choices=["ordered", "crossing"], default="ordered")
-    gen.add_argument("--groups", type=_number("--groups", int, lambda v: v >= 1, ">= 1"),
-                     default=6)
-    gen.add_argument("--edges", type=_number("--edges", int, lambda v: v >= 1, ">= 1"),
-                     default=6)
-    gen.add_argument("--bundles", type=_number("--bundles", int, lambda v: v >= 1, ">= 1"),
-                     default=3, help="bundle count for --style crossing")
+    gen.add_argument("--groups", default=6, type=_number(
+        "--groups", int, lambda v: v >= 2 and v % 2 == 0, "even and >= 2"))
+    gen.add_argument("--edges", default=6, type=_number("--edges", int, lambda v: v >= 2, ">= 2"))
+    gen.add_argument("--bundles", default=3, help="bundle count for --style crossing",
+                     type=_number("--bundles", int, lambda v: v >= 2, ">= 2"))
     gen.add_argument("--reverse-last", action="store_true")
     gen.add_argument("--seed", type=_number("--seed", int, lambda v: v >= 0, ">= 0"), default=0)
     gen.add_argument("--out", required=True)

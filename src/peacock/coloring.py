@@ -174,7 +174,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     label = _components(m, a, b)
     sizes = np.bincount(label)
     largest = int(sizes.max())
-    need = (m * m * RESIDENT_BYTES_PER_PAIR + w.pairs.nbytes + w.runs.nbytes
+    need = (m * m * RESIDENT_BYTES_PER_PAIR + w.pairs.nbytes + w.fans.nbytes
             + largest * largest * INVERSE_BYTES_PER_PAIR)
     if need > DENSE_BUDGET:
         raise OptimizationError(

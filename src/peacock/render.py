@@ -2,8 +2,8 @@
 
 Edges are drawn as polylines through their control points (endpoints
 included), each stroked with its assigned color. The fans-only mode
-grays out edge bodies and colors only the segments where an edge enters
-or leaves a bundle, plus its endpoints.
+grays out edge bodies and colors only the segments the weight matrix's
+fan mark holds, where an edge enters or leaves a bundle, plus its endpoints.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ from .model import GraphLayout, layout_extent
 _GRAY = (0.7, 0.7, 0.7)
 _STROKE_WIDTH = 1.5
 _OPACITY = 0.85
-
-
-def _fans(start, end, c_i):
-    """Fan-in and fan-out segment of runs (start, end) on edges with c_i
-    controls; -1 where the run touches that end of the edge."""
-    return np.where(start > 0, start - 1, -1), np.where(end < c_i - 1, end, -1)
 
 
 def _hex(rgb) -> str:
@@ -58,21 +52,18 @@ def _curves(layout: GraphLayout) -> list[list[str]]:
 
 
 def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
-    ii = fans.pairs // fans.m
-    counts = np.diff(layout.offsets)
-    fan_in, fan_out = _fans(fans.runs[:, 0], fans.runs[:, 1], counts[ii])
-    edge = np.concatenate([ii, ii])
-    seg = np.concatenate([fan_in, fan_out])
-    width = counts.max()
-    fan_edge, fan_seg = np.divmod(np.unique(edge[seg >= 0] * width + seg[seg >= 0]), width)
-    bounds = np.searchsorted(fan_edge, np.arange(layout.m + 1))
+    # The marked controls in order, edge i's at bounds[i]:bounds[i + 1], and
+    # the index on its edge of the segment each one starts.
+    marked = np.flatnonzero(fans.fans)
+    bounds = np.searchsorted(marked, layout.offsets).tolist()
+    segs = (marked - np.repeat(layout.offsets[:-1], np.diff(bounds))).tolist()
     curves = _curves(layout)
     parts = [_polyline(c, _GRAY, _STROKE_WIDTH, _OPACITY) for c in curves]
     radius = _fmt(_STROKE_WIDTH * 1.5)
     for i, (curve, ends) in enumerate(zip(curves, layout.ends.tolist())):
         color = colors[i]
         # Segment s joins control points s and s + 1, after v1 in the curve.
-        for s in fan_seg[bounds[i] : bounds[i + 1]]:
+        for s in segs[bounds[i] : bounds[i + 1]]:
             parts.append(_polyline(curve[s + 1 : s + 3], color, _STROKE_WIDTH * 1.5, 1.0))
         for x, y in ends:
             parts.append(
@@ -81,18 +72,18 @@ def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
     return parts
 
 
-def render_svg(
-    layout: GraphLayout, colors, fans: BundleWeightMatrix | None = None
-) -> str:
+def render_svg(layout: GraphLayout, colors, fans: BundleWeightMatrix | None = None) -> str:
     """Deterministic SVG document; one path per edge in id order.
 
-    With `fans`, detection's flagged pairs and runs, edge bodies are gray
-    and only the segments where edges enter or leave a bundle are
-    colored, plus the endpoints.
+    With `fans`, the weight matrix whose per-control fan mark says where
+    edges enter or leave a bundle, edge bodies are gray and only those
+    segments are colored, plus the endpoints.
     """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (layout.m, 3):
         raise ValueError(f"expected {layout.m} RGB triples, got shape {colors.shape}")
+    if fans is not None and len(fans.fans) != len(layout.points):
+        raise ValueError(f"fans has {len(fans.fans)} marks for {len(layout.points)} controls")
 
     min_x, min_y, max_x, max_y = layout.extent
     w, h = layout_extent(layout)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from peacock.bundling import BundleWeightMatrix, required_run_length
+from peacock.bundling import BundleWeightMatrix, _detect, required_run_length
 from peacock.model import GraphLayout
 
 
@@ -52,8 +52,8 @@ def weight_matrix(flags, epsilon=0.0):
     flags = np.array(flags, dtype=bool)
     np.fill_diagonal(flags, False)
     pairs = np.flatnonzero(flags)
-    runs = np.zeros((len(pairs), 2), dtype=np.int64)
-    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, runs=runs)
+    fans = np.zeros(0, dtype=bool)
+    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, fans=fans)
 
 
 def random_instance(rng, m, q, epsilon=0.1):
@@ -134,10 +134,14 @@ def dense_weights(w):
     return weights
 
 
-def runs_by_pair(w):
-    """{(i, j): (start, end)} of every flagged pair of a weight matrix."""
-    pairs = zip(*np.nonzero(dense_flags(w)))
-    return {(int(i), int(j)): tuple(int(v) for v in r) for (i, j), r in zip(pairs, w.runs)}
+def runs_by_pair(layout, t, k_min):
+    """{(i, j): (start, end)} of every pair that detection flags, from the
+    batches of `peacock.bundling._detect`."""
+    runs = {}
+    for code, start, end in _detect(layout.points, layout.offsets, t, k_min):
+        for c, s, e in zip(code.tolist(), start.tolist(), end.tolist()):
+            runs[divmod(c, layout.m)] = (s, e)
+    return runs
 
 
 def oracle_stress(y, weights, d):

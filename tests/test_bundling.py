@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from peacock.bundling import (
     DetectionParams,
     ParameterError,
     _detect,
+    _fans,
     build_weight_matrix,
     dump_bundled_pairs,
     near_pairs,
     required_run_length,
 )
-from peacock.fixtures import make_ordered_bundles
+from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 
 
 def layout_from_points(controls):
@@ -38,9 +40,9 @@ def layout_from_points(controls):
 
 def detect_flags(layout, t, k_min):
     """Detection flags of every ordered pair."""
-    pairs, _ = _detect(layout.points, layout.offsets, t, k_min)
     flags = np.zeros((layout.m, layout.m), dtype=bool)
-    flags.flat[pairs] = True
+    for code, _, _ in _detect(layout.points, layout.offsets, t, k_min):
+        flags.flat[code] = True
     return flags
 
 
@@ -183,6 +185,14 @@ class TestWeightMatrix:
         assert w.bundled_pair_count > 0
         assert held <= 32 * w.bundled_pair_count
 
+    def test_pairs_are_the_only_per_pair_array(self):
+        layout = make_crossing_bundles(4, 10, seed=0).layout
+        w = build_weight_matrix(layout, DetectionParams())
+        arrays = {f.name for f in fields(w) if isinstance(getattr(w, f.name), np.ndarray)}
+        assert arrays == {"pairs", "fans"}
+        assert w.bundled_pair_count == layout.m * (layout.m - 1) > len(layout.points)
+        assert w.fans.nbytes == len(layout.points)
+
     def test_fixture_flags_match_brute_force(self, ordered_fixture):
         w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
         flags = oracle_flags(ordered_fixture.layout, ordered_fixture.t, 0.4)
@@ -290,8 +300,10 @@ def wide_layouts(draw):
 def check_against_oracle(layout, t, k_min):
     w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
     assert (dense_flags(w) == oracle_flags(layout, t, k_min)).all()
+    runs = runs_by_pair(layout, t, k_min)
+    assert list(runs) == [divmod(c, layout.m) for c in w.pairs.tolist()]
     controls = [c for _, _, c in edges_of(layout)]
-    for (i, j), run in runs_by_pair(w).items():
+    for (i, j), run in runs.items():
         k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)
         assert run == oracle_first_run(controls[i], controls[j], t, k_ij)
 
@@ -328,6 +340,35 @@ class TestDetectionProperties:
         b = build_weight_matrix(permuted, params)
         perm = np.array(perm)
         assert (dense_flags(b) == dense_flags(a)[np.ix_(perm, perm)]).all()
-        runs_a = runs_by_pair(a)
-        for (i, j), r in runs_by_pair(b).items():
+        runs_a = runs_by_pair(layout, t, k_min)
+        for (i, j), r in runs_by_pair(permuted, t, k_min).items():
             assert r == runs_a[(perm[i], perm[j])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_layouts())
+    def test_fans_mark_the_fan_segments_of_oracle_runs(self, case):
+        layout, t, k_min = case
+        w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
+        controls = [c for _, _, c in edges_of(layout)]
+        want = np.zeros(len(layout.points), dtype=bool)
+        for i, j in zip(*np.nonzero(oracle_flags(layout, t, k_min))):
+            k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)
+            start, end = oracle_first_run(controls[i], controls[j], t, k_ij)
+            for seg in _fans(start, end, len(controls[i])):
+                if seg >= 0:
+                    want[layout.offsets[i] + seg] = True
+        assert (w.fans == want).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(lattice_layouts(), st.randoms(use_true_random=False))
+    def test_permuting_edge_ids_permutes_fans(self, case, rnd):
+        layout, t, k_min = case
+        perm = list(range(layout.m))
+        rnd.shuffle(perm)
+        permuted = make_layout(edges_of(layout)[p] for p in perm)
+        params = DetectionParams(t_abs=t, t_frac=None, k_min=k_min)
+        a = build_weight_matrix(layout, params)
+        b = build_weight_matrix(permuted, params)
+        for i, p in enumerate(perm):
+            assert (b.fans[permuted.offsets[i] : permuted.offsets[i + 1]]
+                    == a.fans[layout.offsets[p] : layout.offsets[p + 1]]).all()

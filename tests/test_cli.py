@@ -170,6 +170,30 @@ def test_negative_seed_is_usage_error(tmp_path, fixture_file, capsys, command):
     )
 
 
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--edges", "1", ">= 2"),
+    ("--bundles", "1", ">= 2"),
+    ("--groups", "3", "even and >= 2"),
+    ("--groups", "0", "even and >= 2"),
+])
+def test_gen_refuses_what_its_generators_refuse(tmp_path, capsys, flag, value, rule):
+    style = ["--style", "crossing"] if flag == "--bundles" else []
+    assert main(["gen", *style, flag, value, "--out", str(tmp_path / "g.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"peacock gen: error: argument {flag}: {flag} must be {rule}, got {value}"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["--groups", "2", "--edges", "2"],
+    ["--style", "crossing", "--bundles", "2", "--edges", "2"],
+])
+def test_gen_accepts_the_smallest_sizes(tmp_path, args):
+    assert main(["gen", *args, "--out", str(tmp_path / "g.json")]) == 0
+
+
 def test_baseline_builds_the_same_bundles_for_dump_and_fans(tmp_path, fixture_file):
     outs = {}
     for method in ("peacock", "baseline"):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import oracle_flags, runs_by_pair
 
-from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.model import layout_to_dict, load_layout, save_layout
@@ -62,8 +61,7 @@ class TestCrossingBundles:
 
     def test_cross_flags_only_from_the_crossing_cell(self):
         fx = make_crossing_bundles(2, 3, seed=2)
-        w = build_weight_matrix(fx.layout, DetectionParams(t_abs=fx.t, t_frac=None, k_min=fx.k_min))
-        runs = runs_by_pair(w)
+        runs = runs_by_pair(fx.layout, fx.t, fx.k_min)
         center_lo, center_hi = 4, 7  # the central block of each corridor
         for i in fx.bundles[0]:
             for j in fx.bundles[1]:

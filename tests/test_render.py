@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import edges_of, make_layout, runs_by_pair
-from peacock.bundling import DetectionParams, build_weight_matrix, required_run_length
+from peacock.bundling import DetectionParams, _fans, build_weight_matrix, required_run_length
 from peacock.coloring import OptimizerConfig, colors_to_display
 from peacock.fixtures import make_crossing_bundles
 from peacock.pipeline import run_peacock
-from peacock.render import _fans, render_svg
+from peacock.render import render_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,10 +24,9 @@ def line_edge(xs, y):
 def fans_of(layout, t, k_min=1.0):
     """{(i, j): (run_start, run_end, fan_in, fan_out)} of every flagged pair,
     with None where a run touches that end of its edge."""
-    w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
     counts = np.diff(layout.offsets)
     out = {}
-    for (i, j), (start, end) in runs_by_pair(w).items():
+    for (i, j), (start, end) in runs_by_pair(layout, t, k_min).items():
         fan_in, fan_out = (int(s) for s in _fans(start, end, counts[i]))
         out[i, j] = (start, end, fan_in if fan_in >= 0 else None, fan_out if fan_out >= 0 else None)
     return out
@@ -122,3 +123,26 @@ class TestRenderSvg:
         svg = render_svg(layout, colors_to_display(run.table), fans=run.weights)
         golden = DATA / "crossing_fans_golden.svg"
         assert svg == golden.read_text()
+
+    def test_fans_only_heap_peak(self):
+        # Every one of the 159,600 ordered pairs is flagged; the fan path
+        # reads one mark per control point, never a per-pair array.
+        layout = make_crossing_bundles(8, 50, seed=0).layout
+        w = build_weight_matrix(layout, DetectionParams())
+        rgb = np.full((layout.m, 3), 0.5)
+        render_svg(layout, rgb, w)  # leaves out first-call allocations
+        tracemalloc.start()
+        try:
+            render_svg(layout, rgb, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_fans_of_another_layout_refused(self, ordered_fixture):
+        layout = ordered_fixture.layout
+        other = make_layout([line_edge(range(5), 0.0), line_edge(range(5), 0.2)])
+        w = build_weight_matrix(other, DetectionParams())
+        with pytest.raises(ValueError) as err:
+            render_svg(layout, np.zeros((layout.m, 3)), fans=w)
+        assert str(err.value) == f"fans has 10 marks for {len(layout.points)} controls"
