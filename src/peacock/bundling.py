@@ -13,29 +13,31 @@ the resulting (partner edge, control) pairs yields every maximal run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GraphLayout, layout_extent
 
-# Peak bytes per M x M entry of a run, apart from the optimizer's
-# per-component blocks (see coloring.INVERSE_BYTES_PER_PAIR). Measured as
-# peak RSS above the interpreter's, q = 3: 35.7 B at M = 2000 on a crossing
-# layout with every pair flagged, where the optimizer's reading of the
-# flagged pairs sets the peak, fans-only SVG included (the weight matrix
-# keeps 8 B per flagged pair); a chain of M = 2000 edges, each bundled
-# with its neighbours only, holds 9.7 B after the dissimilarities.
-DENSE_BYTES_PER_PAIR = 39
+# The memory model of a run: at its peak it holds about
+# BYTES_PER_ENTRY * M^2 + BYTES_PER_PAIR * P + BYTES_PER_BLOCK_ENTRY * c^2
+# bytes, P being the flagged ordered pairs and c the edges of the largest
+# component of the optimizer's residual graph (see coloring._prepare).
+# Fitted to the growth of VmHWM over `peacock color --dims 3` (2 vCPU,
+# OpenBLAS) on three layouts at M = 1000, 2000 and 3000, bounding each
+# run by >= 5%: a crossing with every pair flagged (P = M(M - 1), c = 1),
+# the same plus one far edge (so every crossing pair is a residual pair,
+# c = M - 1) and a chain of edges bundled with their neighbours only
+# (c = M). The first two terms also bound the peak before the optimizer's
+# check, which the residual pairs derived from the flagged ones set; the
+# M = 1000 runs, where a few MB do not grow with M, set all three figures.
+BYTES_PER_ENTRY = 16
+BYTES_PER_PAIR = 44
+BYTES_PER_BLOCK_ENTRY = 50
 
 # Half of an 8 GB machine, leaving the rest to the interpreter, the OS and
 # other processes.
 DENSE_BUDGET = 4 * 2**30
-
-# Largest M whose dense dissimilarities and flagged pairs fit in
-# DENSE_BUDGET.
-MAX_DENSE_EDGES = math.isqrt(DENSE_BUDGET // DENSE_BYTES_PER_PAIR)
 
 # Candidate point pairs examined per batch. Batches hold whole edges, so
 # transient memory is bounded by this budget or by one edge's candidates.
@@ -44,7 +46,23 @@ PAIR_BUDGET = 1 << 16
 
 
 class ParameterError(ValueError):
-    """Invalid detection or tradeoff parameter."""
+    """Invalid detection or tradeoff parameter, or a run too large for
+    DENSE_BUDGET."""
+
+
+def check_budget(m: int, pairs: int, largest: int) -> int:
+    """The bytes a run of m edges needs at its peak with `pairs` flagged
+    ordered pairs and a largest residual component of `largest` edges,
+    refused with ParameterError over DENSE_BUDGET."""
+    need = (BYTES_PER_ENTRY * m * m + BYTES_PER_PAIR * pairs
+            + BYTES_PER_BLOCK_ENTRY * largest * largest)
+    if need > DENSE_BUDGET:
+        raise ParameterError(
+            f"M={m} edges, P={pairs} flagged pairs and a largest component of "
+            f"c={largest} edges would need about {need / 1e9:.1f} GB, over the "
+            f"{DENSE_BUDGET / 1e9:.1f} GB budget"
+        )
+    return need
 
 
 @dataclass(frozen=True)
@@ -221,14 +239,10 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
     """Run pairwise detection for every ordered pair and apply the tradeoff.
 
     The run goes on to build M x M dissimilarities, so this first stage
-    refuses a layout too large for them before doing any work.
+    refuses, before any work, a layout too large for them with every pair
+    flagged.
     """
-    if layout.m > MAX_DENSE_EDGES:
-        gb = layout.m**2 * DENSE_BYTES_PER_PAIR / 1e9
-        raise ParameterError(
-            f"M={layout.m} edges exceeds the dense limit of {MAX_DENSE_EDGES} "
-            f"(a run would need about {gb:.1f} GB)"
-        )
+    check_budget(layout.m, layout.m * (layout.m - 1), 0)
     t = params.resolve_t(layout)
     offsets, counts = layout.offsets, np.diff(layout.offsets)
     pairs, fans = [np.empty(0, dtype=np.int64)], np.zeros(len(layout.points), dtype=bool)

@@ -9,10 +9,10 @@ from pathlib import Path
 
 from . import fixtures
 from .baseline import baseline_colors
-from .bundling import DetectionParams, ParameterError, build_weight_matrix, dump_bundled_pairs
-from .coloring import OptimizationError, OptimizerConfig, colors_to_display
+from .bundling import DetectionParams, build_weight_matrix, dump_bundled_pairs
+from .coloring import OptimizerConfig, colors_to_display
 from .model import LayoutError, load_layout, save_layout
-from .pipeline import StageError, read_rgb, run_peacock, write_color_dump
+from .pipeline import StageError, read_rgb, run_peacock, timed, write_color_dump
 from .render import render_svg
 
 EXIT_OK = 0
@@ -116,8 +116,9 @@ def _cmd_color(args) -> int:
 
     if args.method == "baseline":
         table, result = baseline_colors(layout), None
-        wanted = args.dump_bundles or args.fans_only
-        weights = build_weight_matrix(layout, params) if wanted else None
+        weights = None
+        if args.dump_bundles or args.fans_only:
+            weights = timed({}, "bundling", lambda: build_weight_matrix(layout, params))
     else:
         cfg = OptimizerConfig(q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
                               seed=args.seed)
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"peacock: error {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (LayoutError, ParameterError, OptimizationError, OSError, ValueError) as exc:
+    except (LayoutError, OSError, ValueError) as exc:
         print(f"peacock: error [{args.command}] {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -41,22 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import DENSE_BUDGET, PAIR_BUDGET, BundleWeightMatrix
+from .bundling import PAIR_BUDGET, BundleWeightMatrix, check_budget
 from .dissimilarity import distances, upper_row_blocks
 from .model import GraphLayout
 
 _TINY = 1e-30
-
-# Peak bytes while the largest component's c x c blocks are built:
-# RESIDENT per M x M entry for d and the interpreter's growth by then, on
-# top of the weight matrix's own arrays; INVERSE per c x c entry for the
-# residual weights, the block, LAPACK's copies, the inverse and the
-# gathered dissimilarities. Measured as peak RSS above the interpreter's on
-# a chain of edges each bundled with its neighbours only, one component of
-# all M edges, q = 3: 8.7-8.8 B per entry after the dissimilarities and
-# 50.9-51.5 B at the peak, at M = 2000 and 3000.
-RESIDENT_BYTES_PER_PAIR = 9
-INVERSE_BYTES_PER_PAIR = 44
 
 # The cap on the S3 step length starts at 1 and grows by this factor each
 # time the step reaches it (Varadhan & Roland's step-length control).
@@ -149,8 +138,9 @@ def _residual_pairs(w: BundleWeightMatrix):
 
 
 def _prepare(w: BundleWeightMatrix, d: np.ndarray):
-    """Everything `_smacof_step` needs besides d: (u, sum of d_ij^2 over
-    i < j, blocks).
+    """Everything `_smacof_step` needs besides d, and the scale of its
+    stress: (u, sum of d_ij^2 over i < j, blocks, the stress of the
+    embedding collapsed to one point).
 
     With u the smallest symmetrized pair weight, V = u (M I - J) + L_R, L_R
     being the Laplacian of the residual weights w_ij + w_ji - u, which
@@ -173,15 +163,9 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         raise OptimizationError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
     sizes = np.bincount(label)
-    largest = int(sizes.max())
-    need = (m * m * RESIDENT_BYTES_PER_PAIR + w.pairs.nbytes + w.fans.nbytes
-            + largest * largest * INVERSE_BYTES_PER_PAIR)
-    if need > DENSE_BUDGET:
-        raise OptimizationError(
-            f"{largest} of the {m} edges form one bundle component; inverting "
-            f"its block would need about {need / 1e9:.1f} GB"
-        )
+    check_budget(m, len(w.pairs), int(sizes.max()))
     d2 = 0.5 * float(np.vdot(d, d))
+    collapsed = u * d2
     size = sizes[label]
     order = np.lexsort((label, size))
     rank = np.empty(m, dtype=np.int64)
@@ -200,10 +184,14 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         block[:, diag, diag] = res.sum(axis=2) + u * m
         block += 1.0 / c
         inv = np.linalg.inv(block)
-        del block
         inv -= 1.0 / (c * (u * m + 1.0))
-        blocks.append((idx, inv, res, d[idx[:, :, None], idx[:, None, :]]))
-    return u, d2, blocks
+        dist = d[idx[:, :, None], idx[:, None, :]]
+        np.multiply(dist, dist, out=block)
+        block *= res
+        collapsed += 0.5 * block.sum()
+        del block
+        blocks.append((idx, inv, res, dist))
+    return u, d2, blocks, float(collapsed)
 
 
 def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
@@ -224,7 +212,7 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     a component's mean by mean_k(S) / M if u > 0 and not at all if u = 0;
     `_prepare`'s block inverse gives the rest.
     """
-    u, d2, blocks = plan
+    u, d2, blocks, _ = plan
     m = len(y)
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
@@ -348,16 +336,6 @@ def initial_embedding(layout: GraphLayout, cfg: OptimizerConfig) -> np.ndarray:
     return y
 
 
-def _collapsed_stress(plan) -> float:
-    """The stress of the embedding collapsed to one point, sum of w d^2
-    over ordered pairs: the scale of the stress sum's rounding error."""
-    u, d2, blocks = plan
-    s = u * d2
-    for _, _, res, dist in blocks:
-        s += 0.5 * (dist * dist * res).sum()
-    return float(s)
-
-
 def _iterates(y: np.ndarray, d: np.ndarray, plan, max_iters: int):
     """The accepted iterates of accelerated SMACOF from y, as (iterate,
     its stress, Guttman transforms taken so far); the first is y itself.
@@ -420,7 +398,7 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is
             # noise. That sum's scale is the stress of the collapsed embedding.
-            noise = w.m * w.m * np.finfo(float).eps * _collapsed_stress(plan)
+            noise = w.m * w.m * np.finfo(float).eps * plan[3]
             stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
             break

@@ -45,10 +45,6 @@ def _corridor(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return a[None, :] * (1 - steps) + b[None, :] * steps
 
 
-def _jittered_controls(waypoints: np.ndarray, amp: float, rng) -> np.ndarray:
-    return waypoints + rng.uniform(-amp, amp, size=waypoints.shape)
-
-
 def _layout(ends, controls, nodes) -> GraphLayout:
     """The layout whose edge i has endpoints `ends[i]` and control points `controls[i]`."""
     return GraphLayout(
@@ -113,7 +109,7 @@ def make_ordered_bundles(
         for k in range(n):
             dst_k = (n - 1 - k) if reverse else k
             ends.append((node_pos(src_g, k), node_pos(dst_g, dst_k)))
-            controls.append(_jittered_controls(waypoints, amp, rng))
+            controls.append(waypoints + rng.uniform(-amp, amp, size=waypoints.shape))
             ids.append(b * n + k)
             ranks.append(k)
         bundles.append(ids)
@@ -124,14 +120,9 @@ def make_ordered_bundles(
             nodes.append((f"g{g}n{k}", *node_pos(g, k).tolist()))
 
     layout = _layout(ends, controls, nodes)
-
-    m = layout.m
-    flags = np.zeros((m, m), dtype=bool)
-    for ids in bundles:
-        for i in ids:
-            for j in ids:
-                if i != j:
-                    flags[i, j] = True
+    label = np.repeat(np.arange(n_bundles), n)  # edge b * n + k is in bundle b
+    flags = label[:, None] == label[None, :]
+    np.fill_diagonal(flags, False)
 
     w, h = layout_extent(layout)
     return FixtureResult(
@@ -185,7 +176,7 @@ def make_crossing_bundles(
             src = -length * direction + off
             dst = length * direction + off
             ends.append((src, dst))
-            controls.append(_jittered_controls(waypoints, amp, rng))
+            controls.append(waypoints + rng.uniform(-amp, amp, size=waypoints.shape))
             nodes.append((f"b{b}s{k}", *src.tolist()))
             nodes.append((f"b{b}t{k}", *dst.tolist()))
             ids.append(b * n + k)

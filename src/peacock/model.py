@@ -80,7 +80,8 @@ def _check_coordinates(points, offsets, ends) -> None:
     """Raise naming the first edge, and its first point, with a coordinate
     that is not finite, or else beyond 1e60 in magnitude: the pipeline's
     highest power of a coordinate is the 4th (`coloring._standardize` squares
-    hx²), and 1e60^4 summed over `bundling.MAX_DENSE_EDGES` rows is < 1e245."""
+    hx²), and 1e60^4 summed over the most edges `bundling.check_budget`
+    admits is < 1e245."""
     for ok, problem in ((np.isfinite, "non-finite coordinate in {}"),
                         (lambda a: np.abs(a) <= 1e60, "coordinate in {} is too large")):
         bad_ends = ~ok(ends).all(axis=2)

@@ -39,7 +39,9 @@ class Run:
     stage_seconds: dict
 
 
-def _timed(stage_seconds: dict, stage: str, fn):
+def timed(stage_seconds: dict, stage: str, fn):
+    """fn(), its wall time recorded in `stage_seconds` under `stage`; a
+    failure is raised again as a StageError naming the stage."""
     start = time.perf_counter()
     try:
         result = fn()
@@ -51,11 +53,11 @@ def _timed(stage_seconds: dict, stage: str, fn):
 
 def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConfig) -> Run:
     seconds: dict = {}
-    w = _timed(seconds, "bundling", lambda: build_weight_matrix(layout, params))
-    d = _timed(seconds, "dissimilarity", lambda: build_dissimilarity_matrix(layout))
-    result = _timed(seconds, "optimize",
-                    lambda: optimize(w, d, initial_embedding(layout, cfg), cfg))
-    table = _timed(seconds, "normalize", lambda: normalize_colors(result.embedding, w))
+    w = timed(seconds, "bundling", lambda: build_weight_matrix(layout, params))
+    d = timed(seconds, "dissimilarity", lambda: build_dissimilarity_matrix(layout))
+    result = timed(seconds, "optimize",
+                   lambda: optimize(w, d, initial_embedding(layout, cfg), cfg))
+    table = timed(seconds, "normalize", lambda: normalize_colors(result.embedding, w))
     return Run(w, result, table, seconds)
 
 

@@ -203,15 +203,17 @@ def oracle_dissimilarity(layout):
 
 def oracle_prepare(w, d):
     """A stand-in for `peacock.coloring._prepare`: u, the smallest
-    symmetrized weight, and one block of all M edges holding the SVD
-    pseudo-inverse of the Laplacian V and the residual weights."""
+    symmetrized weight, one block of all M edges holding the SVD
+    pseudo-inverse of the Laplacian V and the residual weights, and the
+    stress of the collapsed embedding, sum of w d^2 over ordered pairs."""
     w_sym = dense_weights(w) + dense_weights(w).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     u = w_sym[~np.eye(w.m, dtype=bool)].min() if w.m > 1 else 0.0
     res = w_sym - u
     np.fill_diagonal(res, 0.0)
     idx = np.arange(w.m)[None, :]
-    return u, 0.5 * (d * d).sum(), [(idx, np.linalg.pinv(v)[None], res[None], d[None])]
+    blocks = [(idx, np.linalg.pinv(v)[None], res[None], d[None])]
+    return u, 0.5 * (d * d).sum(), blocks, (dense_weights(w) * d * d).sum()
 
 
 def oracle_smacof_step(y, w, d):

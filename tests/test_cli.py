@@ -16,7 +16,8 @@ from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.cli import build_parser, main
 from peacock.coloring import OptimizerConfig, normalize_colors, optimize
 from peacock.dissimilarity import build_dissimilarity_matrix
-from peacock.model import load_layout
+from peacock.fixtures import make_crossing_bundles
+from peacock.model import GraphLayout, load_layout, save_layout
 
 DATA = Path(__file__).parent / "data"
 
@@ -240,13 +241,20 @@ def test_summary_names_stop_reason(fixture_file, capsys, extra, reason):
     assert re.fullmatch(pattern, out).group(1) == reason
 
 
-def test_oversize_layout_fails_in_bundling(fixture_file, capsys, monkeypatch):
-    monkeypatch.setattr(peacock.bundling, "MAX_DENSE_EDGES", 17)
-    assert main(["color", "--input", str(fixture_file)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("peacock: error [bundling] M=18 edges exceeds")
-    assert captured.err.count("\n") == 1
+@pytest.mark.parametrize("method", ["peacock", "baseline"])
+def test_oversize_layout_fails_in_bundling(tmp_path, fixture_file, capsys, monkeypatch, method):
+    # One byte short of what M = 18 needs with every pair flagged; the
+    # refusal comes before detection.
+    short = peacock.bundling.check_budget(18, 18 * 17, 0) - 1
+    monkeypatch.setattr(peacock.bundling, "DENSE_BUDGET", short)
+    monkeypatch.setattr(peacock.bundling, "_detect", None)
+    outs = {flag: tmp_path / f"out{n}" for n, flag in
+            enumerate(["--out-colors", "--out-svg", "--dump-bundles"])}
+    argv = ["color", "--input", str(fixture_file), "--method", method, "--fans-only"]
+    assert main(argv + [str(a) for pair in outs.items() for a in pair]) == 1
+    one_error_line(capsys, "peacock: error [bundling] M=18 edges, P=306 flagged pairs "
+                           "and a largest component of c=0 edges would need about")
+    assert not any(path.exists() for path in outs.values())
 
 
 @pytest.fixture
@@ -331,15 +339,70 @@ def test_runs_without_importing_scipy(tmp_path):
                          "--fans-only", "--dump-bundles", out + ".bundles.json"]) == 0
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """
-    src = str(Path(peacock.bundling.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "g.json"), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def child_env():
+    """The environment of a child interpreter that imports this peacock."""
+    src = str(Path(peacock.bundling.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def has_vmhwm():
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("far_edge, pairs, largest", [
+    (False, 1000 * 999, 1),  # every pair flagged both ways: no residual pair
+    (True, 1000 * 999, 1000),  # u = 2 epsilon: every flagged pair is residual
+], ids=["every-pair-flagged", "one-far-edge"])
+def test_memory_model_bounds_peak(tmp_path, far_edge, pairs, largest):
+    # The growth of the child's peak RSS over one run, against the bytes
+    # that the optimizer's budget check computed for that run.
+    script = """if True:
+        import sys
+        import peacock.coloring
+        from peacock.cli import main
+
+        def hwm():
+            with open("/proc/self/status") as fh:
+                return next(int(s.split()[1]) * 1024 for s in fh if s.startswith("VmHWM:"))
+
+        seen = []
+        check = peacock.coloring.check_budget
+        peacock.coloring.check_budget = lambda *args: seen.append((*args, check(*args)))
+        base = hwm()
+        assert main(["color", "--input", sys.argv[1], "--t-abs", "6", "--dims", "3",
+                     "--max-iters", "3"]) == 0
+        print(*seen[0], hwm() - base)
+    """
+    layout = make_crossing_bundles(20, 50).layout
+    if far_edge:
+        controls = np.column_stack([np.linspace(1000, 1100, 12), np.full(12, 1000.0)])
+        layout = GraphLayout(
+            points=np.concatenate([layout.points, controls]),
+            offsets=np.append(layout.offsets, len(layout.points) + 12),
+            ends=np.concatenate([layout.ends, [[controls[0], controls[-1]]]]),
+        )
+    path = tmp_path / "g.json"
+    save_layout(layout, path)
+    done = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    m, p, c, need, growth = map(int, done.stdout.splitlines()[-1].split())
+    assert (m, p, c) == (layout.m, pairs, largest)
+    assert growth <= need
 
 
 def one_error_line(capsys, prefix):

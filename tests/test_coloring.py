@@ -25,8 +25,9 @@ from conftest import (
     weight_matrix,
 )
 
+import peacock.bundling
 import peacock.coloring
-from peacock.bundling import DetectionParams, build_weight_matrix
+from peacock.bundling import DetectionParams, ParameterError, build_weight_matrix
 from peacock.coloring import (
     OptimizationError,
     OptimizerConfig,
@@ -156,6 +157,12 @@ def assert_matches_pinv(y, w, d):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+def assert_collapsed_stress(w, d):
+    # The plan's stress scale is sum of w d^2 over ordered pairs.
+    want = (dense_weights(w) * d * d).sum()
+    assert abs(peacock.coloring._prepare(w, d)[3] - want) <= 1e-12 * want
+
+
 class TestPrepare:
     """The block inverses of u M I + L_R against the SVD pseudo-inverse of V."""
 
@@ -163,6 +170,7 @@ class TestPrepare:
         for seed in range(20):
             y, w, d = random_instance(np.random.default_rng(seed), m=12, q=2, epsilon=0.1)
             assert_matches_pinv(y, w, d)
+            assert_collapsed_stress(w, d)
 
     def test_random_instance_several_components(self):
         n_components = []
@@ -171,7 +179,8 @@ class TestPrepare:
             if not dense_flags(w).any():
                 continue
             assert_matches_pinv(y, w, d)
-            _, _, blocks = peacock.coloring._prepare(w, d)
+            assert_collapsed_stress(w, d)
+            _, _, blocks, _ = peacock.coloring._prepare(w, d)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -188,7 +197,7 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
-        _, _, blocks = peacock.coloring._prepare(w, d)
+        _, _, blocks, _ = peacock.coloring._prepare(w, d)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d)
 
@@ -232,10 +241,12 @@ class TestPrepare:
         flags = np.zeros((m, m), dtype=bool)
         flags[np.arange(m - 1), np.arange(1, m)] = True
         w = weight_matrix(flags, 0.01)
-        dense = m * m * peacock.coloring.RESIDENT_BYTES_PER_PAIR
-        monkeypatch.setattr(peacock.coloring, "DENSE_BUDGET", dense + 1)
+        # Everything but the block fits.
+        budget = peacock.bundling.check_budget(m, len(w.pairs), 1)
+        monkeypatch.setattr(peacock.bundling, "DENSE_BUDGET", budget)
         monkeypatch.setattr(np.linalg, "inv", None)
-        with pytest.raises(OptimizationError, match="20 of the 20 edges form one bundle"):
+        with pytest.raises(ParameterError, match="M=20 edges, P=19 flagged pairs and a largest "
+                                              "component of c=20 edges"):
             peacock.coloring._prepare(w, np.zeros((m, m)))
 
 
