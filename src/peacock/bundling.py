@@ -6,9 +6,11 @@ of edge j's control points. The weight matrix holds 1 for bundled
 ordered pairs and a small user tradeoff weight for everything else; it
 is kept as the bundled pairs, that weight and a per-control fan mark.
 
-Detection is one array pass over all control points of the layout: a
-uniform grid yields the point pairs within the threshold, and sorting
-the resulting (partner edge, control) pairs yields every maximal run.
+Detection is one array pass over the control points of the layout, a
+batch of whole edges at a time: a uniform grid marks, in a bitmap of
+partner edge by control, which controls lie within the threshold of
+which other edges, and the bitmap read row by row yields every maximal
+run.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ DENSE_BUDGET = 4 * 2**30
 # transient memory is bounded by this budget or by one edge's candidates.
 # Later stages read the flagged pairs in batches of the same size.
 PAIR_BUDGET = 1 << 16
+
+# Bytes of the (M, controls) hit map of one detection batch, unless one
+# edge needs more.
+HIT_BUDGET = 1 << 20
 
 
 class ParameterError(ValueError):
@@ -140,8 +146,8 @@ def required_run_length(c_i, c_j, k_min: float):
 def _grid(points: np.ndarray, t: float):
     """Bucket points into square cells and find each cell's 3x3 neighbourhood.
 
-    Returns the points in cell order, each point's cell, and per cell the
-    start and size, in that order, of its nine neighbour cells (size 0
+    Returns the points in cell order, each point's cell, each cell's start
+    and size in that order, and per cell its nine neighbour cells (-1
     where a neighbour holds no point).
     """
     # The margin over t absorbs the rounding of (x - origin) / cell, so
@@ -161,41 +167,15 @@ def _grid(points: np.ndarray, t: float):
     nkey = nx * len(uy) + ny
     at = np.minimum(np.searchsorted(keys, nkey), len(keys) - 1)
     found = (ux[nx] - ux[cx] == dx) & (uy[ny] - uy[cy] == dy) & (keys[at] == nkey)
-    starts = np.cumsum(sizes) - sizes
-    return order, cell_of, starts[at], np.where(found, sizes[at], 0)
+    return order, cell_of, np.cumsum(sizes) - sizes, sizes, np.where(found, at, -1)
 
 
-def near_pairs(points: np.ndarray, offsets: np.ndarray, t: float):
-    """Yield, one batch of whole edges at a time, the point pairs (p, q)
-    with p in the batch, q on another edge, and |p - q| <= t.
-
-    `offsets` delimits the points of each edge; the distance test is the
-    exact `dx*dx + dy*dy <= t*t`.
-    """
-    if t <= 0:
-        raise ParameterError("t must be > 0")
-    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    order, cell_of, lo, width = _grid(points, t)
-    x, y = points[:, 0], points[:, 1]
-    xs, ys, owner_s = x[order], y[order], owner[order]
-    cum = np.cumsum(np.add.reduceat(width.sum(axis=1)[cell_of], offsets[:-1]))
-    first = 0
-    while first < len(cum):
-        base = cum[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(cum, base + PAIR_BUDGET, side="right")))
-        pts = np.arange(offsets[first], offsets[last])
-        first = last
-
-        # Positions, in cell order, of every point of the nine neighbour
-        # cells of each point in the batch.
-        n = width[cell_of[pts]].ravel()
-        ends = np.cumsum(n)
-        at = np.repeat(lo[cell_of[pts]].ravel() - (ends - n), n) + np.arange(ends[-1])
-        per_point = n.reshape(-1, 9).sum(axis=1)
-        dx = xs[at] - np.repeat(x[pts], per_point)
-        dy = ys[at] - np.repeat(y[pts], per_point)
-        keep = (dx * dx + dy * dy <= t * t) & (owner_s[at] != np.repeat(owner[pts], per_point))
-        yield np.repeat(pts, per_point)[keep], order[at[keep]]
+def _spans(lo, size, cells):
+    """Positions lo[c] to lo[c] + size[c] - 1 of each of `cells` in turn,
+    and how many each cell gave."""
+    n = size[cells]
+    ends = np.cumsum(n)
+    return np.repeat(lo[cells] - (ends - n), n) + np.arange(n.sum()), n
 
 
 def _fans(start, end, c_i):
@@ -213,26 +193,66 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
     `required_run_length(C_i, C_j, k_min)`. Each batch is the pair codes
     i * M + j in ascending order, after those of earlier batches, and the
     (start, end) control indices of their runs.
+
+    A batch of whole edges, controls p0:p1, fills an (M, p1 - p0) map of
+    which controls lie within t of some control of which partner edge,
+    read row by row; a control is within t of every control in a grid
+    cell when it is within t of the far corner of the cell's bounding
+    box, since rounded subtraction, squaring and addition are monotone.
     """
-    m, n = len(offsets) - 1, len(points)
-    owner = np.repeat(np.arange(m), np.diff(offsets))
-    counts = np.diff(offsets)
-    for p, q in near_pairs(points, offsets, t):
-        # (partner, control) pairs in that order: each run is a stretch of
-        # consecutive controls of one edge under one partner.
-        if not p.size:
+    if t <= 0:
+        raise ParameterError("t must be > 0")
+    m, counts = len(offsets) - 1, np.diff(offsets)
+    owner = np.repeat(np.arange(m), counts)
+    edge_start = np.bincount(offsets[:-1], minlength=len(points)) > 0
+    order, cell_of, lo, size, nbr = _grid(points, t)
+    x, y = points[:, 0], points[:, 1]
+    xs, ys, owner_s = x[order], y[order], owner[order]
+    box = [f.reduceat(v, lo) for v in (xs, ys) for f in (np.minimum, np.maximum)]
+    # Each cell's distinct edges: points keep edge order within a cell.
+    new = np.concatenate(([True], owner_s[1:] != owner_s[:-1]))
+    new[lo] = True
+    cell_edges, n_edges = owner_s[new], np.add.reduceat(new, lo)
+    edges_lo = np.cumsum(n_edges) - n_edges
+    cand = np.where(nbr >= 0, size[nbr], 0).sum(axis=1)
+    cum = np.cumsum(np.add.reduceat(cand[cell_of], offsets[:-1]))
+    first = 0
+    while first < m:
+        base = cum[first - 1] if first else 0
+        last = min(np.searchsorted(cum, base + PAIR_BUDGET, side="right"),
+                   np.searchsorted(offsets, offsets[first] + HIT_BUDGET // m, side="right") - 1)
+        last = max(first + 1, int(last))
+        p0, p1 = offsets[first], offsets[last]
+        first, w = last, p1 - p0
+        hit = np.zeros(m * w, dtype=bool)
+        col, slot = np.nonzero(nbr[cell_of[p0:p1]] >= 0)
+        c = nbr[cell_of[p0 + col], slot]
+        px, py = x[p0 + col], y[p0 + col]
+        dx = np.maximum(np.abs(box[0][c] - px), np.abs(box[1][c] - px))
+        dy = np.maximum(np.abs(box[2][c] - py), np.abs(box[3][c] - py))
+        whole = dx * dx + dy * dy <= t * t
+        at, n = _spans(edges_lo, n_edges, c[whole])
+        hit[cell_edges[at] * w + np.repeat(col[whole], n)] = True
+        part = ~whole
+        at, n = _spans(lo, size, c[part])
+        dx, dy = xs[at] - np.repeat(px[part], n), ys[at] - np.repeat(py[part], n)
+        near = np.flatnonzero(dx * dx + dy * dy <= t * t)
+        hit[owner_s[at[near]] * w + np.repeat(col[part], n)[near]] = True
+        hit[owner[p0:p1] * w + np.arange(w)] = False
+
+        # Row j of the map, in order, holds each run of an edge against
+        # partner j; every row starts at an edge's first control.
+        code = np.flatnonzero(hit)
+        if not code.size:
             continue
-        code = np.sort(owner[q] * n + p)
-        code = code[np.concatenate(([True], np.diff(code) != 0))]
-        j, p = np.divmod(code, n)
-        cut = (np.diff(code) != 1) | (np.diff(owner[p]) != 0)
-        start = np.flatnonzero(np.concatenate(([True], cut)))
+        p = code % w + p0
+        start = np.flatnonzero((np.diff(code, prepend=-2) != 1) | edge_start[p])
         stop = np.append(start[1:], len(p)) - 1
-        i, j = owner[p[start]], j[start]
+        i, j = owner[p[start]], code[start] // w
         ok = stop - start + 1 >= required_run_length(counts[i], counts[j], k_min)
-        code, first = np.unique(i[ok] * m + j[ok], return_index=True)
-        lo = p[start[ok]][first] - offsets[i[ok]][first]
-        yield code, lo, lo + (stop - start)[ok][first]
+        code, first_run = np.unique(i[ok] * m + j[ok], return_index=True)
+        lo_run = p[start[ok]][first_run] - offsets[i[ok]][first_run]
+        yield code, lo_run, lo_run + (stop - start)[ok][first_run]
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:

@@ -171,7 +171,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
     blocks = []
-    for c in np.unique(size):
+    for c in np.flatnonzero(np.bincount(size)):
         idx = order[size[order] == c].reshape(-1, c)
         inside = size[a] == c
         first = rank[idx[0, 0]]
@@ -426,16 +426,29 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     if len(y) != w.m:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
-    # both ends of each flagged pair; both are exact in any order.
-    lo, hi = y.T.copy(), y.T.copy()
+    # both ends of each flagged pair: each batch is reduced over its codes
+    # i * M + j, grouped by i, and over the codes j * M + i, sorted to group
+    # them by j. Both are exact in any order. The arithmetic works in place
+    # where it can, as faulting in fresh arrays costs more than it does.
+    yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
     for start in range(0, len(w.pairs), PAIR_BUDGET):
-        i, j = np.divmod(w.pairs[start : start + PAIR_BUDGET], w.m)
-        alone[i] = alone[j] = False
-        for a, b in ((i, j), (j, i)):
-            for dim in range(y.shape[1]):
-                np.minimum.at(lo[dim], a, y[b, dim])
-                np.maximum.at(hi[dim], a, y[b, dim])
+        ij = w.pairs[start : start + PAIR_BUDGET]
+        i = ij // w.m
+        j = ij - i * w.m
+        ji = j * w.m
+        ji += i
+        ji.sort()
+        j_sorted = ji // w.m
+        ji -= j_sorted * w.m  # the i of each entry of j_sorted
+        for a, b in (i, j), (j_sorted, ji):
+            head = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+            a = a[head]
+            alone[a] = False
+            for y_d, lo_d, hi_d in zip(yt, lo, hi):
+                y_b = y_d[b]
+                lo_d[a] = np.minimum(lo_d[a], np.minimum.reduceat(y_b, head))
+                hi_d[a] = np.maximum(hi_d[a], np.maximum.reduceat(y_b, head))
     lo, hi = lo.T, hi.T
     lo[alone] = y.min(axis=0)
     hi[alone] = y.max(axis=0)

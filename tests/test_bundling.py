@@ -19,6 +19,7 @@ from conftest import (
     runs_by_pair,
 )
 
+from peacock import bundling
 from peacock.bundling import (
     DetectionParams,
     ParameterError,
@@ -26,7 +27,6 @@ from peacock.bundling import (
     _fans,
     build_weight_matrix,
     dump_bundled_pairs,
-    near_pairs,
     required_run_length,
 )
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
@@ -46,12 +46,11 @@ def detect_flags(layout, t, k_min):
     return flags
 
 
-def neighbours(points, offsets, t, query):
-    """Indices q with (query, q) among the near pairs."""
-    out = set()
-    for p, q in near_pairs(np.asarray(points, dtype=float), np.asarray(offsets), t):
-        out.update(int(b) for b in q[p == query])
-    return out
+def partners(controls, t, query):
+    """Edges with a control within t of the one control of edge `query`:
+    detection's (control, partner edge) hits, read as runs of one control."""
+    flags = detect_flags(layout_from_points(controls), t, 1e-9)
+    return set(np.flatnonzero(flags[query]).tolist())
 
 
 class TestRequiredRunLength:
@@ -117,35 +116,61 @@ class TestDetectPair:
 
 
 class TestSpatialGrid:
-    """`near_pairs`: edge 0 holds the points, each query point is an edge
-    of its own."""
+    """Detection's (control, partner edge) hits against a linear scan, and
+    the batches that read them."""
 
     def test_single_point_query(self):
-        assert neighbours([(1, 1), (1, 1), (1, 1)], [0, 2, 3], 2.0, query=2) == {0, 1}
+        assert partners([[(1, 1), (1, 1)], [(1, 1)], [(1, 1)]], 2.0, query=2) == {0, 1}
 
     def test_exact_filter_excludes_beyond_t(self):
-        assert neighbours([(0, 0), (0, 0), (1.001, 0)], [0, 2, 3], 1.0, query=2) == set()
-        assert 0 in neighbours([(0, 0), (0, 0), (1.0, 0)], [0, 2, 3], 1.0, query=2)
+        assert partners([[(0, 0), (0, 0)], [(1.001, 0)]], 1.0, query=1) == set()
+        assert partners([[(0, 0), (0, 0)], [(1.0, 0)]], 1.0, query=1) == {0}
 
     def test_matches_linear_scan(self):
+        # 600 controls on 150 edges whose controls scatter over the plane,
+        # so most cells hold several edges and some are taken whole.
         rng = np.random.default_rng(11)
-        pts = rng.uniform(0, 50, size=(500, 2))
-        queries = rng.uniform(-5, 55, size=(100, 2))
+        pts = rng.uniform(0, 50, size=(600, 2))
+        owner = rng.permutation(np.arange(600) % 150)
         t = 3.0
-        points = np.vstack([pts, queries])
-        offsets = np.concatenate([[0], np.arange(500, 601)])
-        got = {k: set() for k in range(500, 600)}
-        for p, q in near_pairs(points, offsets, t):
-            for a, b in zip(p, q):
-                if a >= 500 and b < 500:
-                    got[int(a)].add(int(b))
-        for n, q in enumerate(queries):
-            want = {
-                k
-                for k, p in enumerate(pts)
-                if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= t * t
-            }
-            assert got[500 + n] == want
+        controls = [[tuple(p) for p in pts[owner == e]] for e in range(150)]
+        d = pts[:, None, :] - pts[None, :, :]
+        near = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= t * t
+        want = np.zeros((150, 150), dtype=bool)
+        for a, b in zip(*np.nonzero(near)):
+            want[owner[a], owner[b]] = True
+        np.fill_diagonal(want, False)
+        assert (detect_flags(layout_from_points(controls), t, 1e-9) == want).all()
+
+    @pytest.mark.parametrize("beyond", [False, True], ids=["at-t", "one-ulp-beyond"])
+    def test_far_corner_of_cell_at_t(self, beyond):
+        # One cell holds all three controls; from (0, 0) the far corner of
+        # its bounding box is the control (3, 4), at exactly t = 5 or, one
+        # ulp of its y further, just beyond.
+        y = np.nextafter(4.0, 5.0) if beyond else 4.0
+        layout = layout_from_points([[(0.0, 0.0)], [(3.0, y)], [(2.5, 3.5)]])
+        check_against_oracle(layout, 5.0, 1.0)
+        assert detect_flags(layout, 5.0, 1.0)[0, 1] == (not beyond)
+
+    def test_one_edge_batch_wraps_into_next_partner_row(self, monkeypatch):
+        # Edge 0 alone fills its batch, and every control of it is near
+        # edges 1 and 2, so its flat hit codes run on from row 1 into row 2
+        # without a gap; each row is still its own run.
+        monkeypatch.setattr(bundling, "PAIR_BUDGET", 1)
+        edge = [(float(x), 0.0) for x in range(4)]
+        layout = layout_from_points([edge, edge, [(x, 0.5) for x, _ in edge]])
+        assert len(list(_detect(layout.points, layout.offsets, 1.0, 1.0))) == 3
+        check_against_oracle(layout, 1.0, 1.0)
+        assert runs_by_pair(layout, 1.0, 1.0)[(0, 1)] == (0, 3)
+
+    def test_hit_map_cap_splits_batches(self, monkeypatch):
+        # A hit map of M x 3 edges of 12 controls puts three edges in each
+        # batch, far below the candidate budget.
+        layout = make_crossing_bundles(3, 4, seed=0).layout
+        assert (np.diff(layout.offsets) == 12).all()
+        monkeypatch.setattr(bundling, "HIT_BUDGET", layout.m * 36)
+        assert len(list(_detect(layout.points, layout.offsets, 2.0, 0.4))) == 4
+        check_against_oracle(layout, 2.0, 0.4)
 
 
 class TestWeightMatrix:
