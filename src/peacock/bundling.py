@@ -35,7 +35,7 @@ from .model import GraphLayout, layout_extent
 # M = 1000 runs, where a few MB do not grow with M, set all three figures.
 BYTES_PER_ENTRY = 16
 BYTES_PER_PAIR = 44
-BYTES_PER_BLOCK_ENTRY = 50
+BYTES_PER_BLOCK_ENTRY = 48
 
 # Half of an 8 GB machine, leaving the rest to the interpreter, the OS and
 # other processes.

@@ -31,8 +31,8 @@ So V+ is one small inverse per connected component of the residual graph
 (`_prepare`), one formula for every u >= 0 that never divides by u. Each
 iteration splits B(Y) Y and the stress the same way: one pass over row
 blocks of the upper triangle of d for the part every pair shares, and one
-small block per component for the rest (`_smacof_step`), with no M x M
-temporary.
+pass over the flat list of residual pairs for the rest (`_smacof_step`),
+with no M x M temporary.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _residual_pairs(w: BundleWeightMatrix):
 def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     """Everything `_smacof_step` needs besides d, and the scale of its
     stress: (u, sum of d_ij^2 over i < j, blocks, the stress of the
-    embedding collapsed to one point).
+    embedding collapsed to one point, pairs).
 
     With u the smallest symmetrized pair weight, V = u (M I - J) + L_R, L_R
     being the Laplacian of the residual weights w_ij + w_ji - u, which
@@ -152,10 +152,11 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     at a small epsilon) thus never enters an inverse. `_smacof_step` adds
     the component's mean move.
 
-    `blocks` is a list of (idx, inv, res, dist), one per component size c:
-    idx (n, c) holds, in ascending order, the edges of the n components of
-    that size, inv (n, c, c) their inverses, res their residual weights
-    and dist their dissimilarities.
+    `blocks` is a list of (idx, inv), one per component size c: idx (n, c)
+    holds, in ascending order, the edges of the n components of that size
+    and inv (n, c, c) their inverses. `pairs` is (a, b, r, d_ab), flat over
+    the residual pairs a < b: their ends, residual weights and
+    dissimilarities.
     """
     m = w.m
     u, a, b, r = _residual_pairs(w)
@@ -165,7 +166,13 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     sizes = np.bincount(label)
     check_budget(m, len(w.pairs), int(sizes.max()))
     d2 = 0.5 * float(np.vdot(d, d))
-    collapsed = u * d2
+    # Pairs ordered by b - a, then a: neither end repeats from one pair to
+    # the next, and a bincount stalls on repeated adds to one bin.
+    diagonal = np.lexsort((a, b - a))
+    a, b, r = a[diagonal], b[diagonal], r[diagonal]
+    d_ab = d[a, b]
+    collapsed = u * d2 + np.einsum("i,i,i->", r, d_ab, d_ab)
+    degree = np.bincount(a, r, m) + np.bincount(b, r, m) + u * m
     size = sizes[label]
     order = np.lexsort((label, size))
     rank = np.empty(m, dtype=np.int64)
@@ -177,21 +184,13 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         first = rank[idx[0, 0]]
         row, pa = np.divmod(rank[a[inside]] - first, c)
         pb = (rank[b[inside]] - first) % c
-        res = np.zeros((len(idx), c, c))
-        res[row, pa, pb] = res[row, pb, pa] = r[inside]
-        diag = np.arange(c)
-        block = np.negative(res)
-        block[:, diag, diag] = res.sum(axis=2) + u * m
-        block += 1.0 / c
+        block = np.full((len(idx), c, c), 1.0 / c)
+        block[row, pa, pb] = block[row, pb, pa] = 1.0 / c - r[inside]
+        block[:, np.arange(c), np.arange(c)] += degree[idx]
         inv = np.linalg.inv(block)
         inv -= 1.0 / (c * (u * m + 1.0))
-        dist = d[idx[:, :, None], idx[:, None, :]]
-        np.multiply(dist, dist, out=block)
-        block *= res
-        collapsed += 0.5 * block.sum()
-        del block
-        blocks.append((idx, inv, res, dist))
-    return u, d2, blocks, float(collapsed)
+        blocks.append((idx, inv))
+    return u, d2, blocks, float(collapsed), (a, b, r, d_ab)
 
 
 def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
@@ -206,13 +205,15 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     sum d^2 - 2 sum d delta + sum delta^2 over i < j, the last sum being
     M sum |y_i|^2 - |sum y_i|^2. The middle sum is added up as it stands:
     taken as <Y, B Y> it loses digits wherever two iterates nearly
-    coincide. The residual part R is summed over each component's block.
+    coincide. The residual part R and its stress come from the flat
+    residual pairs: (a, b) adds r_ab d_ab / delta_ab (y_a - y_b) to row
+    a of R and takes it from row b, by a gather and a bincount per end.
 
     B(Y) Y = u S + R, where R sums to 0 over each component, so V+ moves
     a component's mean by mean_k(S) / M if u > 0 and not at all if u = 0;
     `_prepare`'s block inverse gives the rest.
     """
-    u, d2, blocks, _ = plan
+    u, d2, blocks, _, (a, b, r, d_ab) = plan
     m = len(y)
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
@@ -233,19 +234,17 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
         del c, delta  # before the next block's distances are allocated
     total = y.sum(axis=0)
     s = max(0.0, u * (d2 - d_delta + m * np.vdot(y, y) - total @ total))
+    diff = [col.take(a) - col.take(b) for col in y.T.copy()]
+    delta = np.abs(diff[0]) if len(diff) == 1 else np.sqrt(sum(x * x for x in diff))
+    err = d_ab - delta
+    s += np.einsum("i,i,i->", r, err, err)
+    c = np.divide(np.multiply(r, d_ab, out=err), delta, out=delta, where=delta > 0)
+    rs = np.column_stack([np.bincount(a, cx, m) - np.bincount(b, cx, m)
+                          for cx in (x * c for x in diff)])
     y_next = np.empty_like(y)
-    for idx, inv, res, dist in blocks:
-        yy = y[idx]
-        delta = distances(yy, yy)
-        err = np.subtract(dist, delta)
-        err *= err
-        err *= res
-        s += 0.5 * err.sum()  # each pair sits in its block both ways
-        c = np.divide(dist, delta, out=delta, where=delta > 0)
-        c *= res
+    for idx, inv in blocks:
         sk = sy[idx]
-        by = u * sk + c.sum(axis=2)[..., None] * yy - c @ yy
-        y_next[idx] = inv @ by + (u > 0) / m * sk.mean(axis=1, keepdims=True)
+        y_next[idx] = inv @ (u * sk + rs[idx]) + (u > 0) / m * sk.mean(axis=1, keepdims=True)
     return float(s), y_next
 
 

@@ -21,22 +21,22 @@ BLOCK_BUDGET = 1 << 18
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a and the rows of b, over
-    any leading batch axes: (..., k, q) and (..., l, q) give (..., k, l).
+    """Euclidean distances (k, l) between the rows of a (k, q) and the rows
+    of b (l, q).
 
     Squared differences are added one coordinate at a time, the order in
     which `np.linalg.norm` over the last axis of a difference tensor adds
-    them, with no (..., k, l, q) tensor. In one dimension the distance is
+    them, with no (k, l, q) tensor. In one dimension the distance is
     |a - b|, which equals the square root of its square bit for bit as
     long as the square neither overflows nor underflows.
     """
-    out = np.subtract(a[..., :, None, 0], b[..., None, :, 0])
-    if a.shape[-1] == 1:
+    out = np.subtract(a[:, None, 0], b[None, :, 0])
+    if a.shape[1] == 1:
         return np.abs(out, out=out)
     out *= out
     diff = np.empty_like(out)
-    for k in range(1, a.shape[-1]):
-        np.subtract(a[..., :, None, k], b[..., None, :, k], out=diff)
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, None, k], b[None, :, k], out=diff)
         diff *= diff
         out += diff
     return np.sqrt(out, out=out)

@@ -73,13 +73,18 @@ def gaussian_start(seed, m, q):
     return np.random.default_rng(seed).standard_normal((m, q))
 
 
+def within(p, q, t):
+    """Whether the points p and q lie within t, tested as detection tests
+    it: dx^2 + dy^2 <= t^2. `math.dist` can round a distance just beyond t
+    down to t."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return dx * dx + dy * dy <= t * t
+
+
 def oracle_detect(pi, pj, t, k_ij):
     """Direct evaluation of the run-of-close-control-points rule on the
     control points of edges i and j."""
-    near = []
-    for r in range(len(pi)):
-        dmin = min(math.dist(pi[r], pj[s]) for s in range(len(pj)))
-        near.append(dmin <= t)
+    near = [any(within(p, q, t) for q in pj) for p in pi]
     c_i = len(pi)
     for r0 in range(c_i - k_ij + 1):
         if all(near[r0 + r] for r in range(k_ij)):
@@ -91,7 +96,7 @@ def oracle_first_run(pi, pj, t, k_ij):
     """(start, end) of the first maximal run of at least k_ij of the
     control points pi within t of the control points pj, traced point by
     point; None if there is none."""
-    near = [min(math.dist(p, q) for q in pj) <= t for p in pi]
+    near = [any(within(p, q, t) for q in pj) for p in pi]
     r = 0
     while r < len(near):
         if not near[r]:
@@ -204,16 +209,17 @@ def oracle_dissimilarity(layout):
 def oracle_prepare(w, d):
     """A stand-in for `peacock.coloring._prepare`: u, the smallest
     symmetrized weight, one block of all M edges holding the SVD
-    pseudo-inverse of the Laplacian V and the residual weights, and the
-    stress of the collapsed embedding, sum of w d^2 over ordered pairs."""
+    pseudo-inverse of the Laplacian V, the stress of the collapsed
+    embedding, sum of w d^2 over ordered pairs, and the pairs i < j whose
+    dense residual weight is positive, with those weights and their d."""
     w_sym = dense_weights(w) + dense_weights(w).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     u = w_sym[~np.eye(w.m, dtype=bool)].min() if w.m > 1 else 0.0
-    res = w_sym - u
-    np.fill_diagonal(res, 0.0)
-    idx = np.arange(w.m)[None, :]
-    blocks = [(idx, np.linalg.pinv(v)[None], res[None], d[None])]
-    return u, 0.5 * (d * d).sum(), blocks, (dense_weights(w) * d * d).sum()
+    res = np.triu(w_sym - u, 1)
+    a, b = np.nonzero(res > 0)
+    blocks = [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
+    collapsed = (dense_weights(w) * d * d).sum()
+    return u, 0.5 * (d * d).sum(), blocks, collapsed, (a, b, res[a, b], d[a, b])
 
 
 def oracle_smacof_step(y, w, d):

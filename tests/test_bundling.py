@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -151,6 +152,16 @@ class TestSpatialGrid:
         layout = layout_from_points([[(0.0, 0.0)], [(3.0, y)], [(2.5, 3.5)]])
         check_against_oracle(layout, 5.0, 1.0)
         assert detect_flags(layout, 5.0, 1.0)[0, 1] == (not beyond)
+
+    def test_oracle_tests_distance_as_detection_does(self):
+        # From (0, 0), (nextafter(3, 4), 4) has dx^2 + dy^2 =
+        # 25.000000000000004 > 25, though math.dist rounds it to t = 5.
+        x = np.nextafter(3.0, 4.0)
+        assert math.dist((0.0, 0.0), (x, 4.0)) == 5.0
+        layout = layout_from_points([[(0.0, 0.0)], [(x, 4.0)]])
+        w = build_weight_matrix(layout, DetectionParams(t_abs=5.0, t_frac=None, k_min=1.0))
+        assert (dense_flags(w) == oracle_flags(layout, 5.0, 1.0)).all()
+        assert not len(w.pairs)
 
     def test_one_edge_batch_wraps_into_next_partner_row(self, monkeypatch):
         # Edge 0 alone fills its batch, and every control of it is near

@@ -180,7 +180,7 @@ class TestPrepare:
                 continue
             assert_matches_pinv(y, w, d)
             assert_collapsed_stress(w, d)
-            _, _, blocks, _ = peacock.coloring._prepare(w, d)
+            _, _, blocks, _, _ = peacock.coloring._prepare(w, d)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -197,7 +197,7 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
-        _, _, blocks, _ = peacock.coloring._prepare(w, d)
+        _, _, blocks, _, _ = peacock.coloring._prepare(w, d)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d)
 
@@ -248,6 +248,24 @@ class TestPrepare:
         with pytest.raises(ParameterError, match="M=20 edges, P=19 flagged pairs and a largest "
                                               "component of c=20 edges"):
             peacock.coloring._prepare(w, np.zeros((m, m)))
+
+    def test_plan_keeps_one_inverse_and_the_flat_pairs(self):
+        # A neighbour-only chain of M = 1000 edges is one component of
+        # c = M: of c x c arrays, the plan keeps only the inverse, and the
+        # residual pairs take a few words each.
+        m = 1000
+        flags = np.zeros((m, m), dtype=bool)
+        flags[np.arange(m - 1), np.arange(1, m)] = True
+        w = weight_matrix(flags, 0.01)
+        d = np.zeros((m, m))
+        tracemalloc.start()
+        try:
+            plan = peacock.coloring._prepare(w, d)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [block[0].shape for block in plan[2]] == [(1, m)]
+        assert 8 * m * m <= held <= 8 * m * m + 64 * m
 
 
 def permuted(layout, perm):
@@ -477,9 +495,10 @@ class TestOptimize:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(stresses, stresses[1:]))
 
     def test_allocates_about_one_matrix_beyond_inputs(self):
-        # optimize holds no M x M array: the per-component blocks and the
-        # row-block temporaries add a fraction of one. Dense weights, a
-        # component graph, V+ or B(Y) would each add most of the bound or more.
+        # optimize holds no M x M array: the per-component inverses, the
+        # flat residual pairs and the row-block temporaries add a fraction of
+        # one. Dense weights, a component graph, V+ or B(Y) would each add
+        # most of the bound or more.
         layout = make_ordered_bundles(64, 25, reverse_last=True, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
