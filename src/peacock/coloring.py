@@ -420,7 +420,8 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     The neighborhood of edge i is i itself plus every edge bundled with
     it in either direction; each output dimension is min-max mapped over
     the neighborhood. Edges with no bundle partners fall back to the
-    global min-max; a dimension with no spread maps to 0.5.
+    global min-max. A neighborhood that spans at most 1e-9 of the
+    dimension's span over all edges has no spread and maps to 0.5.
     """
     if len(y) != w.m:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
@@ -452,7 +453,9 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     lo[alone] = y.min(axis=0)
     hi[alone] = y.max(axis=0)
     span = hi - lo
-    col = np.divide(y - lo, span, out=np.full_like(y, 0.5), where=span > 0)
+    # Rounding leaves noise of about 2e-10 of the span; spread that small is none.
+    spread = span > 1e-9 * (y.max(axis=0) - y.min(axis=0))
+    col = np.divide(y - lo, span, out=np.full_like(y, 0.5), where=spread)
     np.clip(col, 0.0, 1.0, out=col)
     col.setflags(write=False)
     return col

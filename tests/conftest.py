@@ -165,7 +165,7 @@ def oracle_stress(y, weights, d):
 def oracle_normalize_colors(y, flags):
     """Per-edge, per-dimension min-max over the edge and its partners in
     either direction (global min-max for an edge without partners); a
-    dimension with no spread maps to 0.5."""
+    dimension spanning at most 1e-9 of its global span maps to 0.5."""
     m, q = y.shape
     col = np.empty((m, q))
     for i in range(m):
@@ -174,7 +174,8 @@ def oracle_normalize_colors(y, flags):
         for dim in range(q):
             lo = min(y[r, dim] for r in rows)
             hi = max(y[r, dim] for r in rows)
-            col[i, dim] = 0.5 if hi - lo <= 0 else (y[i, dim] - lo) / (hi - lo)
+            noise = 1e-9 * (max(y[:, dim]) - min(y[:, dim]))
+            col[i, dim] = 0.5 if hi - lo <= noise else (y[i, dim] - lo) / (hi - lo)
     return np.clip(col, 0.0, 1.0)
 
 

@@ -597,6 +597,17 @@ class TestNormalizeColors:
                 assert table[ids, dim].min() == pytest.approx(0.0)
                 assert table[ids, dim].max() == pytest.approx(1.0)
 
+    def test_rounding_noise_is_not_stretched(self, ordered_fixture):
+        # The q = 3 golden layout: along dimension 0, edges 12-17 end within
+        # 5e-10 of each other, about 3e-12 of that dimension's span.
+        run = run_peacock(ordered_fixture.layout, DetectionParams(),
+                          OptimizerConfig(q=3, max_iters=100))
+        y = run.result.embedding
+        span = y.max(axis=0) - y.min(axis=0)
+        noise = np.random.default_rng(0).uniform(-1, 1, y.shape) * 1e-10 * span
+        moved = normalize_colors(y + noise, run.weights) - run.table
+        assert np.abs(moved).max() <= 1e-6
+
 
 @st.composite
 def embeddings_with_flags(draw):
