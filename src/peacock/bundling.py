@@ -2,9 +2,9 @@
 
 Two edges count as bundled (directionally, i against j) when some run of
 consecutive control points of edge i all lie within a distance threshold
-of edge j's control points. The weight matrix holds 1 for bundled
-ordered pairs and a small user tradeoff weight for everything else; it
-is kept as the bundled pairs, that weight and a per-control fan mark.
+of edge j's control points. The weight matrix is kept as the bundled
+ordered pairs and a per-control fan mark; the weight of the pairs that
+are not bundled is the optimizer's to choose (`coloring.OptimizerConfig`).
 
 Detection is one array pass over the control points of the layout, a
 batch of whole edges at a time: a uniform grid marks, in a bitmap of
@@ -52,8 +52,7 @@ HIT_BUDGET = 1 << 20
 
 
 class ParameterError(ValueError):
-    """Invalid detection or tradeoff parameter, or a run too large for
-    DENSE_BUDGET."""
+    """Invalid detection parameter, or a run too large for DENSE_BUDGET."""
 
 
 def check_budget(m: int, pairs: int, largest: int) -> int:
@@ -73,7 +72,7 @@ def check_budget(m: int, pairs: int, largest: int) -> int:
 
 @dataclass(frozen=True)
 class DetectionParams:
-    """Detection threshold, run-length fraction and tradeoff weight.
+    """Detection threshold and run-length fraction.
 
     Exactly one of `t_abs` (absolute distance) and `t_frac` (fraction of
     the larger layout dimension) must be given.
@@ -82,7 +81,6 @@ class DetectionParams:
     t_abs: float | None = None
     t_frac: float | None = 0.03
     k_min: float = 0.4
-    epsilon: float = 0.001
 
     def __post_init__(self):
         if (self.t_abs is None) == (self.t_frac is None):
@@ -93,8 +91,6 @@ class DetectionParams:
             raise ParameterError(f"t_frac must be in (0, 1], got {self.t_frac}")
         if not 0 < self.k_min <= 1:
             raise ParameterError(f"k_min must be in (0, 1], got {self.k_min}")
-        if not 0 <= self.epsilon <= 1:
-            raise ParameterError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
     def resolve_t(self, layout: GraphLayout) -> float:
         """The absolute distance threshold for this layout."""
@@ -112,18 +108,17 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class BundleWeightMatrix:
-    """Detection outcome plus the tradeoff weight, one entry per flagged pair.
+    """Detection outcome, one entry per flagged pair.
 
     `pairs` holds the flagged ordered pairs (i, j), edge i bundled against
-    edge j, as ascending codes i * M + j; flags may be one-way. The weight
-    of an ordered pair is 1 where flagged and `epsilon` elsewhere (0 on the
-    diagonal), so no M x M matrix is kept. `fans[offsets[i] + s]` is True
+    edge j, as ascending codes i * M + j; flags may be one-way. A flagged
+    ordered pair weighs 1 and the others the optimizer's tradeoff weight,
+    so no M x M matrix is kept. `fans[offsets[i] + s]` is True
     where segment s of edge i, joining its controls s and s + 1, enters or
     leaves the first qualifying run of one of i's flagged pairs.
     """
 
     m: int
-    epsilon: float
     pairs: np.ndarray
     fans: np.ndarray
 
@@ -256,7 +251,7 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
-    """Run pairwise detection for every ordered pair and apply the tradeoff.
+    """Run pairwise detection for every ordered pair.
 
     The run goes on to build M x M dissimilarities, so this first stage
     refuses, before any work, a layout too large for them with every pair
@@ -271,10 +266,10 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
         for seg in _fans(start, end, counts[i]):
             fans[(offsets[i] + seg)[seg >= 0]] = True
         pairs.append(code)
-    return BundleWeightMatrix(layout.m, params.epsilon, np.concatenate(pairs), fans)
+    return BundleWeightMatrix(layout.m, np.concatenate(pairs), fans)
 
 
 def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:
     """Flagged ordered pairs as [{"i": ..., "j": ...}], lexicographic."""
-    ii, jj = np.divmod(w.pairs, w.m)
-    return [{"i": i, "j": j} for i, j in zip(ii.tolist(), jj.tolist())]
+    i = w.pairs // w.m
+    return [{"i": a, "j": b} for a, b in zip(i.tolist(), (w.pairs - i * w.m).tolist())]

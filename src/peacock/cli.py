@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Detection and optimizer flags default to the fields of the config they set.
     color = sub.add_parser("color", help="color a bundled layout")
     color.add_argument("--input", required=True)
-    color.add_argument("--epsilon", default=DetectionParams.epsilon,
+    color.add_argument("--epsilon", default=OptimizerConfig.epsilon,
                        type=_number("--epsilon", float, lambda v: 0 <= v <= 1, "in [0.0, 1.0]"))
     group_t = color.add_mutually_exclusive_group()
     group_t.add_argument("--t-frac", default=DetectionParams.t_frac,
@@ -109,10 +109,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_color(args) -> int:
     layout = load_layout(args.input)
-    params = DetectionParams(
-        t_abs=args.t_abs, t_frac=None if args.t_abs is not None else args.t_frac,
-        k_min=args.kmin, epsilon=args.epsilon,
-    )
+    params = DetectionParams(t_abs=args.t_abs, k_min=args.kmin,
+                             t_frac=None if args.t_abs is not None else args.t_frac)
 
     if args.method == "baseline":
         table, result = baseline_colors(layout), None
@@ -121,7 +119,7 @@ def _cmd_color(args) -> int:
             weights = timed({}, "bundling", lambda: build_weight_matrix(layout, params))
     else:
         cfg = OptimizerConfig(q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
-                              seed=args.seed)
+                              seed=args.seed, epsilon=args.epsilon)
         run = run_peacock(layout, params, cfg)
         table, result, weights = run.table, run.result, run.weights
 

@@ -2,13 +2,13 @@
 
 The embedding places every edge in a 1- to 3-dimensional color space so
 that distances between bundled edges match their endpoint
-dissimilarities; non-bundled pairs enter with the tradeoff weight. The
-optimizer is SMACOF stress majorization (Gansner, Koren & North, "Graph
-Drawing by Stress Majorization", GD 2004) accelerated by squared
-extrapolation (SQUAREM; Varadhan & Roland, Scand. J. Statist. 2008).
-Afterwards every edge's value is rescaled against its bundle
-neighborhood so each bundle spans the full color range. The embedding and
-the normalized colors are read-only (M, q) arrays.
+dissimilarities; non-bundled pairs enter with the tradeoff weight
+`OptimizerConfig.epsilon`. The optimizer is SMACOF stress majorization
+(Gansner, Koren & North, "Graph Drawing by Stress Majorization", GD 2004)
+accelerated by squared extrapolation (SQUAREM; Varadhan & Roland, Scand.
+J. Statist. 2008). Afterwards every edge's value is rescaled against its
+bundle neighborhood so each bundle spans the full color range. The
+embedding and the normalized colors are read-only (M, q) arrays.
 
 The Guttman transform G never increases the stress (de Leeuw, J.
 Classification 1988). One cycle from an accepted iterate y0 takes
@@ -62,6 +62,7 @@ class OptimizerConfig:
     max_iters: int = 500
     rel_tol: float = 1e-6
     seed: int | None = None  # None starts from the layout's geometry
+    epsilon: float = 0.001  # the weight of an ordered pair that is not bundled
 
     def __post_init__(self):
         if self.q not in (1, 2, 3):
@@ -72,6 +73,8 @@ class OptimizerConfig:
             raise ValueError("seed must be >= 0")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
+        if not 0 <= self.epsilon <= 1:
+            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -107,47 +110,41 @@ def _components(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _residual_pairs(w: BundleWeightMatrix):
-    """u, the smallest symmetrized pair weight w_ij + w_ji, and the pairs
-    i < j whose weight exceeds it, as (i, j, w_ij + w_ji - u).
+    """The pairs i < j flagged one way or both, as codes i * M + j, whether
+    each is flagged both ways, and whether every pair is flagged.
 
-    An unordered pair weighs 2 when flagged both ways, 1 + epsilon when
-    flagged one way and 2 epsilon when not flagged, so u is 2 epsilon
-    unless there are pairs and every one is flagged. The flagged pairs are
-    read in batches of PAIR_BUDGET, so no array holds more than one entry
-    per pair.
+    The flagged pairs are read in batches of PAIR_BUDGET, so no array holds
+    more than one entry per pair.
     """
     m, pairs = w.m, w.pairs
     codes, both = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
     for lo in range(0, len(pairs), PAIR_BUDGET):
-        i, j = np.divmod(pairs[lo : lo + PAIR_BUDGET], m)
+        i = pairs[lo : lo + PAIR_BUDGET] // m
+        j = pairs[lo : lo + PAIR_BUDGET] - i * m
         rev = j * m + i
         mutual = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] == rev
         once = (i < j) | ~mutual
         codes.append(np.minimum(i, j)[once] * m + np.maximum(i, j)[once])
         both.append(mutual[once])
-    code, mutual = np.concatenate(codes), np.concatenate(both)
-    w_sym = np.where(mutual, 2.0, 1.0 + w.epsilon)
-    if 0 < len(code) == m * (m - 1) // 2:
-        u = float(w_sym.min())
-    else:
-        u = 2.0 * w.epsilon
-    r = w_sym - u
-    keep = r > 0
-    i, j = np.divmod(code[keep], m)
-    return u, i, j, r[keep]
+    code = np.concatenate(codes)
+    return code, np.concatenate(both), 0 < len(code) == m * (m - 1) // 2
 
 
-def _prepare(w: BundleWeightMatrix, d: np.ndarray):
+def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     """Everything `_smacof_step` needs besides d, and the scale of its
     stress: (u, sum of d_ij^2 over i < j, blocks, the stress of the
     embedding collapsed to one point, pairs).
 
-    With u the smallest symmetrized pair weight, V = u (M I - J) + L_R, L_R
-    being the Laplacian of the residual weights w_ij + w_ji - u, which
-    only bundled pairs have. On centered vectors, and B(Y) Y is one, V
-    acts as u M I + L_R, which is block-diagonal by the components of the
-    residual graph. A component of c edges inverts B_k = u M I + L_k + J / c
-    and keeps B_k^-1 - J / (c (u M + 1)): V+ on the component's centered
+    An ordered pair weighs 1 when flagged and epsilon when not, so an
+    unordered pair weighs 2 when flagged both ways, 1 + epsilon when
+    flagged one way and 2 epsilon when not flagged. With u the smallest
+    such weight (2 epsilon unless there are pairs and every one is
+    flagged), V = u (M I - J) + L_R, L_R being the Laplacian of the
+    residual weights w_ij + w_ji - u, which only bundled pairs have. On
+    centered vectors, and B(Y) Y is one, V acts as u M I + L_R, which is
+    block-diagonal by the components of the residual graph. A component
+    of c edges inverts B_k = u M I + L_k + J / c and keeps
+    B_k^-1 - J / (c (u M + 1)): V+ on the component's centered
     vectors and 0 on its constant vector, whose eigenvalue u M (0, or tiny
     at a small epsilon) thus never enters an inverse. `_smacof_step` adds
     the component's mean move.
@@ -159,7 +156,15 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
     dissimilarities.
     """
     m = w.m
-    u, a, b, r = _residual_pairs(w)
+    code, mutual, every = _residual_pairs(w)
+    r = np.where(mutual, 2.0, 1.0 + epsilon)
+    u = float(r.min()) if every else 2.0 * epsilon
+    r -= u
+    keep = r > 0
+    code, r = code[keep], r[keep]
+    a = code // m
+    b = code - a * m
+    del code, mutual, keep  # a run peaks at the block inverses below
     if not u > 0 and not len(r):
         raise OptimizationError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
@@ -182,11 +187,13 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray):
         idx = order[size[order] == c].reshape(-1, c)
         inside = size[a] == c
         first = rank[idx[0, 0]]
-        row, pa = np.divmod(rank[a[inside]] - first, c)
-        pb = (rank[b[inside]] - first) % c
+        # Both ends of a pair lie in one component, one row of the blocks.
+        row = (rank[a[inside]] - first) // c
+        pa, pb = (rank[e[inside]] - first - row * c for e in (a, b))
         block = np.full((len(idx), c, c), 1.0 / c)
         block[row, pa, pb] = block[row, pb, pa] = 1.0 / c - r[inside]
         block[:, np.arange(c), np.arange(c)] += degree[idx]
+        del row, pa, pb  # before the inverse, where a run peaks
         inv = np.linalg.inv(block)
         inv -= 1.0 / (c * (u * m + 1.0))
         blocks.append((idx, inv))
@@ -389,7 +396,7 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
         raise ValueError(f"dimension mismatch: w={w.m}, d={d.shape}")
     if y.shape != (w.m, cfg.q):
         raise ValueError(f"start has shape {y.shape}, not ({w.m}, {cfg.q})")
-    plan = _prepare(w, d)
+    plan = _prepare(w, d, cfg.epsilon)
     steps = _iterates(y, d, plan, cfg.max_iters)
     y, s_prev, n_iters = next(steps)
     stop_reason = "max_iters"

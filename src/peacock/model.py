@@ -16,15 +16,8 @@ import numpy as np
 
 
 class LayoutError(Exception):
-    """Base class for layout ingestion problems."""
-
-
-class LayoutParseError(LayoutError):
-    """The file is not valid JSON or misses required keys."""
-
-
-class LayoutValidationError(LayoutError):
-    """The file parsed but violates a layout invariant."""
+    """A layout file that is not valid JSON or misses required keys, or a
+    layout that violates a layout invariant."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,20 +42,20 @@ class GraphLayout:
         offsets = np.array(self.offsets, dtype=np.int64)
         ends = np.array(self.ends, dtype=float)
         if offsets.ndim != 1 or len(offsets) < 2:
-            raise LayoutValidationError("layout has no edges")
+            raise LayoutError("layout has no edges")
         m = len(offsets) - 1
         if points.shape != (offsets[-1], 2) or offsets[0] != 0 or ends.shape != (m, 2, 2):
-            raise LayoutValidationError(
+            raise LayoutError(
                 f"points {points.shape}, offsets ({m + 1},) and ends {ends.shape} "
                 "are not (N, 2), 0..N and (M, 2, 2)"
             )
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
-            raise LayoutValidationError(f"edge {empty[0]}: empty control list")
+            raise LayoutError(f"edge {empty[0]}: empty control list")
         _check_coordinates(points, offsets, ends)
         for nid, x, y in self.nodes:
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise LayoutValidationError(f"node {nid}: non-finite coordinate in position")
+                raise LayoutError(f"node {nid}: non-finite coordinate in position")
         for name, a in (("points", points), ("offsets", offsets), ("ends", ends)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -94,7 +87,7 @@ def _check_coordinates(points, offsets, ends) -> None:
             what = ("v1", "v2")[int(np.argmax(bad_ends[i]))]
         else:
             what = f"controls[{np.argmax(bad_points[offsets[i] : offsets[i + 1]])}]"
-        raise LayoutValidationError(f"edge {i}: " + problem.format(what))
+        raise LayoutError(f"edge {i}: " + problem.format(what))
 
 
 def layout_extent(layout: GraphLayout) -> tuple[float, float]:
@@ -110,34 +103,34 @@ def _is_number(v) -> bool:
 
 def _xy(raw, where, what) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise LayoutParseError(f"{where}: {what} is not an [x, y] pair")
+        raise LayoutError(f"{where}: {what} is not an [x, y] pair")
     x, y = raw
     if not (_is_number(x) and _is_number(y)):
-        raise LayoutParseError(f"{where}: {what} has non-numeric coordinate")
+        raise LayoutError(f"{where}: {what} has non-numeric coordinate")
     try:
         return float(x), float(y)
     except OverflowError:  # a JSON integer beyond the float range
-        raise LayoutValidationError(f"{where}: coordinate in {what} is too large") from None
+        raise LayoutError(f"{where}: coordinate in {what} is too large") from None
 
 
 def layout_from_dict(doc: dict) -> GraphLayout:
     if not isinstance(doc, dict) or "edges" not in doc:
-        raise LayoutParseError("document must be an object with an 'edges' array")
+        raise LayoutError("document must be an object with an 'edges' array")
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list) or not raw_edges:
-        raise LayoutParseError("'edges' must be a non-empty array")
+        raise LayoutError("'edges' must be a non-empty array")
 
     # Per edge, in file order: its id and its points, v1 and v2 first.
     ids, curves = [], []
     for raw in raw_edges:
         if not isinstance(raw, dict) or "id" not in raw:
-            raise LayoutParseError("edge entry missing 'id'")
+            raise LayoutError("edge entry missing 'id'")
         eid = raw["id"]
         if not isinstance(eid, int) or isinstance(eid, bool):
-            raise LayoutParseError(f"edge id {eid!r} is not an integer")
+            raise LayoutError(f"edge id {eid!r} is not an integer")
         controls = raw.get("controls")
         if not isinstance(controls, list) or not controls:
-            raise LayoutValidationError(f"edge {eid}: empty control list")
+            raise LayoutError(f"edge {eid}: empty control list")
         where = f"edge {eid}"
         curve = [_xy(raw.get("v1"), where, "v1"), _xy(raw.get("v2"), where, "v2")]
         curve += [_xy(c, where, f"controls[{k}]") for k, c in enumerate(controls)]
@@ -149,19 +142,19 @@ def layout_from_dict(doc: dict) -> GraphLayout:
     if s != list(range(m)):
         dup = next((a for a, b in zip(s, s[1:]) if a == b), None)
         if dup is not None:
-            raise LayoutValidationError(f"duplicate edge id {dup}")
-        raise LayoutValidationError(f"edge ids must be 0..{m - 1} with no gaps")
+            raise LayoutError(f"duplicate edge id {dup}")
+        raise LayoutError(f"edge ids must be 0..{m - 1} with no gaps")
     by_id = [None] * m
     for eid, curve in zip(ids, curves):
         by_id[eid] = curve
 
     raw_nodes = doc.get("nodes", [])
     if not isinstance(raw_nodes, list):
-        raise LayoutParseError("'nodes' must be an array")
+        raise LayoutError("'nodes' must be an array")
     nodes = []
     for raw in raw_nodes:
         if not isinstance(raw, dict) or "id" not in raw:
-            raise LayoutParseError("node entry missing 'id'")
+            raise LayoutError("node entry missing 'id'")
         nid = str(raw["id"])
         nodes.append((nid, *_xy([raw.get("x"), raw.get("y")], f"node {nid}", "position")))
 
@@ -179,7 +172,7 @@ def load_layout(path) -> GraphLayout:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise LayoutParseError(f"{path}: {exc}") from exc
+        raise LayoutError(f"{path}: {exc}") from exc
     return layout_from_dict(doc)
 
 

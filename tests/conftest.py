@@ -47,23 +47,23 @@ def random_layout(rng, m=None, max_controls=12, span=100.0):
     return make_layout(edges)
 
 
-def weight_matrix(flags, epsilon=0.0):
+def weight_matrix(flags):
     """The weight matrix flagging the off-diagonal True entries of `flags`."""
     flags = np.array(flags, dtype=bool)
     np.fill_diagonal(flags, False)
     pairs = np.flatnonzero(flags)
     fans = np.zeros(0, dtype=bool)
-    return BundleWeightMatrix(m=len(flags), epsilon=epsilon, pairs=pairs, fans=fans)
+    return BundleWeightMatrix(m=len(flags), pairs=pairs, fans=fans)
 
 
-def random_instance(rng, m, q, epsilon=0.1):
+def random_instance(rng, m, q):
     """(y, w, d) of m edges: about 30% of the ordered pairs flagged, the
     distances between m random points as d, and a Gaussian embedding y."""
     flags = rng.random((m, m)) < 0.3
     np.fill_diagonal(flags, False)
     pts = rng.uniform(0, 10, size=(m, 2))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-    w = weight_matrix(flags, epsilon)
+    w = weight_matrix(flags)
     y = rng.standard_normal((m, q))
     return y, w, d
 
@@ -131,10 +131,10 @@ def dense_flags(w):
     return flags
 
 
-def dense_weights(w):
+def dense_weights(w, epsilon):
     """The M x M weights: 1 where flagged, epsilon elsewhere, 0 on the
     diagonal."""
-    weights = np.where(dense_flags(w), 1.0, w.epsilon)
+    weights = np.where(dense_flags(w), 1.0, epsilon)
     np.fill_diagonal(weights, 0.0)
     return weights
 
@@ -207,26 +207,26 @@ def oracle_dissimilarity(layout):
     return d
 
 
-def oracle_prepare(w, d):
+def oracle_prepare(w, d, epsilon):
     """A stand-in for `peacock.coloring._prepare`: u, the smallest
     symmetrized weight, one block of all M edges holding the SVD
     pseudo-inverse of the Laplacian V, the stress of the collapsed
     embedding, sum of w d^2 over ordered pairs, and the pairs i < j whose
     dense residual weight is positive, with those weights and their d."""
-    w_sym = dense_weights(w) + dense_weights(w).T
+    w_sym = dense_weights(w, epsilon) + dense_weights(w, epsilon).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     u = w_sym[~np.eye(w.m, dtype=bool)].min() if w.m > 1 else 0.0
     res = np.triu(w_sym - u, 1)
     a, b = np.nonzero(res > 0)
     blocks = [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
-    collapsed = (dense_weights(w) * d * d).sum()
+    collapsed = (dense_weights(w, epsilon) * d * d).sum()
     return u, 0.5 * (d * d).sum(), blocks, collapsed, (a, b, res[a, b], d[a, b])
 
 
-def oracle_smacof_step(y, w, d):
+def oracle_smacof_step(y, w, d, epsilon):
     """One Guttman transform V+ B(Y) Y through dense M x M matrices and the
     SVD pseudo-inverse of V."""
-    w_sym = dense_weights(w) + dense_weights(w).T
+    w_sym = dense_weights(w, epsilon) + dense_weights(w, epsilon).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     delta = np.linalg.norm(y[:, None, :] - y[None, :, :], axis=2)
     b = -w_sym * np.divide(d, delta, out=np.zeros_like(delta), where=delta > 0)
@@ -235,7 +235,7 @@ def oracle_smacof_step(y, w, d):
     return np.linalg.pinv(v) @ (b @ y)
 
 
-def oracle_optimize(y, w, d, max_iters, rel_tol):
+def oracle_optimize(y, w, d, epsilon, max_iters, rel_tol):
     """Accelerated SMACOF over `oracle_smacof_step` and `oracle_stress`:
     (embedding, stress, transforms, stop reason).
 
@@ -248,7 +248,7 @@ def oracle_optimize(y, w, d, max_iters, rel_tol):
     counted as stress evaluations after the first: G(y') costs one, its
     stress one more, and y2's stress one unless y' was y2.
     """
-    weights = dense_weights(w)
+    weights = dense_weights(w, epsilon)
     noise = w.m * w.m * np.finfo(float).eps * (weights * d * d).sum()
     s, n, cap = oracle_stress(y, weights, d), 0, 1.0
 
@@ -259,7 +259,7 @@ def oracle_optimize(y, w, d, max_iters, rel_tol):
         return y_next, s_next, n, "stress_increase" if s_next - s > noise else "tolerance"
 
     while n < max_iters:
-        y1 = oracle_smacof_step(y, w, d)
+        y1 = oracle_smacof_step(y, w, d, epsilon)
         s1 = oracle_stress(y1, weights, d)
         n += 1
         if stalls(s1):
@@ -267,14 +267,14 @@ def oracle_optimize(y, w, d, max_iters, rel_tol):
         if max_iters - n < 3:
             y, s = y1, s1
             continue
-        y2 = oracle_smacof_step(y1, w, d)
+        y2 = oracle_smacof_step(y1, w, d, epsilon)
         r, v = y1 - y, y2 - 2.0 * y1 + y
         norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
         a = cap if norm_r >= cap * norm_v else max(1.0, norm_r / norm_v)
         if a == cap:
             cap *= 4.0
         jump = y2 if a == 1.0 else y + 2.0 * a * r + a * a * v
-        y_new = oracle_smacof_step(jump, w, d)
+        y_new = oracle_smacof_step(jump, w, d, epsilon)
         s_new = oracle_stress(y_new, weights, d)
         n += 2
         if s_new > s1:

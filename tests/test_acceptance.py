@@ -74,11 +74,12 @@ def test_criterion_3_smacof_descent():
     for _ in range(100):
         m = int(rng.integers(3, 31))
         q = int(rng.integers(1, 4))
-        y, w, d = random_instance(rng, m=m, q=q, epsilon=float(rng.uniform(0, 1)))
-        s = stress(y, w, d)
+        epsilon = float(rng.uniform(0, 1))
+        y, w, d = random_instance(rng, m=m, q=q)
+        s = stress(y, w, d, epsilon)
         for _ in range(15):
-            y = smacof_step(y, w, d)
-            s_next = stress(y, w, d)
+            y = smacof_step(y, w, d, epsilon)
+            s_next = stress(y, w, d, epsilon)
             assert s_next <= s * (1 + 1e-12)
             s = s_next
     report(3, "stress non-increasing over 100 random instances")
@@ -89,9 +90,10 @@ def test_criterion_4_stress_oracle():
     for _ in range(25):
         m = int(rng.integers(2, 20))
         q = int(rng.integers(1, 4))
-        y, w, d = random_instance(rng, m=m, q=q, epsilon=float(rng.uniform(0, 1)))
-        want = oracle_stress(y, dense_weights(w), d)
-        got = stress(y, w, d)
+        epsilon = float(rng.uniform(0, 1))
+        y, w, d = random_instance(rng, m=m, q=q)
+        want = oracle_stress(y, dense_weights(w, epsilon), d)
+        got = stress(y, w, d, epsilon)
         assert got == pytest.approx(want, rel=1e-10)
     report(4, "stress equals naive double loop within 1e-10 relative")
 
@@ -99,7 +101,7 @@ def test_criterion_4_stress_oracle():
 def test_criterion_5_two_point_closed_form():
     w = weight_matrix(np.array([[False, True], [True, False]]))
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
+    res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
     dist = abs(res.embedding[0, 0] - res.embedding[1, 0])
     assert res.n_iters <= 50
     assert dist == pytest.approx(2.0, abs=1e-6)
@@ -124,12 +126,12 @@ def test_criterion_6_ordered_fixture_behavior(ordered_fixture):
 
 def test_criterion_7_global_mode_beats_baseline(ordered_fixture):
     layout = ordered_fixture.layout
-    params = DetectionParams(epsilon=1.0)
-    optimized = run_peacock(layout, params, OptimizerConfig(q=3)).result.stress
+    params = DetectionParams()
+    optimized = run_peacock(layout, params, OptimizerConfig(q=3, epsilon=1.0)).result.stress
     w = build_weight_matrix(layout, params)
     d = build_dissimilarity_matrix(layout)
     base = baseline_colors(layout)
-    base_stress = stress(base, w, d)
+    base_stress = stress(base, w, d, 1.0)
     assert optimized < base_stress
     report(7, f"optimized stress {optimized:.4g} < baseline {base_stress:.4g}")
 

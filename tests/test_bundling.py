@@ -187,26 +187,26 @@ class TestSpatialGrid:
 class TestWeightMatrix:
     def test_epsilon_zero_no_bundles_gives_zero_matrix(self):
         layout = layout_from_points([[(0, 0), (1, 0)], [(0, 99), (1, 99)]])
-        w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None, epsilon=0.0))
-        assert not dense_weights(w).any()
+        w = build_weight_matrix(layout, DetectionParams(t_abs=1.0, t_frac=None))
+        assert not dense_weights(w, 0.0).any()
         assert not dense_flags(w).any()
 
     def test_epsilon_one_weights_all_pairs(self):
         rng = np.random.default_rng(1)
         layout = random_layout(rng, m=6)
-        w = build_weight_matrix(layout, DetectionParams(epsilon=1.0))
+        w = build_weight_matrix(layout, DetectionParams())
         off = ~np.eye(6, dtype=bool)
-        assert (dense_weights(w)[off] == 1.0).all()
-        assert (np.diag(dense_weights(w)) == 0.0).all()
+        assert (dense_weights(w, 1.0)[off] == 1.0).all()
+        assert (np.diag(dense_weights(w, 1.0)) == 0.0).all()
 
     def test_matrix_invariants(self):
         rng = np.random.default_rng(2)
         layout = random_layout(rng, m=12)
         eps = 0.001
-        w = build_weight_matrix(layout, DetectionParams(epsilon=eps))
+        w = build_weight_matrix(layout, DetectionParams())
         off = ~np.eye(12, dtype=bool)
-        assert set(np.unique(dense_weights(w)[off])) <= {eps, 1.0}
-        assert ((dense_weights(w) == 1.0) == dense_flags(w)).all()
+        assert set(np.unique(dense_weights(w, eps)[off])) <= {eps, 1.0}
+        assert ((dense_weights(w, eps) == 1.0) == dense_flags(w)).all()
         assert not np.diag(dense_flags(w)).any()
 
     def test_holds_pairs_not_matrices(self):
@@ -290,10 +290,6 @@ class TestDetectionParams:
     def test_neither_threshold_rejected(self):
         with pytest.raises(ParameterError):
             DetectionParams(t_abs=None, t_frac=None)
-
-    def test_epsilon_range(self):
-        with pytest.raises(ParameterError):
-            DetectionParams(epsilon=2.0)
 
     def test_k_min_range(self):
         with pytest.raises(ParameterError):

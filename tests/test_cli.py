@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 import peacock.bundling
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.cli import build_parser, main
-from peacock.coloring import OptimizerConfig, normalize_colors, optimize
+from peacock.coloring import OptimizerConfig, initial_embedding, normalize_colors, optimize
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles
 from peacock.model import GraphLayout, load_layout, save_layout
@@ -149,6 +149,29 @@ def test_seed_alone_selects_the_gaussian_start(tmp_path, fixture_file):
     start = np.random.default_rng(7).standard_normal((layout.m, 1))
     want = normalize_colors(optimize(w, d, start, OptimizerConfig()).embedding, w)
     assert json.loads(colors.read_text())["colors"] == want.tolist()
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_one_detection_and_d_serve_an_epsilon_sweep(tmp_path, fixture_file, q):
+    # Epsilon weighs only the pairs that are not bundled, so it is the
+    # optimizer's alone: detection and d are built once for every value.
+    colors = tmp_path / "colors.json"
+    layout = load_layout(fixture_file)
+    w = build_weight_matrix(layout, DetectionParams())
+    d = build_dissimilarity_matrix(layout)
+    for epsilon in (0.0, 1e-3, 0.1, 1.0):
+        cfg = OptimizerConfig(q=q, epsilon=epsilon)
+        want = normalize_colors(optimize(w, d, initial_embedding(layout, cfg), cfg).embedding, w)
+        assert main(["color", "--input", str(fixture_file), "--dims", str(q),
+                     "--epsilon", repr(epsilon), "--out-colors", str(colors)]) == 0
+        assert json.loads(colors.read_text())["colors"] == want.tolist()
+
+
+def test_epsilon_belongs_to_the_optimizer():
+    with pytest.raises(TypeError, match="epsilon"):
+        DetectionParams(epsilon=0.1)
+    with pytest.raises(ValueError, match=r"^epsilon must be in \[0, 1\], got 1\.5$"):
+        OptimizerConfig(epsilon=1.5)
 
 
 def test_init_flag_is_gone(fixture_file, capsys):
@@ -323,6 +346,15 @@ def test_readme_color_flags_match_parser():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == parsed
+    # Each bracketed default, as in `--kmin` [0.4], is the parser's, and
+    # every numeric default is documented.
+    defaults = {a.option_strings[0]: a.default for a in sub.choices["color"]._actions}
+    bracketed = {flag: None if text == "none" else float(text)
+                 for flag, text in re.findall(r"`(--[a-z][a-z-]*)[^`]*` \[([^\]]*)\]", paragraph)}
+    assert bracketed == {flag: defaults[flag] for flag in bracketed}
+    numeric = {flag for flag, v in defaults.items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    assert numeric <= set(bracketed)
 
 
 def test_runs_without_importing_scipy(tmp_path):

@@ -41,14 +41,14 @@ from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
 
 
-def smacof_step(y, w, d):
+def smacof_step(y, w, d, epsilon):
     """One update of the step `optimize` iterates; never increases the stress."""
-    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d))[1]
+    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d, epsilon))[1]
 
 
-def stress(y, w, d):
+def stress(y, w, d, epsilon):
     """The stress of y as the kernel `optimize` iterates computes it."""
-    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d))[0]
+    return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d, epsilon))[0]
 
 
 def two_point_instance(y_vals=(0.0, 1.0), d12=2.0):
@@ -61,12 +61,12 @@ def two_point_instance(y_vals=(0.0, 1.0), d12=2.0):
 class TestStress:
     def test_matched_distances_zero(self):
         y, w, d = two_point_instance(y_vals=(0.0, 2.0))
-        assert stress(y, w, d) == 0.0
+        assert stress(y, w, d, 0.0) == 0.0
 
     def test_two_point_value(self):
         y, w, d = two_point_instance()
         # both ordered pairs contribute (2-1)^2
-        assert stress(y, w, d) == pytest.approx(2.0)
+        assert stress(y, w, d, 0.0) == pytest.approx(2.0)
 
     def test_matches_naive_loop(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -77,20 +77,20 @@ class TestStress:
         d = build_dissimilarity_matrix(layout)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((layout.m, 2))
-        want = oracle_stress(y, dense_weights(w), d)
-        assert stress(y, w, d) == pytest.approx(want, rel=1e-10)
+        want = oracle_stress(y, dense_weights(w, 0.001), d)
+        assert stress(y, w, d, 0.001) == pytest.approx(want, rel=1e-10)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         y, w, d = random_instance(rng, m=8, q=3)
         shifted = y + np.array([5.0, -2.0, 0.5])
-        assert stress(shifted, w, d) == pytest.approx(stress(y, w, d), rel=1e-12)
+        assert stress(shifted, w, d, 0.1) == pytest.approx(stress(y, w, d, 0.1), rel=1e-12)
 
     def test_epsilon_zero_masks_unbundled_terms(self):
         rng = np.random.default_rng(12)
-        y, w, d = random_instance(rng, m=10, q=2, epsilon=0.0)
-        masked = dense_weights(w) * np.asarray(dense_flags(w), dtype=float)
-        assert stress(y, w, d) == pytest.approx(
+        y, w, d = random_instance(rng, m=10, q=2)
+        masked = dense_weights(w, 0.0) * np.asarray(dense_flags(w), dtype=float)
+        assert stress(y, w, d, 0.0) == pytest.approx(
             oracle_stress(y, masked, d), rel=1e-10
         )
 
@@ -101,16 +101,16 @@ class TestStress:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             m, q = int(rng.integers(2, 25)), int(rng.integers(1, 4))
-            y, w, d = random_instance(rng, m=m, q=q, epsilon=epsilon)
-            one_way = weight_matrix(np.triu(rng.random((m, m)) < 0.3, 1), epsilon)
-            everything = weight_matrix(~np.eye(m, dtype=bool), epsilon)
+            y, w, d = random_instance(rng, m=m, q=q)
+            one_way = weight_matrix(np.triu(rng.random((m, m)) < 0.3, 1))
+            everything = weight_matrix(~np.eye(m, dtype=bool))
             for w in (w, one_way, everything):
-                weights = dense_weights(w)
+                weights = dense_weights(w, epsilon)
                 if not weights.any():
                     continue
                 scale = (weights * d**2).sum()
                 want = oracle_stress(y, weights, d)
-                assert abs(stress(y, w, d) - want) <= 1e-12 * scale
+                assert abs(stress(y, w, d, epsilon) - want) <= 1e-12 * scale
 
     def test_dimension_mismatch(self):
         y, w, d = two_point_instance()
@@ -122,45 +122,45 @@ class TestStress:
 class TestSmacofStep:
     def test_stationary_point_unchanged(self):
         y, w, d = two_point_instance(y_vals=(0.0, 2.0))
-        y2 = smacof_step(y, w, d)
-        assert stress(y2, w, d) == pytest.approx(0.0, abs=1e-20)
+        y2 = smacof_step(y, w, d, 0.0)
+        assert stress(y2, w, d, 0.0) == pytest.approx(0.0, abs=1e-20)
         assert abs(y2[0, 0] - y2[1, 0]) == pytest.approx(2.0)
 
     def test_two_point_closed_form(self):
         # Guttman transform for two points lands on the target distance.
         y, w, d = two_point_instance()
-        y2 = smacof_step(y, w, d)
+        y2 = smacof_step(y, w, d, 0.0)
         assert abs(y2[0, 0] - y2[1, 0]) == pytest.approx(2.0, abs=1e-12)
-        assert stress(y2, w, d) == pytest.approx(0.0, abs=1e-18)
+        assert stress(y2, w, d, 0.0) == pytest.approx(0.0, abs=1e-18)
 
     def test_descent_over_100_steps(self):
         rng = np.random.default_rng(21)
         y, w, d = random_instance(rng, m=12, q=2)
-        s = stress(y, w, d)
+        s = stress(y, w, d, 0.1)
         for _ in range(100):
-            y = smacof_step(y, w, d)
-            s_next = stress(y, w, d)
+            y = smacof_step(y, w, d, 0.1)
+            s_next = stress(y, w, d, 0.1)
             assert s_next <= s * (1 + 1e-12)
             s = s_next
 
     def test_all_zero_weights_rejected(self):
-        w = weight_matrix(np.zeros((3, 3), dtype=bool), epsilon=0.0)
+        w = weight_matrix(np.zeros((3, 3), dtype=bool))
         d = np.ones((3, 3)) - np.eye(3)
         y = np.zeros((3, 1))
         with pytest.raises(OptimizationError):
-            smacof_step(y, w, d)
+            smacof_step(y, w, d, 0.0)
 
 
-def assert_matches_pinv(y, w, d):
-    want = oracle_smacof_step(y, w, d)
-    got = smacof_step(y, w, d)
+def assert_matches_pinv(y, w, d, epsilon):
+    want = oracle_smacof_step(y, w, d, epsilon)
+    got = smacof_step(y, w, d, epsilon)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def assert_collapsed_stress(w, d):
+def assert_collapsed_stress(w, d, epsilon):
     # The plan's stress scale is sum of w d^2 over ordered pairs.
-    want = (dense_weights(w) * d * d).sum()
-    assert abs(peacock.coloring._prepare(w, d)[3] - want) <= 1e-12 * want
+    want = (dense_weights(w, epsilon) * d * d).sum()
+    assert abs(peacock.coloring._prepare(w, d, epsilon)[3] - want) <= 1e-12 * want
 
 
 class TestPrepare:
@@ -168,38 +168,38 @@ class TestPrepare:
 
     def test_random_instance(self):
         for seed in range(20):
-            y, w, d = random_instance(np.random.default_rng(seed), m=12, q=2, epsilon=0.1)
-            assert_matches_pinv(y, w, d)
-            assert_collapsed_stress(w, d)
+            y, w, d = random_instance(np.random.default_rng(seed), m=12, q=2)
+            assert_matches_pinv(y, w, d, 0.1)
+            assert_collapsed_stress(w, d, 0.1)
 
     def test_random_instance_several_components(self):
         n_components = []
         for seed in range(40):
-            y, w, d = random_instance(np.random.default_rng(seed), m=6, q=2, epsilon=0.0)
+            y, w, d = random_instance(np.random.default_rng(seed), m=6, q=2)
             if not dense_flags(w).any():
                 continue
-            assert_matches_pinv(y, w, d)
-            assert_collapsed_stress(w, d)
-            _, _, blocks, _, _ = peacock.coloring._prepare(w, d)
+            assert_matches_pinv(y, w, d, 0.0)
+            assert_collapsed_stress(w, d, 0.0)
+            _, _, blocks, _, _ = peacock.coloring._prepare(w, d, 0.0)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
     def test_edges_without_partners(self):
         layout = random_layout(np.random.default_rng(5), m=30, max_controls=6)
-        w = build_weight_matrix(layout, DetectionParams(t_abs=4.0, t_frac=None, epsilon=0.0))
+        w = build_weight_matrix(layout, DetectionParams(t_abs=4.0, t_frac=None))
         alone = ~(dense_flags(w) | dense_flags(w).T).any(axis=1)
         assert 0 < alone.sum() < layout.m
         y = initial_embedding(layout, OptimizerConfig(q=3))
-        assert_matches_pinv(y, w, build_dissimilarity_matrix(layout))
+        assert_matches_pinv(y, w, build_dissimilarity_matrix(layout), 0.0)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
     def test_every_pair_flagged_both_ways(self, epsilon):
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
-        w = weight_matrix(~np.eye(12, dtype=bool), epsilon)
-        _, _, blocks, _, _ = peacock.coloring._prepare(w, d)
+        w = weight_matrix(~np.eye(12, dtype=bool))
+        _, _, blocks, _, _ = peacock.coloring._prepare(w, d, epsilon)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
-        assert_matches_pinv(y, w, d)
+        assert_matches_pinv(y, w, d, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_asymmetric_flags(self, epsilon):
@@ -209,13 +209,14 @@ class TestPrepare:
             # One-way flags only, then every pair flagged one way and some
             # both ways, so that u = 1 + epsilon.
             one_way = np.triu(rng.random((10, 10)) < 0.3, 1)
-            assert_matches_pinv(y, weight_matrix(one_way, epsilon), d)
+            assert_matches_pinv(y, weight_matrix(one_way), d, epsilon)
             tournament = np.triu(rng.random((10, 10)) < 0.5, 1)
             tournament |= np.tril(~tournament.T, -1) | (rng.random((10, 10)) < 0.2)
-            w = weight_matrix(tournament, epsilon)
+            w = weight_matrix(tournament)
             off = ~np.eye(10, dtype=bool)
-            assert (dense_weights(w) + dense_weights(w).T)[off].min() == 1.0 + epsilon
-            assert_matches_pinv(y, w, d)
+            weights = dense_weights(w, epsilon)
+            assert (weights + weights.T)[off].min() == 1.0 + epsilon
+            assert_matches_pinv(y, w, d, epsilon)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.data())
@@ -240,14 +241,14 @@ class TestPrepare:
         m = 20
         flags = np.zeros((m, m), dtype=bool)
         flags[np.arange(m - 1), np.arange(1, m)] = True
-        w = weight_matrix(flags, 0.01)
+        w = weight_matrix(flags)
         # Everything but the block fits.
         budget = peacock.bundling.check_budget(m, len(w.pairs), 1)
         monkeypatch.setattr(peacock.bundling, "DENSE_BUDGET", budget)
         monkeypatch.setattr(np.linalg, "inv", None)
         with pytest.raises(ParameterError, match="M=20 edges, P=19 flagged pairs and a largest "
                                               "component of c=20 edges"):
-            peacock.coloring._prepare(w, np.zeros((m, m)))
+            peacock.coloring._prepare(w, np.zeros((m, m)), 0.01)
 
     def test_plan_keeps_one_inverse_and_the_flat_pairs(self):
         # A neighbour-only chain of M = 1000 edges is one component of
@@ -256,11 +257,11 @@ class TestPrepare:
         m = 1000
         flags = np.zeros((m, m), dtype=bool)
         flags[np.arange(m - 1), np.arange(1, m)] = True
-        w = weight_matrix(flags, 0.01)
+        w = weight_matrix(flags)
         d = np.zeros((m, m))
         tracemalloc.start()
         try:
-            plan = peacock.coloring._prepare(w, d)
+            plan = peacock.coloring._prepare(w, d, 0.01)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -358,17 +359,18 @@ class TestOptimize:
         w = weight_matrix(flags)
         side = 3.0
         d = side * (1 - np.eye(3))
-        res = optimize(w, d, gaussian_start(1, 3, 2), OptimizerConfig(q=2, rel_tol=1e-12))
+        res = optimize(w, d, gaussian_start(1, 3, 2),
+                       OptimizerConfig(q=2, rel_tol=1e-12, epsilon=0.0))
         y = res.embedding
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(y[i] - y[j]) == pytest.approx(side, abs=1e-6)
 
     def test_all_zero_weights_error(self):
-        w = weight_matrix(np.zeros((2, 2), dtype=bool), epsilon=0.0)
+        w = weight_matrix(np.zeros((2, 2), dtype=bool))
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(OptimizationError):
-            optimize(w, d, gaussian_start(0, 2, 1), OptimizerConfig())
+            optimize(w, d, gaussian_start(0, 2, 1), OptimizerConfig(epsilon=0.0))
 
     def test_deterministic(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -387,7 +389,8 @@ class TestOptimize:
         # The two-point instance of acceptance criterion 5.
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
+        res = optimize(w, d, gaussian_start(7, 2, 1),
+                       OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
         assert res.stop_reason == "tolerance"
         assert res.converged
 
@@ -411,17 +414,19 @@ class TestOptimize:
                             lambda y, *args: (step(y, *args)[0], 3.0 * y))
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50))
+        res = optimize(w, d, gaussian_start(7, 2, 1),
+                       OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
         assert res.stop_reason == "stress_increase"
         assert not res.converged
 
     @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-15), (500, 1e-2)])
     def test_equals_accelerated_cycles_of_dense_steps(self, max_iters, rel_tol):
         rng = np.random.default_rng(31)
-        _, w, d = random_instance(rng, m=15, q=3, epsilon=0.05)
+        _, w, d = random_instance(rng, m=15, q=3)
         start = gaussian_start(4, 15, 3)
-        res = optimize(w, d, start, OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol))
-        y, s, n, stop_reason = oracle_optimize(start, w, d, max_iters, rel_tol)
+        cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, epsilon=0.05)
+        res = optimize(w, d, start, cfg)
+        y, s, n, stop_reason = oracle_optimize(start, w, d, 0.05, max_iters, rel_tol)
         assert stop_reason == res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
         assert res.n_iters == n
         assert np.abs(res.embedding - y).max() <= 1e-9 * np.abs(y).max()
@@ -431,7 +436,7 @@ class TestOptimize:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20), q=st.integers(1, 3),
            epsilon=st.floats(0.0, 1.0), max_iters=st.integers(1, 60))
     def test_accepted_stress_never_rises(self, seed, m, q, epsilon, max_iters):
-        _, w, d = random_instance(np.random.default_rng(seed), m=m, q=q, epsilon=epsilon)
+        _, w, d = random_instance(np.random.default_rng(seed), m=m, q=q)
         seen = []
 
         def recorded(*args):
@@ -441,7 +446,7 @@ class TestOptimize:
 
         iterates = peacock.coloring._iterates
         steps = mock.Mock(side_effect=peacock.coloring._smacof_step)
-        cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12)
+        cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12, epsilon=epsilon)
         with mock.patch.multiple(peacock.coloring, _iterates=recorded, _smacof_step=steps):
             try:
                 res = optimize(w, d, gaussian_start(seed, m, q), cfg)
@@ -449,27 +454,27 @@ class TestOptimize:
                 assume(False)
         # Rises are rounding only: the stress sum rounds relative to its
         # scale, the stress of the collapsed embedding.
-        scale = (dense_weights(w) * d**2).sum()
+        scale = (dense_weights(w, epsilon) * d**2).sum()
         stresses = [s for _, s, _ in seen]
         assert all(b <= a + 1e-12 * scale for a, b in zip(stresses, stresses[1:]))
         assert [n for _, _, n in seen] == sorted({n for _, _, n in seen})
         assert steps.call_count - 1 == res.n_iters == seen[-1][2] <= max_iters
-        assert res.stress == stress(res.embedding, w, d)
-        want = oracle_stress(res.embedding, dense_weights(w), d)
+        assert res.stress == stress(res.embedding, w, d, epsilon)
+        want = oracle_stress(res.embedding, dense_weights(w, epsilon), d)
         assert res.stress == pytest.approx(want, rel=1e-10, abs=1e-12 * scale)
 
     def test_global_mode_takes_a_quarter_of_plain_smacofs_transforms(self, ordered_fixture):
         # Acceptance criterion 7's instance. From the full-rank start its
         # optimum is not planar: stress 11.77 where a planar one has 2,172.
         layout = ordered_fixture.layout
-        w = build_weight_matrix(layout, DetectionParams(epsilon=1.0))
+        w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        cfg = OptimizerConfig(q=3)
+        cfg = OptimizerConfig(q=3, epsilon=1.0)
         start = initial_embedding(layout, cfg)
         res = optimize(w, d, start, cfg)
         assert res.stop_reason == "tolerance"
         assert res.stress <= 12
-        plan = peacock.coloring._prepare(w, d)
+        plan = peacock.coloring._prepare(w, d, cfg.epsilon)
         s, y = peacock.coloring._smacof_step(start, d, plan)
         for plain in range(1, 4 * cfg.max_iters):
             s_next, y = peacock.coloring._smacof_step(y, d, plan)
@@ -487,10 +492,10 @@ class TestOptimize:
         # weight, so a transform whose rounding grew as 1 / epsilon would
         # show here as a rise.
         layout = make_ordered_bundles(6, 3, seed=0).layout
-        w = build_weight_matrix(layout, DetectionParams(epsilon=epsilon))
+        w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
         y = initial_embedding(layout, OptimizerConfig(q=q))
-        steps = peacock.coloring._iterates(y, d, peacock.coloring._prepare(w, d), 300)
+        steps = peacock.coloring._iterates(y, d, peacock.coloring._prepare(w, d, epsilon), 300)
         stresses = [s for _, s, _ in steps]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(stresses, stresses[1:]))
 
@@ -554,7 +559,7 @@ class TestNormalizeColors:
     def test_lonely_edge_uses_global_range(self):
         flags = np.zeros((3, 3), dtype=bool)
         flags[0, 1] = flags[1, 0] = True
-        w = weight_matrix(flags, epsilon=0.5)
+        w = weight_matrix(flags)
         y = np.array([[0.0], [4.0], [1.0]])
         table = normalize_colors(y, w)
         # edge 2 has no bundle partners: global min-max over (0, 4, 1)
@@ -573,7 +578,7 @@ class TestNormalizeColors:
         m = 12
         flags = rng.random((m, m)) < 0.4
         np.fill_diagonal(flags, False)
-        w = weight_matrix(flags, epsilon=0.01)
+        w = weight_matrix(flags)
         y = rng.standard_normal((m, 2))
         table = normalize_colors(y, w)
         assert (table >= 0).all() and (table <= 1).all()
@@ -589,7 +594,7 @@ class TestNormalizeColors:
             for i in ids:
                 for j in ids:
                     flags[i, j] = i != j
-        w = weight_matrix(flags, epsilon=0.001)
+        w = weight_matrix(flags)
         y = rng.standard_normal((m, 2))
         table = normalize_colors(y, w)
         for ids in cliques:
@@ -627,7 +632,7 @@ class TestNormalizeColorsOracle:
         y, flags = case
         np.fill_diagonal(flags, False)
         m, q = y.shape
-        table = normalize_colors(y, weight_matrix(flags, 0.1))
+        table = normalize_colors(y, weight_matrix(flags))
         assert np.array_equal(table, oracle_normalize_colors(y, flags))
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_layout, random_layout
 from peacock.model import (
     GraphLayout,
-    LayoutParseError,
-    LayoutValidationError,
+    LayoutError,
     layout_extent,
     layout_from_dict,
     layout_to_dict,
@@ -48,20 +47,20 @@ def test_nan_coordinate_names_edge(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc).replace("NaN", "NaN"))
-    with pytest.raises(LayoutValidationError, match="edge 1"):
+    with pytest.raises(LayoutError, match="edge 1"):
         load_layout(path)
 
 
 def test_empty_controls_rejected(tmp_path):
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": []}]}
-    with pytest.raises(LayoutValidationError, match="edge 0"):
+    with pytest.raises(LayoutError, match="edge 0"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_duplicate_edge_id_rejected(tmp_path):
     edge = {"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}
     doc = {"edges": [edge, dict(edge)]}
-    with pytest.raises(LayoutValidationError, match="duplicate edge id 0"):
+    with pytest.raises(LayoutError, match="duplicate edge id 0"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -72,20 +71,20 @@ def test_id_gap_rejected(tmp_path):
             {"id": 2, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]},
         ]
     }
-    with pytest.raises(LayoutValidationError, match="no gaps"):
+    with pytest.raises(LayoutError, match="no gaps"):
         load_layout(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize("eid", [False, True])
 def test_boolean_edge_id_rejected(tmp_path, eid):
     doc = {"edges": [{"id": eid, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}]}
-    with pytest.raises(LayoutParseError, match="is not an integer"):
+    with pytest.raises(LayoutError, match="is not an integer"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_boolean_coordinate_rejected(tmp_path):
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[True, 1]]}]}
-    with pytest.raises(LayoutParseError, match=r"edge 0: controls\[0\] has non-numeric"):
+    with pytest.raises(LayoutError, match=r"edge 0: controls\[0\] has non-numeric"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -95,14 +94,14 @@ def test_bad_node_error_names_node(tmp_path, x):
         "nodes": [{"id": "a", "x": x, "y": 0}],
         "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}],
     }
-    with pytest.raises(LayoutParseError, match="^node a: position has non-numeric"):
+    with pytest.raises(LayoutError, match="^node a: position has non-numeric"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(LayoutParseError):
+    with pytest.raises(LayoutError):
         load_layout(path)
 
 
@@ -191,14 +190,14 @@ def test_shuffled_edge_order_loads_same_arrays(tmp_path):
 def test_negative_id_rejected(tmp_path):
     edge = {"v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}
     doc = {"edges": [dict(edge, id=-1), dict(edge, id=0)]}
-    with pytest.raises(LayoutValidationError, match="must be 0..1 with no gaps"):
+    with pytest.raises(LayoutError, match="must be 0..1 with no gaps"):
         load_layout(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize("nodes", [5, {}, "ab", None])
 def test_nodes_not_an_array_rejected(tmp_path, nodes):
     doc = {"nodes": nodes, "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}]}
-    with pytest.raises(LayoutParseError, match="'nodes' must be an array"):
+    with pytest.raises(LayoutError, match="'nodes' must be an array"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -211,7 +210,7 @@ def test_integer_beyond_float_range_names_edge(tmp_path, where, what):
         edge["controls"][1] = [0, -(10**400)]
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}, edge]}
     message = rf"^edge 1: coordinate in {re.escape(what)} is too large"
-    with pytest.raises(LayoutValidationError, match=message):
+    with pytest.raises(LayoutError, match=message):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -220,7 +219,7 @@ def test_node_integer_beyond_float_range_names_node(tmp_path):
         "nodes": [{"id": "a", "x": 0, "y": 10**400}],
         "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}],
     }
-    with pytest.raises(LayoutValidationError, match="^node a: coordinate in position is too large"):
+    with pytest.raises(LayoutError, match="^node a: coordinate in position is too large"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -248,6 +247,6 @@ ENDS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]
     ],
 )
 def test_constructor_validates(points, offsets, ends, nodes, message):
-    with pytest.raises(LayoutValidationError, match=message):
+    with pytest.raises(LayoutError, match=message):
         GraphLayout(points=points, offsets=offsets, ends=ends, nodes=nodes)
 

@@ -24,14 +24,14 @@ def test_fixture_rank_correlation(ordered_fixture):
 
 def test_global_mode_beats_baseline(ordered_fixture):
     layout = ordered_fixture.layout
-    params = DetectionParams(epsilon=1.0)
-    cfg = OptimizerConfig(q=3)
+    params = DetectionParams()
+    cfg = OptimizerConfig(q=3, epsilon=1.0)
     run = run_peacock(layout, params, cfg)
 
     w = build_weight_matrix(layout, params)
     d = build_dissimilarity_matrix(layout)
     base = baseline_colors(layout)
-    base_stress = stress(base, w, d)
+    base_stress = stress(base, w, d, cfg.epsilon)
     assert run.result.stress < base_stress
 
 
@@ -61,9 +61,9 @@ def test_zero_epsilon_without_bundles_attributed_to_optimizer():
         ((0, 0), (1, 0), [(0, 0), (1, 0)]),
         ((0, 99), (1, 99), [(0, 99), (1, 99)]),
     ])
-    params = DetectionParams(t_abs=0.5, t_frac=None, epsilon=0.0)
+    params = DetectionParams(t_abs=0.5, t_frac=None)
     with pytest.raises(StageError) as err:
-        run_peacock(far, params, OptimizerConfig())
+        run_peacock(far, params, OptimizerConfig(epsilon=0.0))
     assert err.value.stage == "optimize"
 
 
