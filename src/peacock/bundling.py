@@ -113,9 +113,9 @@ class BundleWeightMatrix:
     `pairs` holds the flagged ordered pairs (i, j), edge i bundled against
     edge j, as ascending codes i * M + j; flags may be one-way. A flagged
     ordered pair weighs 1 and the others the optimizer's tradeoff weight,
-    so no M x M matrix is kept. `fans[offsets[i] + s]` is True
-    where segment s of edge i, joining its controls s and s + 1, enters or
-    leaves the first qualifying run of one of i's flagged pairs.
+    so no M x M matrix is kept. `fans[p]` is True where the segment
+    joining controls p and p + 1 of one edge enters or leaves the first
+    qualifying run of one of that edge's flagged pairs.
     """
 
     m: int
@@ -173,12 +173,6 @@ def _spans(lo, size, cells):
     return np.repeat(lo[cells] - (ends - n), n) + np.arange(n.sum()), n
 
 
-def _fans(start, end, c_i):
-    """Fan-in and fan-out segment of runs (start, end) on edges with c_i
-    controls; -1 where the run touches that end of the edge."""
-    return np.where(start > 0, start - 1, -1), np.where(end < c_i - 1, end, -1)
-
-
 def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
     """Each batch's flagged ordered pairs and the first maximal qualifying run of each.
 
@@ -187,7 +181,8 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
     j; it qualifies when its length reaches
     `required_run_length(C_i, C_j, k_min)`. Each batch is the pair codes
     i * M + j in ascending order, after those of earlier batches, and the
-    (start, end) control indices of their runs.
+    absolute indices into `points` of the first and last control of their
+    runs.
 
     A batch of whole edges, controls p0:p1, fills an (M, p1 - p0) map of
     which controls lie within t of some control of which partner edge,
@@ -246,8 +241,7 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
         i, j = owner[p[start]], code[start] // w
         ok = stop - start + 1 >= required_run_length(counts[i], counts[j], k_min)
         code, first_run = np.unique(i[ok] * m + j[ok], return_index=True)
-        lo_run = p[start[ok]][first_run] - offsets[i[ok]][first_run]
-        yield code, lo_run, lo_run + (stop - start)[ok][first_run]
+        yield code, p[start[ok][first_run]], p[stop[ok][first_run]]
 
 
 def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleWeightMatrix:
@@ -259,12 +253,14 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
     """
     check_budget(layout.m, layout.m * (layout.m - 1), 0)
     t = params.resolve_t(layout)
-    offsets, counts = layout.offsets, np.diff(layout.offsets)
+    # A run's fan-in segment ends at its first control p and its fan-out
+    # segment starts at its last control q, unless p starts or q ends the edge.
+    edge_start = np.zeros(len(layout.points) + 1, dtype=bool)
+    edge_start[layout.offsets] = True
     pairs, fans = [np.empty(0, dtype=np.int64)], np.zeros(len(layout.points), dtype=bool)
-    for code, start, end in _detect(layout.points, offsets, t, params.k_min):
-        i = code // layout.m
-        for seg in _fans(start, end, counts[i]):
-            fans[(offsets[i] + seg)[seg >= 0]] = True
+    for code, first, last in _detect(layout.points, layout.offsets, t, params.k_min):
+        fans[first[~edge_start[first]] - 1] = True
+        fans[last[~edge_start[last + 1]]] = True
         pairs.append(code)
     return BundleWeightMatrix(layout.m, np.concatenate(pairs), fans)
 

@@ -34,41 +34,39 @@ def _texts(xy: np.ndarray) -> list[str]:
     return [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xy[:, 0].tolist(), xy[:, 1].tolist())]
 
 
-def _polyline(coords, color, width, opacity) -> str:
-    """A path through `coords`, "x y" texts in order."""
+def _polyline(coords, stroke: str, width, opacity) -> str:
+    """A path through `coords`, "x y" texts in order, stroked in hex color `stroke`."""
     d = "M " + " L ".join(coords)
     return (
-        f'<path d="{d}" fill="none" stroke="{_hex(color)}" '
+        f'<path d="{d}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_fmt(width)}" stroke-opacity="{_fmt(opacity)}" '
         f'stroke-linecap="round" stroke-linejoin="round"/>'
     )
 
 
-def _curves(layout: GraphLayout) -> list[list[str]]:
-    """Per edge, the "x y" texts of v1, its control points and v2."""
-    pts, o = _texts(layout.points), layout.offsets.tolist()
+def _curves(layout: GraphLayout, pts: list[str]) -> list[list[str]]:
+    """Per edge, the "x y" texts of v1, its control points and v2; `pts`
+    holds those of `layout.points`."""
+    o = layout.offsets.tolist()
     v1, v2 = _texts(layout.ends[:, 0]), _texts(layout.ends[:, 1])
     return [[v1[i], *pts[o[i] : o[i + 1]], v2[i]] for i in range(layout.m)]
 
 
-def _fan_elements(layout, colors, fans: BundleWeightMatrix) -> list[str]:
-    # The marked controls in order, edge i's at bounds[i]:bounds[i + 1], and
-    # the index on its edge of the segment each one starts.
+def _fan_elements(layout, pts, colors, fans: BundleWeightMatrix) -> list[str]:
+    gray = _hex(_GRAY)
+    parts = [_polyline(c, gray, _STROKE_WIDTH, _OPACITY) for c in _curves(layout, pts)]
+    # The marked controls in order, edge i's at bounds[i]:bounds[i + 1]; the
+    # segment marked at control p joins controls p and p + 1.
     marked = np.flatnonzero(fans.fans)
     bounds = np.searchsorted(marked, layout.offsets).tolist()
-    segs = (marked - np.repeat(layout.offsets[:-1], np.diff(bounds))).tolist()
-    curves = _curves(layout)
-    parts = [_polyline(c, _GRAY, _STROKE_WIDTH, _OPACITY) for c in curves]
+    marked = marked.tolist()
     radius = _fmt(_STROKE_WIDTH * 1.5)
-    for i, (curve, ends) in enumerate(zip(curves, layout.ends.tolist())):
-        color = colors[i]
-        # Segment s joins control points s and s + 1, after v1 in the curve.
-        for s in segs[bounds[i] : bounds[i + 1]]:
-            parts.append(_polyline(curve[s + 1 : s + 3], color, _STROKE_WIDTH * 1.5, 1.0))
+    for i, ends in enumerate(layout.ends.tolist()):
+        color = _hex(colors[i])
+        for p in marked[bounds[i] : bounds[i + 1]]:
+            parts.append(_polyline(pts[p : p + 2], color, _STROKE_WIDTH * 1.5, 1.0))
         for x, y in ends:
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{radius}" fill="{_hex(color)}"/>'
-            )
+            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{radius}" fill="{color}"/>')
     return parts
 
 
@@ -95,12 +93,13 @@ def render_svg(layout: GraphLayout, colors, fans: BundleWeightMatrix | None = No
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
     ]
+    pts = _texts(layout.points)
     if fans is not None:
-        parts += _fan_elements(layout, colors, fans)
+        parts += _fan_elements(layout, pts, colors, fans)
     else:
         parts += [
-            _polyline(c, color, _STROKE_WIDTH, _OPACITY)
-            for c, color in zip(_curves(layout), colors)
+            _polyline(c, _hex(color), _STROKE_WIDTH, _OPACITY)
+            for c, color in zip(_curves(layout, pts), colors)
         ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from peacock.bundling import BundleWeightMatrix, _detect, required_run_length
+from peacock.bundling import BundleWeightMatrix, _detect
 from peacock.model import GraphLayout
 
 
@@ -111,6 +111,18 @@ def oracle_first_run(pi, pj, t, k_ij):
     return None
 
 
+def oracle_fans(start, end, c_i):
+    """(fan_in, fan_out) of the run (start, end) on an edge of c_i controls:
+    the segment, numbered by its first control, that enters the run and
+    the one that leaves it; None where the run touches that end of the edge."""
+    return (start - 1 if start > 0 else None, end if end < c_i - 1 else None)
+
+
+def oracle_run_length(c_i, c_j, k_min):
+    """k_ij = max(1, floor(max(c_i, c_j) * k_min))."""
+    return max(1, math.floor(max(c_i, c_j) * k_min))
+
+
 def oracle_flags(layout, t, k_min):
     m = layout.m
     controls = [c for _, _, c in edges_of(layout)]
@@ -119,7 +131,7 @@ def oracle_flags(layout, t, k_min):
         for j, cj in enumerate(controls):
             if i == j:
                 continue
-            k_ij = required_run_length(len(ci), len(cj), k_min)
+            k_ij = oracle_run_length(len(ci), len(cj), k_min)
             flags[i, j] = oracle_detect(ci, cj, t, k_ij)
     return flags
 
@@ -141,11 +153,12 @@ def dense_weights(w, epsilon):
 
 def runs_by_pair(layout, t, k_min):
     """{(i, j): (start, end)} of every pair that detection flags, from the
-    batches of `peacock.bundling._detect`."""
-    runs = {}
-    for code, start, end in _detect(layout.points, layout.offsets, t, k_min):
-        for c, s, e in zip(code.tolist(), start.tolist(), end.tolist()):
-            runs[divmod(c, layout.m)] = (s, e)
+    batches of `peacock.bundling._detect`, as control indices on edge i."""
+    runs, o = {}, layout.offsets.tolist()
+    for code, first, last in _detect(layout.points, layout.offsets, t, k_min):
+        for c, p, q in zip(code.tolist(), first.tolist(), last.tolist()):
+            i, j = divmod(c, layout.m)
+            runs[i, j] = (p - o[i], q - o[i])
     return runs
 
 

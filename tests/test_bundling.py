@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 
 import numpy as np
@@ -13,8 +14,10 @@ from conftest import (
     edges_of,
     make_layout,
     oracle_detect,
+    oracle_fans,
     oracle_first_run,
     oracle_flags,
+    oracle_run_length,
     random_layout,
     rigid_transform,
     runs_by_pair,
@@ -25,12 +28,12 @@ from peacock.bundling import (
     DetectionParams,
     ParameterError,
     _detect,
-    _fans,
     build_weight_matrix,
     dump_bundled_pairs,
     required_run_length,
 )
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
+from peacock.render import render_svg
 
 
 def layout_from_points(controls):
@@ -384,10 +387,10 @@ class TestDetectionProperties:
         controls = [c for _, _, c in edges_of(layout)]
         want = np.zeros(len(layout.points), dtype=bool)
         for i, j in zip(*np.nonzero(oracle_flags(layout, t, k_min))):
-            k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)
+            k_ij = oracle_run_length(len(controls[i]), len(controls[j]), k_min)
             start, end = oracle_first_run(controls[i], controls[j], t, k_ij)
-            for seg in _fans(start, end, len(controls[i])):
-                if seg >= 0:
+            for seg in oracle_fans(start, end, len(controls[i])):
+                if seg is not None:
                     want[layout.offsets[i] + seg] = True
         assert (w.fans == want).all()
 
@@ -404,3 +407,47 @@ class TestDetectionProperties:
         for i, p in enumerate(perm):
             assert (b.fans[permuted.offsets[i] : permuted.offsets[i + 1]]
                     == a.fans[layout.offsets[p] : layout.offsets[p + 1]]).all()
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def path_points(path):
+    """The (x, y) points of an SVG path "M x y L x y ..."."""
+    nums = [float(v) for v in path.get("d").replace("M", "").replace("L", "").split()]
+    return list(zip(nums[::2], nums[1::2]))
+
+
+class TestFansOnlySvg:
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_layouts())
+    def test_colored_segments_are_the_oracle_fans(self, case):
+        # Lattice coordinates are exact in the SVG's three decimals.
+        layout, t, k_min = case
+        w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
+        rgb = [(i / layout.m, 0.5, 1 - i / layout.m) for i in range(layout.m)]
+        elements = list(ET.fromstring(render_svg(layout, rgb, w)))
+        assert [e.tag for e in elements[: layout.m]] == [SVG + "path"] * layout.m
+        rest = elements[layout.m :]
+        flags = oracle_flags(layout, t, k_min)
+        edges = edges_of(layout)
+        for i, (v1, v2, ci) in enumerate(edges):
+            segs = set()
+            for j in np.flatnonzero(flags[i]):
+                cj = edges[j][2]
+                run = oracle_first_run(ci, cj, t, oracle_run_length(len(ci), len(cj), k_min))
+                segs.update(s for s in oracle_fans(*run, len(ci)) if s is not None)
+            n = next(k for k, e in enumerate(rest) if e.tag == SVG + "circle")
+            paths, circles, rest = rest[:n], rest[n : n + 2], rest[n + 2 :]
+            assert [path_points(e) for e in paths] == [
+                [tuple(ci[p]), tuple(ci[p + 1])] for p in sorted(segs)
+            ]
+            assert [e.tag for e in circles] == [SVG + "circle"] * 2
+            assert [(float(c.get("cx")), float(c.get("cy"))) for c in circles] == [
+                tuple(v1), tuple(v2)
+            ]
+            color = circles[0].get("fill")
+            assert [e.get("stroke") for e in paths] + [circles[1].get("fill")] == [color] * (n + 1)
+            got = [int(color[k : k + 2], 16) / 255 for k in (1, 3, 5)]
+            assert max(abs(a - b) for a, b in zip(got, rgb[i])) <= 1 / 255
+        assert rest == []

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edges_of, make_layout, runs_by_pair
-from peacock.bundling import DetectionParams, _fans, build_weight_matrix, required_run_length
+from conftest import edges_of, make_layout, oracle_fans, runs_by_pair
+from peacock.bundling import DetectionParams, build_weight_matrix, required_run_length
 from peacock.coloring import OptimizerConfig, colors_to_display
 from peacock.fixtures import make_crossing_bundles
 from peacock.pipeline import run_peacock
@@ -25,11 +25,10 @@ def fans_of(layout, t, k_min=1.0):
     """{(i, j): (run_start, run_end, fan_in, fan_out)} of every flagged pair,
     with None where a run touches that end of its edge."""
     counts = np.diff(layout.offsets)
-    out = {}
-    for (i, j), (start, end) in runs_by_pair(layout, t, k_min).items():
-        fan_in, fan_out = (int(s) for s in _fans(start, end, counts[i]))
-        out[i, j] = (start, end, fan_in if fan_in >= 0 else None, fan_out if fan_out >= 0 else None)
-    return out
+    return {
+        (i, j): (start, end, *oracle_fans(start, end, counts[i]))
+        for (i, j), (start, end) in runs_by_pair(layout, t, k_min).items()
+    }
 
 
 class TestFanSegments:
