@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import GraphLayout, layout_extent
 
-# The memory model of a run: at its peak it holds about
+# The memory model of a run: at its peak it holds about BYTES_PER_RUN +
 # BYTES_PER_ENTRY * M^2 + BYTES_PER_PAIR * P + BYTES_PER_BLOCK_ENTRY * c^2
 # bytes, P being the flagged ordered pairs and c the edges of the largest
 # component of the optimizer's residual graph (see coloring._prepare).
@@ -30,10 +30,10 @@ from .model import GraphLayout, layout_extent
 # run by >= 5%: a crossing with every pair flagged (P = M(M - 1), c = 1),
 # the same plus one far edge (so every crossing pair is a residual pair,
 # c = M - 1) and a chain of edges bundled with their neighbours only
-# (c = M). The first two terms also bound the peak before the optimizer's
-# check, which the residual pairs derived from the flagged ones set; the
-# M = 1000 runs, where a few MB do not grow with M, set all three figures.
-BYTES_PER_ENTRY = 16
+# (c = M). With c = 0 it also bounds the peak before the optimizer's check,
+# which the far edge's residual pairs set; d takes ~4 of the 5 B/entry.
+BYTES_PER_RUN = 16 * 2**20
+BYTES_PER_ENTRY = 5
 BYTES_PER_PAIR = 44
 BYTES_PER_BLOCK_ENTRY = 48
 
@@ -59,7 +59,7 @@ def check_budget(m: int, pairs: int, largest: int) -> int:
     """The bytes a run of m edges needs at its peak with `pairs` flagged
     ordered pairs and a largest residual component of `largest` edges,
     refused with ParameterError over DENSE_BUDGET."""
-    need = (BYTES_PER_ENTRY * m * m + BYTES_PER_PAIR * pairs
+    need = (BYTES_PER_RUN + BYTES_PER_ENTRY * m * m + BYTES_PER_PAIR * pairs
             + BYTES_PER_BLOCK_ENTRY * largest * largest)
     if need > DENSE_BUDGET:
         raise ParameterError(

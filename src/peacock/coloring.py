@@ -22,15 +22,16 @@ never rises across accepted iterates (y1 counts as one), and at a = 1,
 where y' = y2, a cycle is three plain steps. `max_iters` counts
 Guttman transforms, the same unit as plain SMACOF's iterations.
 
-The weights come as the bundled pairs plus the tradeoff, and the only
-M x M array is the dissimilarity matrix d. The Laplacian of the
-symmetrized weights splits as V = u (M I - J) + L_R: u is the smallest
-pair weight (2 epsilon unless every pair is bundled one way or both) and
-L_R the Laplacian of the residual weights, which only bundled pairs have.
-So V+ is one small inverse per connected component of the residual graph
-(`_prepare`), one formula for every u >= 0 that never divides by u. Each
-iteration splits B(Y) Y and the stress the same way: one pass over row
-blocks of the upper triangle of d for the part every pair shares, and one
+The weights come as the bundled pairs plus the tradeoff, and the
+dissimilarities d as the packed upper row blocks of their matrix
+(`dissimilarity.upper_row_blocks`), opaque to callers; no array is M x M.
+The Laplacian of the symmetrized weights splits as V = u (M I - J) + L_R:
+u is the smallest pair weight (2 epsilon unless every pair is bundled one
+way or both) and L_R the Laplacian of the residual weights, which only
+bundled pairs have. So V+ is one small inverse per connected component of
+the residual graph (`_prepare`), one formula for every u >= 0 that never
+divides by u. Each iteration splits B(Y) Y and the stress the same way:
+one pass over the row blocks of d for the part every pair shares, and one
 pass over the flat list of residual pairs for the rest (`_smacof_step`),
 with no M x M temporary.
 """
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import PAIR_BUDGET, BundleWeightMatrix, check_budget
-from .dissimilarity import distances, upper_row_blocks
+from .dissimilarity import distances, packed_size, upper_row_blocks
 from .model import GraphLayout
 
 _TINY = 1e-30
@@ -156,9 +157,11 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     dissimilarities.
     """
     m = w.m
-    code, mutual, every = _residual_pairs(w)
+    # With every pair flagged both ways, u = 2 and no pair is residual.
+    none = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), True
+    code, mutual, every = none if 0 < len(w.pairs) == m * (m - 1) else _residual_pairs(w)
     r = np.where(mutual, 2.0, 1.0 + epsilon)
-    u = float(r.min()) if every else 2.0 * epsilon
+    u = float(r.min(initial=2.0)) if every else 2.0 * epsilon
     r -= u
     keep = r > 0
     code, r = code[keep], r[keep]
@@ -170,12 +173,19 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     label = _components(m, a, b)
     sizes = np.bincount(label)
     check_budget(m, len(w.pairs), int(sizes.max()))
-    d2 = 0.5 * float(np.vdot(d, d))
+    # d_ab, a <= b, is entry row_start[a] + b of d. Each block's diagonal
+    # square holds its pairs both ways, so it counts half.
+    d2, row_start = 0.0, np.empty(m, dtype=np.int64)
+    for lo, hi, flat in upper_row_blocks(m):
+        n = hi - lo
+        row_start[lo:hi] = flat.start - lo + (m - lo) * np.arange(n)
+        d_b = d[flat].reshape(n, m - lo)
+        d2 += np.einsum("ij,ij->", d_b, d_b) - 0.5 * np.einsum("ij,ij->", d_b[:, :n], d_b[:, :n])
     # Pairs ordered by b - a, then a: neither end repeats from one pair to
     # the next, and a bincount stalls on repeated adds to one bin.
     diagonal = np.lexsort((a, b - a))
     a, b, r = a[diagonal], b[diagonal], r[diagonal]
-    d_ab = d[a, b]
+    d_ab = d[row_start[a] + b]
     collapsed = u * d2 + np.einsum("i,i,i->", r, d_ab, d_ab)
     degree = np.bincount(a, r, m) + np.bincount(b, r, m) + u * m
     size = sizes[label]
@@ -225,9 +235,9 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
     d_delta = 0.0  # twice the sum of d_ij delta_ij over i < j
-    for lo, hi in upper_row_blocks(m):
+    for lo, hi, flat in upper_row_blocks(m):
         n = hi - lo
-        d_b = d[lo:hi, lo:]
+        d_b = d[flat].reshape(n, m - lo)
         delta = distances(y[lo:hi], y[lo:])
         # The first n columns hold the pairs within rows lo..hi-1 both ways,
         # so their rows alone take those pairs' share of B(Y) Y.
@@ -392,8 +402,9 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
     stress decrease between accepted iterates stalls or cfg.max_iters
     Guttman transforms are spent. Any start works; `initial_embedding`
     gives the default one."""
-    if d.shape != (w.m, w.m):
-        raise ValueError(f"dimension mismatch: w={w.m}, d={d.shape}")
+    if d.shape != (packed_size(w.m),):
+        raise ValueError(f"dimension mismatch: d must be the {packed_size(w.m)} packed "
+                         f"dissimilarities of w's {w.m} edges, not shape {d.shape}")
     if y.shape != (w.m, cfg.q):
         raise ValueError(f"start has shape {y.shape}, not ({w.m}, {cfg.q})")
     plan = _prepare(w, d, cfg.epsilon)
@@ -437,9 +448,10 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     # i * M + j, grouped by i, and over the codes j * M + i, sorted to group
     # them by j. Both are exact in any order. The arithmetic works in place
     # where it can, as faulting in fresh arrays costs more than it does.
+    n = 0 if len(w.pairs) == w.m * (w.m - 1) else len(w.pairs)  # all flagged: global min-max
     yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
-    for start in range(0, len(w.pairs), PAIR_BUDGET):
+    for start in range(0, n, PAIR_BUDGET):
         ij = w.pairs[start : start + PAIR_BUDGET]
         i = ij // w.m
         j = ij - i * w.m

@@ -4,7 +4,7 @@ The dissimilarity of two edges is the smaller of the two ways of pairing
 their endpoints, each pairing scored by the sum of Euclidean endpoint
 distances. Edges connecting nearby node pairs come out similar no matter
 which way around their endpoints are stored. `build_dissimilarity_matrix`
-returns them as one read-only (M, M) array.
+returns them packed, as the upper row blocks of their symmetric matrix.
 """
 
 from __future__ import annotations
@@ -43,32 +43,39 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def upper_row_blocks(m: int):
-    """(start, stop) of consecutive row blocks of an M x M matrix whose
-    upper part, columns start..M-1, fits in BLOCK_BUDGET (or is one row)."""
-    start = 0
+    """(start, stop, flat) of consecutive row blocks of an M x M matrix whose
+    upper part, columns start..M-1, fits in BLOCK_BUDGET (or is one row);
+    packed, these parts follow each other, each in its slice `flat`."""
+    start = end = 0
     while start < m:
         stop = min(m, start + max(1, BLOCK_BUDGET // (8 * (m - start))))
-        yield start, stop
+        begin, end = end, end + (stop - start) * (m - start)
+        yield start, stop, slice(begin, end)
         start = stop
 
 
-def build_dissimilarity_matrix(layout: GraphLayout) -> np.ndarray:
-    """The read-only (M, M) dissimilarities, symmetric with a zero diagonal.
+def packed_size(m: int) -> int:
+    """The length of the packed dissimilarities of m edges."""
+    return sum(flat.stop - flat.start for *_, flat in upper_row_blocks(m))
 
-    The matrix is built from its upper row blocks and mirrored: every
-    distance is a sum of squared differences, and (a - b)^2 == (b - a)^2, so
-    each entry equals its transpose bit for bit."""
-    v1 = layout.ends[:, 0, :]
-    v2 = layout.ends[:, 1, :]
-    d = np.empty((layout.m, layout.m))
-    for lo, hi in upper_row_blocks(layout.m):
-        block = distances(v1[lo:hi], v1[lo:])
-        block += distances(v2[lo:hi], v2[lo:])
-        crossed = distances(v1[lo:hi], v2[lo:])
-        crossed += distances(v2[lo:hi], v1[lo:])
-        np.minimum(block, crossed, out=block)
-        d[lo:hi, lo:] = block
-        d[lo:, lo:hi] = block.T
-    np.fill_diagonal(d, 0.0)
+
+def build_dissimilarity_matrix(layout: GraphLayout) -> np.ndarray:
+    """The dissimilarities as one flat read-only array of the packed upper
+    row blocks (`upper_row_blocks`), for `coloring.optimize`. A block's
+    diagonal square is symmetric with a zero diagonal bit for bit, since
+    (a - b)^2 == (b - a)^2."""
+    v1, v2 = layout.ends.transpose(1, 0, 2)
+    m = layout.m
+    d = np.empty(packed_size(m))
+    for lo, hi, flat in upper_row_blocks(m):
+        block = d[flat].reshape(hi - lo, m - lo)
+        step = -(-(hi - lo) // 4)  # four slabs, whose temporaries take one block
+        for r in range(0, hi - lo, step):
+            rows = slice(lo + r, min(hi, lo + r + step))
+            same = distances(v1[rows], v1[lo:])
+            same += distances(v2[rows], v2[lo:])
+            crossed = distances(v1[rows], v2[lo:])
+            crossed += distances(v2[rows], v1[lo:])
+            np.minimum(same, crossed, out=block[r : r + step])
     d.setflags(write=False)
     return d

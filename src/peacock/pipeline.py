@@ -63,18 +63,14 @@ def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConf
 
 def write_color_dump(path, table: np.ndarray, result: OptimizeResult | None = None) -> None:
     """Write the colors `table` (M, q), their display colors and `result`'s
-    stress and iterations."""
-    rgb = colors_to_display(table)
-    doc = {
-        "q": table.shape[1],
-        "colors": [[float(v) for v in row] for row in table],
-        "rgb": [[float(v) for v in row] for row in rgb],
-        "stress": result.stress if result is not None else None,
-        "iters": result.n_iters if result is not None else 0,
-    }
+    stress and iterations, byte for byte as `json.dump(..., indent=1)` and
+    a newline would, without json's pure-Python encoder."""
+    stress, iters = (json.dumps(result.stress), result.n_iters) if result else ("null", 0)
+    colors, rgb = (",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
+                               for row in t.tolist()) for t in (table, colors_to_display(table)))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "q": {table.shape[1]},\n "colors": [\n{colors}\n ],\n'
+                 f' "rgb": [\n{rgb}\n ],\n "stress": {stress},\n "iters": {iters}\n}}\n')
 
 
 def read_rgb(path) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from peacock.bundling import BundleWeightMatrix, _detect
+from peacock.dissimilarity import packed_size, upper_row_blocks
 from peacock.model import GraphLayout
 
 
@@ -220,12 +221,37 @@ def oracle_dissimilarity(layout):
     return d
 
 
+def pack(dense):
+    """The packed form that `build_dissimilarity_matrix` gives of the
+    symmetric (M, M) dissimilarities `dense`: its upper row blocks."""
+    m = len(dense)
+    d = np.empty(packed_size(m))
+    for lo, hi, flat in upper_row_blocks(m):
+        d[flat] = dense[lo:hi, lo:].ravel()
+    return d
+
+
+def unpack(d, m):
+    """The (M, M) matrix of the packed dissimilarities d of m edges: each
+    stored entry where it belongs, and each entry below a block's diagonal
+    square mirrored from above it."""
+    assert d.shape == (packed_size(m),)
+    dense = np.empty((m, m))
+    for lo, hi, flat in upper_row_blocks(m):
+        block = d[flat].reshape(hi - lo, m - lo)
+        dense[lo:hi, lo:] = block
+        dense[hi:, lo:hi] = block[:, hi - lo:].T
+    return dense
+
+
 def oracle_prepare(w, d, epsilon):
-    """A stand-in for `peacock.coloring._prepare`: u, the smallest
-    symmetrized weight, one block of all M edges holding the SVD
-    pseudo-inverse of the Laplacian V, the stress of the collapsed
-    embedding, sum of w d^2 over ordered pairs, and the pairs i < j whose
-    dense residual weight is positive, with those weights and their d."""
+    """A stand-in for `peacock.coloring._prepare`, from the packed d
+    unpacked: u, the smallest symmetrized weight, one block of all M edges
+    holding the SVD pseudo-inverse of the Laplacian V, the stress of the
+    collapsed embedding, sum of w d^2 over ordered pairs, and the pairs
+    i < j whose dense residual weight is positive, with those weights and
+    their d."""
+    d = unpack(d, w.m)
     w_sym = dense_weights(w, epsilon) + dense_weights(w, epsilon).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
     u = w_sym[~np.eye(w.m, dtype=bool)].min() if w.m > 1 else 0.0

@@ -15,9 +15,11 @@ from conftest import (
     make_layout,
     oracle_flags,
     oracle_stress,
+    pack,
     random_instance,
     random_layout,
     rigid_transform,
+    unpack,
     weight_matrix,
 )
 
@@ -101,7 +103,8 @@ def test_criterion_4_stress_oracle():
 def test_criterion_5_two_point_closed_form():
     w = weight_matrix(np.array([[False, True], [True, False]]))
     d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    res = optimize(w, d, gaussian_start(7, 2, 1), OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
+    res = optimize(w, pack(d), gaussian_start(7, 2, 1),
+                   OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
     dist = abs(res.embedding[0, 0] - res.embedding[1, 0])
     assert res.n_iters <= 50
     assert dist == pytest.approx(2.0, abs=1e-6)
@@ -129,7 +132,7 @@ def test_criterion_7_global_mode_beats_baseline(ordered_fixture):
     params = DetectionParams()
     optimized = run_peacock(layout, params, OptimizerConfig(q=3, epsilon=1.0)).result.stress
     w = build_weight_matrix(layout, params)
-    d = build_dissimilarity_matrix(layout)
+    d = unpack(build_dissimilarity_matrix(layout), layout.m)
     base = baseline_colors(layout)
     base_stress = stress(base, w, d, 1.0)
     assert optimized < base_stress

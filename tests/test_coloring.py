@@ -13,6 +13,7 @@ from conftest import (
     edges_of,
     gaussian_start,
     make_layout,
+    oracle_dissimilarity,
     oracle_gradient,
     oracle_normalize_colors,
     oracle_optimize,
@@ -20,8 +21,10 @@ from conftest import (
     oracle_projection_init,
     oracle_smacof_step,
     oracle_stress,
+    pack,
     random_instance,
     random_layout,
+    unpack,
     weight_matrix,
 )
 
@@ -42,12 +45,16 @@ from peacock.pipeline import run_peacock
 
 
 def smacof_step(y, w, d, epsilon):
-    """One update of the step `optimize` iterates; never increases the stress."""
+    """One update of the step `optimize` iterates, from the (M, M)
+    dissimilarities d; never increases the stress."""
+    d = pack(d)
     return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d, epsilon))[1]
 
 
 def stress(y, w, d, epsilon):
-    """The stress of y as the kernel `optimize` iterates computes it."""
+    """The stress of y as the kernel `optimize` iterates computes it, from
+    the (M, M) dissimilarities d."""
+    d = pack(d)
     return peacock.coloring._smacof_step(y, d, peacock.coloring._prepare(w, d, epsilon))[0]
 
 
@@ -74,7 +81,7 @@ class TestStress:
 
         layout = ordered_fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
-        d = build_dissimilarity_matrix(layout)
+        d = unpack(build_dissimilarity_matrix(layout), layout.m)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((layout.m, 2))
         want = oracle_stress(y, dense_weights(w, 0.001), d)
@@ -118,6 +125,18 @@ class TestStress:
         with pytest.raises(ValueError, match="mismatch"):
             optimize(w, bad, y, OptimizerConfig())
 
+    def test_dense_dissimilarities_refused(self, ordered_fixture):
+        # d has one form, the packed upper row blocks; an (M, M) matrix of
+        # the same values is refused, naming the packed length.
+        layout = ordered_fixture.layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        y = initial_embedding(layout, OptimizerConfig())
+        message = (rf"^dimension mismatch: d must be the {len(d)} packed dissimilarities "
+                   rf"of w's 18 edges, not shape \(18, 18\)$")
+        with pytest.raises(ValueError, match=message):
+            optimize(w, unpack(d, layout.m), y, OptimizerConfig())
+
 
 class TestSmacofStep:
     def test_stationary_point_unchanged(self):
@@ -160,7 +179,7 @@ def assert_matches_pinv(y, w, d, epsilon):
 def assert_collapsed_stress(w, d, epsilon):
     # The plan's stress scale is sum of w d^2 over ordered pairs.
     want = (dense_weights(w, epsilon) * d * d).sum()
-    assert abs(peacock.coloring._prepare(w, d, epsilon)[3] - want) <= 1e-12 * want
+    assert abs(peacock.coloring._prepare(w, pack(d), epsilon)[3] - want) <= 1e-12 * want
 
 
 class TestPrepare:
@@ -180,7 +199,7 @@ class TestPrepare:
                 continue
             assert_matches_pinv(y, w, d, 0.0)
             assert_collapsed_stress(w, d, 0.0)
-            _, _, blocks, _, _ = peacock.coloring._prepare(w, d, 0.0)
+            _, _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), 0.0)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -190,16 +209,47 @@ class TestPrepare:
         alone = ~(dense_flags(w) | dense_flags(w).T).any(axis=1)
         assert 0 < alone.sum() < layout.m
         y = initial_embedding(layout, OptimizerConfig(q=3))
-        assert_matches_pinv(y, w, build_dissimilarity_matrix(layout), 0.0)
+        assert_matches_pinv(y, w, unpack(build_dissimilarity_matrix(layout), layout.m), 0.0)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
     def test_every_pair_flagged_both_ways(self, epsilon):
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool))
-        _, _, blocks, _, _ = peacock.coloring._prepare(w, d, epsilon)
+        _, _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), epsilon)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d, epsilon)
+
+    def test_every_pair_flagged_skips_the_pair_list(self, monkeypatch):
+        # Crossing bundles flag all 400 * 399 ordered pairs: u = 2 and no
+        # pair is residual, so nothing is read per pair. Reading them held
+        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB.
+        layout = make_crossing_bundles(8, 50).layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        assert len(w.pairs) == layout.m * (layout.m - 1)
+        monkeypatch.setattr(peacock.coloring, "_residual_pairs", None)
+        tracemalloc.start()
+        try:
+            u, _, blocks, collapsed, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(w.pairs)
+        assert u == 2.0 and len(a) == len(b) == len(r) == len(d_ab) == 0
+        assert [idx.shape for idx, *_ in blocks] == [(layout.m, 1)]
+        want = (dense_weights(w, 0.001) * oracle_dissimilarity(layout) ** 2).sum()
+        assert abs(collapsed - want) <= 1e-14 * want
+
+    def test_squared_sum_is_half_the_dense_one(self):
+        # 1000 edges span 17 row blocks, whose diagonal squares hold their
+        # pairs twice.
+        layout = make_ordered_bundles(40, 25, reverse_last=True, seed=0).layout
+        w = build_weight_matrix(layout, DetectionParams())
+        dense = oracle_dissimilarity(layout)
+        d2 = peacock.coloring._prepare(w, build_dissimilarity_matrix(layout), 0.001)[1]
+        want = 0.5 * (dense * dense).sum()
+        assert abs(d2 - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_asymmetric_flags(self, epsilon):
@@ -248,7 +298,7 @@ class TestPrepare:
         monkeypatch.setattr(np.linalg, "inv", None)
         with pytest.raises(ParameterError, match="M=20 edges, P=19 flagged pairs and a largest "
                                               "component of c=20 edges"):
-            peacock.coloring._prepare(w, np.zeros((m, m)), 0.01)
+            peacock.coloring._prepare(w, pack(np.zeros((m, m))), 0.01)
 
     def test_plan_keeps_one_inverse_and_the_flat_pairs(self):
         # A neighbour-only chain of M = 1000 edges is one component of
@@ -258,7 +308,7 @@ class TestPrepare:
         flags = np.zeros((m, m), dtype=bool)
         flags[np.arange(m - 1), np.arange(1, m)] = True
         w = weight_matrix(flags)
-        d = np.zeros((m, m))
+        d = pack(np.zeros((m, m)))
         tracemalloc.start()
         try:
             plan = peacock.coloring._prepare(w, d, 0.01)
@@ -359,7 +409,7 @@ class TestOptimize:
         w = weight_matrix(flags)
         side = 3.0
         d = side * (1 - np.eye(3))
-        res = optimize(w, d, gaussian_start(1, 3, 2),
+        res = optimize(w, pack(d), gaussian_start(1, 3, 2),
                        OptimizerConfig(q=2, rel_tol=1e-12, epsilon=0.0))
         y = res.embedding
         for i in range(3):
@@ -370,7 +420,7 @@ class TestOptimize:
         w = weight_matrix(np.zeros((2, 2), dtype=bool))
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(OptimizationError):
-            optimize(w, d, gaussian_start(0, 2, 1), OptimizerConfig(epsilon=0.0))
+            optimize(w, pack(d), gaussian_start(0, 2, 1), OptimizerConfig(epsilon=0.0))
 
     def test_deterministic(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -389,7 +439,7 @@ class TestOptimize:
         # The two-point instance of acceptance criterion 5.
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, gaussian_start(7, 2, 1),
+        res = optimize(w, pack(d), gaussian_start(7, 2, 1),
                        OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
         assert res.stop_reason == "tolerance"
         assert res.converged
@@ -414,7 +464,7 @@ class TestOptimize:
                             lambda y, *args: (step(y, *args)[0], 3.0 * y))
         w = weight_matrix(np.array([[False, True], [True, False]]))
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        res = optimize(w, d, gaussian_start(7, 2, 1),
+        res = optimize(w, pack(d), gaussian_start(7, 2, 1),
                        OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
         assert res.stop_reason == "stress_increase"
         assert not res.converged
@@ -425,7 +475,7 @@ class TestOptimize:
         _, w, d = random_instance(rng, m=15, q=3)
         start = gaussian_start(4, 15, 3)
         cfg = OptimizerConfig(q=3, max_iters=max_iters, rel_tol=rel_tol, epsilon=0.05)
-        res = optimize(w, d, start, cfg)
+        res = optimize(w, pack(d), start, cfg)
         y, s, n, stop_reason = oracle_optimize(start, w, d, 0.05, max_iters, rel_tol)
         assert stop_reason == res.stop_reason == ("max_iters" if max_iters == 8 else "tolerance")
         assert res.n_iters == n
@@ -449,7 +499,7 @@ class TestOptimize:
         cfg = OptimizerConfig(q=q, max_iters=max_iters, rel_tol=1e-12, epsilon=epsilon)
         with mock.patch.multiple(peacock.coloring, _iterates=recorded, _smacof_step=steps):
             try:
-                res = optimize(w, d, gaussian_start(seed, m, q), cfg)
+                res = optimize(w, pack(d), gaussian_start(seed, m, q), cfg)
             except OptimizationError:  # no weights
                 assume(False)
         # Rises are rounding only: the stress sum rounds relative to its
@@ -523,7 +573,7 @@ class TestOptimize:
     def test_start_of_wrong_shape_is_refused(self, shape):
         _, w, d = two_point_instance()
         with pytest.raises(ValueError, match=r"^start has shape .+, not \(2, 1\)$"):
-            optimize(w, d, np.zeros(shape), OptimizerConfig())
+            optimize(w, pack(d), np.zeros(shape), OptimizerConfig())
 
     def test_fixture_monotone_colors(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
@@ -541,6 +591,13 @@ class TestOptimize:
 
 
 class TestNormalizeColors:
+    def test_every_pair_flagged_is_the_global_min_max(self):
+        flags = ~np.eye(7, dtype=bool)
+        y = np.random.default_rng(19).standard_normal((7, 3))
+        table = normalize_colors(y, weight_matrix(flags))
+        assert np.array_equal(table, oracle_normalize_colors(y, flags))
+        assert np.array_equal(table, (y - y.min(axis=0)) / (y.max(axis=0) - y.min(axis=0)))
+
     def test_midpoint_maps_to_half(self):
         flags = np.array(
             [

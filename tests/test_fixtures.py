@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import dense_flags, oracle_flags, runs_by_pair
+from conftest import dense_flags, oracle_flags, runs_by_pair, unpack
 
 from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.dissimilarity import build_dissimilarity_matrix
@@ -32,7 +32,7 @@ class TestOrderedBundles:
         assert layout_to_dict(a.layout) == layout_to_dict(b.layout)
 
     def test_monotone_dissimilarity_in_order(self, ordered_fixture):
-        d = build_dissimilarity_matrix(ordered_fixture.layout)
+        d = unpack(build_dissimilarity_matrix(ordered_fixture.layout), ordered_fixture.layout.m)
         for ids in ordered_fixture.bundles:
             first = ids[0]
             along = [d[first, j] for j in ids]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -5,12 +7,12 @@ from scipy.stats import spearmanr
 import peacock.pipeline
 from peacock.baseline import baseline_colors
 from peacock.bundling import DetectionParams, build_weight_matrix
-from peacock.coloring import OptimizerConfig, initial_embedding
+from peacock.coloring import OptimizeResult, OptimizerConfig, colors_to_display, initial_embedding
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.model import GraphLayout
-from conftest import dense_flags, make_layout
-from peacock.pipeline import StageError, read_rgb, run_peacock
+from conftest import dense_flags, make_layout, unpack
+from peacock.pipeline import StageError, read_rgb, run_peacock, write_color_dump
 from test_coloring import stress
 
 
@@ -29,7 +31,7 @@ def test_global_mode_beats_baseline(ordered_fixture):
     run = run_peacock(layout, params, cfg)
 
     w = build_weight_matrix(layout, params)
-    d = build_dissimilarity_matrix(layout)
+    d = unpack(build_dissimilarity_matrix(layout), layout.m)
     base = baseline_colors(layout)
     base_stress = stress(base, w, d, cfg.epsilon)
     assert run.result.stress < base_stress
@@ -124,3 +126,23 @@ def test_read_color_dump_rejects_non_dump(tmp_path, text, reason):
     with pytest.raises(ValueError) as info:
         read_rgb(path)
     assert str(info.value).startswith(f"{path}: {reason}")
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("stress", [1766.3115389953603, 2.5e-27, None])
+def test_color_dump_is_what_json_writes(tmp_path, q, stress):
+    # Values that repr writes in fixed and in exponent notation, and the ends.
+    rng = np.random.default_rng(q)
+    table = np.concatenate([[[0.0] * q, [1.0] * q, [0.5] * q, [1e-7] * q],
+                            rng.random((6, q)), rng.random((2, q)) * 1e-20])
+    result = None if stress is None else OptimizeResult(table, stress, 7, "tolerance")
+    path = tmp_path / "colors.json"
+    write_color_dump(path, table, result)
+    doc = {
+        "q": q,
+        "colors": [[float(v) for v in row] for row in table],
+        "rgb": [[float(v) for v in row] for row in colors_to_display(table)],
+        "stress": stress,
+        "iters": 0 if stress is None else 7,
+    }
+    assert path.read_text() == json.dumps(doc, indent=1) + "\n"
