@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--kmin", default=DetectionParams.k_min,
                        type=_number("--kmin", float, lambda v: 0 < v <= 1, "in (0.0, 1.0]"))
     color.add_argument("--dims", type=int, choices=[1, 2, 3], default=OptimizerConfig.q)
-    color.add_argument("--seed", default=OptimizerConfig.seed,
-                       type=_number("--seed", int, lambda v: v >= 0, ">= 0"))
     color.add_argument("--max-iters", default=OptimizerConfig.max_iters,
                        type=_number("--max-iters", int, lambda v: v >= 1, ">= 1"))
     color.add_argument("--rel-tol", default=OptimizerConfig.rel_tol,
@@ -119,7 +117,7 @@ def _cmd_color(args) -> int:
             weights = timed({}, "bundling", lambda: build_weight_matrix(layout, params))
     else:
         cfg = OptimizerConfig(q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
-                              seed=args.seed, epsilon=args.epsilon)
+                              epsilon=args.epsilon)
         run = run_peacock(layout, params, cfg)
         table, result, weights = run.table, run.result, run.weights
 

@@ -33,7 +33,9 @@ the residual graph (`_prepare`), one formula for every u >= 0 that never
 divides by u. Each iteration splits B(Y) Y and the stress the same way:
 one pass over the row blocks of d for the part every pair shares, and one
 pass over the flat list of residual pairs for the rest (`_smacof_step`),
-with no M x M temporary.
+with no M x M temporary. The stress is summed as it stands, term by
+nonnegative term, so its rounding stays relative to the stress however
+close the fit.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class OptimizerConfig:
     q: int = 1
     max_iters: int = 500
     rel_tol: float = 1e-6
-    seed: int | None = None  # None starts from the layout's geometry
     epsilon: float = 0.001  # the weight of an ordered pair that is not bundled
 
     def __post_init__(self):
@@ -70,8 +71,6 @@ class OptimizerConfig:
             raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if not 0 <= self.epsilon <= 1:
@@ -133,8 +132,8 @@ def _residual_pairs(w: BundleWeightMatrix):
 
 def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     """Everything `_smacof_step` needs besides d, and the scale of its
-    stress: (u, sum of d_ij^2 over i < j, blocks, the stress of the
-    embedding collapsed to one point, pairs).
+    stress: (u, blocks, the stress of the embedding collapsed to one point,
+    pairs).
 
     An ordered pair weighs 1 when flagged and epsilon when not, so an
     unordered pair weighs 2 when flagged both ways, 1 + epsilon when
@@ -207,7 +206,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
         inv = np.linalg.inv(block)
         inv -= 1.0 / (c * (u * m + 1.0))
         blocks.append((idx, inv))
-    return u, d2, blocks, float(collapsed), (a, b, r, d_ab)
+    return u, blocks, float(collapsed), (a, b, r, d_ab)
 
 
 def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
@@ -218,39 +217,40 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     times that of unit weights, S, from one pass over upper row blocks of d
     (`upper_row_blocks`): with c_ij = d_ij / delta_ij (0 where the distance
     delta_ij is 0), row and column sums of c and c Y come from one product
-    per side with [1 | Y], and the stress is u times
-    sum d^2 - 2 sum d delta + sum delta^2 over i < j, the last sum being
-    M sum |y_i|^2 - |sum y_i|^2. The middle sum is added up as it stands:
-    taken as <Y, B Y> it loses digits wherever two iterates nearly
-    coincide. The residual part R and its stress come from the flat
-    residual pairs: (a, b) adds r_ab d_ab / delta_ab (y_a - y_b) to row
-    a of R and takes it from row b, by a gather and a bincount per end.
+    per side with [1 | Y], and the stress is u times the sum of
+    (d_ij - delta_ij)^2 over i < j. Each term is >= 0, so the sum rounds
+    relative to the stress itself; expanded as sum d^2 - 2 sum d delta +
+    sum delta^2, its three sums would nearly cancel at a good fit. The
+    residual part R and its stress come from the flat residual pairs:
+    (a, b) adds r_ab d_ab / delta_ab (y_a - y_b) to row a of R and takes
+    it from row b, by a gather and a bincount per end.
 
     B(Y) Y = u S + R, where R sums to 0 over each component, so V+ moves
     a component's mean by mean_k(S) / M if u > 0 and not at all if u = 0;
     `_prepare`'s block inverse gives the rest.
     """
-    u, d2, blocks, _, (a, b, r, d_ab) = plan
+    u, blocks, _, (a, b, r, d_ab) = plan
     m = len(y)
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
-    d_delta = 0.0  # twice the sum of d_ij delta_ij over i < j
+    s = 0.0  # the sum of (d_ij - delta_ij)^2 over i < j
     for lo, hi, flat in upper_row_blocks(m):
         n = hi - lo
         d_b = d[flat].reshape(n, m - lo)
         delta = distances(y[lo:hi], y[lo:])
-        # The first n columns hold the pairs within rows lo..hi-1 both ways,
-        # so their rows alone take those pairs' share of B(Y) Y.
-        d_delta += 2.0 * np.einsum("ij,ij->i", d_b, delta).sum()
-        d_delta -= np.einsum("ij,ij->i", d_b[:, :n], delta[:, :n]).sum()
+        # The first n columns hold the pairs within rows lo..hi-1 both ways:
+        # their squares count half, and their rows alone take those pairs'
+        # share of B(Y) Y.
+        err = d_b - delta
+        s += np.einsum("ij,ij->", err, err) - 0.5 * np.einsum("ij,ij->", err[:, :n], err[:, :n])
+        del err
         c = np.divide(d_b, delta, out=delta, where=delta > 0)
         rows = c @ ones_y[lo:]
         cols = c[:, n:].T @ ones_y[lo:hi]
         sy[lo:hi] += rows[:, :1] * y[lo:hi] - rows[:, 1:]
         sy[hi:] += cols[:, :1] * y[hi:] - cols[:, 1:]
         del c, delta  # before the next block's distances are allocated
-    total = y.sum(axis=0)
-    s = max(0.0, u * (d2 - d_delta + m * np.vdot(y, y) - total @ total))
+    s *= u
     diff = [col.take(a) - col.take(b) for col in y.T.copy()]
     delta = np.abs(diff[0]) if len(diff) == 1 else np.sqrt(sum(x * x for x in diff))
     err = d_ab - delta
@@ -319,19 +319,14 @@ def _break_ties(y: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def initial_embedding(layout: GraphLayout, cfg: OptimizerConfig) -> np.ndarray:
-    """Starting point (M, q): seeded Gaussian noise if cfg.seed is set,
-    else the projected edge midpoints and, for q = 3, the edge half-lengths
-    (the squared x half-extents if every edge has one length).
+    """Starting point (M, q): the projected edge midpoints and, for q = 3,
+    the edge half-lengths (the squared x half-extents if every edge has one
+    length).
 
     Projected midpoints of distinct edges can coincide; such ties are
     broken by the midpoint's other coordinate, then by the edge's
     endpoints (see `_break_ties`).
     """
-    if cfg.seed is not None:
-        y = np.random.default_rng(cfg.seed).standard_normal((layout.m, cfg.q))
-        y.setflags(write=False)
-        return y
-
     ends = layout.ends
     mids = (ends[:, 0] + ends[:, 1]) / 2.0
     hx, hy = ((ends[:, 1] - ends[:, 0]) / 2.0).T
@@ -414,8 +409,10 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
     for y, s, n_iters in steps:
         if (s_prev - s) / max(s_prev, _TINY) < cfg.rel_tol:
             # A rise within the rounding error of the M*M-term stress sum is
-            # noise. That sum's scale is the stress of the collapsed embedding.
-            noise = w.m * w.m * np.finfo(float).eps * plan[3]
+            # noise. Each distance rounds relative to d, so near an exact fit
+            # the stress s carries noise of about eps sqrt(s C), C the stress
+            # of the collapsed embedding: far above eps s, so C sets the scale.
+            noise = w.m * w.m * np.finfo(float).eps * plan[2]
             stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
             s_prev = s
             break
@@ -444,30 +441,18 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     if len(y) != w.m:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
-    # both ends of each flagged pair: each batch is reduced over its codes
-    # i * M + j, grouped by i, and over the codes j * M + i, sorted to group
-    # them by j. Both are exact in any order. The arithmetic works in place
-    # where it can, as faulting in fresh arrays costs more than it does.
+    # both ends of each flagged pair, exact in any order.
     n = 0 if len(w.pairs) == w.m * (w.m - 1) else len(w.pairs)  # all flagged: global min-max
     yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
     for start in range(0, n, PAIR_BUDGET):
-        ij = w.pairs[start : start + PAIR_BUDGET]
-        i = ij // w.m
-        j = ij - i * w.m
-        ji = j * w.m
-        ji += i
-        ji.sort()
-        j_sorted = ji // w.m
-        ji -= j_sorted * w.m  # the i of each entry of j_sorted
-        for a, b in (i, j), (j_sorted, ji):
-            head = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-            a = a[head]
-            alone[a] = False
-            for y_d, lo_d, hi_d in zip(yt, lo, hi):
-                y_b = y_d[b]
-                lo_d[a] = np.minimum(lo_d[a], np.minimum.reduceat(y_b, head))
-                hi_d[a] = np.maximum(hi_d[a], np.maximum.reduceat(y_b, head))
+        i = w.pairs[start : start + PAIR_BUDGET] // w.m
+        j = w.pairs[start : start + PAIR_BUDGET] - i * w.m
+        alone[i] = alone[j] = False
+        for y_d, lo_d, hi_d in zip(yt, lo, hi):
+            for a, b in (i, j), (j, i):
+                np.minimum.at(lo_d, a, y_d[b])
+                np.maximum.at(hi_d, a, y_d[b])
     lo, hi = lo.T, hi.T
     lo[alone] = y.min(axis=0)
     hi[alone] = y.max(axis=0)

@@ -70,7 +70,7 @@ def random_instance(rng, m, q):
 
 
 def gaussian_start(seed, m, q):
-    """The (m, q) start that `OptimizerConfig(seed=seed)` gives."""
+    """An (m, q) start of standard Gaussian noise drawn with `seed`."""
     return np.random.default_rng(seed).standard_normal((m, q))
 
 
@@ -259,7 +259,7 @@ def oracle_prepare(w, d, epsilon):
     a, b = np.nonzero(res > 0)
     blocks = [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
     collapsed = (dense_weights(w, epsilon) * d * d).sum()
-    return u, 0.5 * (d * d).sum(), blocks, collapsed, (a, b, res[a, b], d[a, b])
+    return u, blocks, collapsed, (a, b, res[a, b], d[a, b])
 
 
 def oracle_smacof_step(y, w, d, epsilon):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -39,7 +41,7 @@ from peacock.coloring import (
     normalize_colors,
     optimize,
 )
-from peacock.dissimilarity import build_dissimilarity_matrix
+from peacock.dissimilarity import build_dissimilarity_matrix, distances
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
 
@@ -103,8 +105,9 @@ class TestStress:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
     def test_kernel_matches_oracle_relative_to_weighted_dissimilarities(self, epsilon):
-        # The shared part is summed as sum d^2 - 2 sum d delta + sum delta^2,
-        # so its rounding is relative to sum w d^2, not to the stress.
+        # Each distance rounds relative to itself, so two ways of computing
+        # it move the stress by about eps sqrt(stress * sum w d^2): relative
+        # to sum w d^2, not to the stress.
         for seed in range(10):
             rng = np.random.default_rng(seed)
             m, q = int(rng.integers(2, 25)), int(rng.integers(1, 4))
@@ -118,6 +121,25 @@ class TestStress:
                 scale = (weights * d**2).sum()
                 want = oracle_stress(y, weights, d)
                 assert abs(stress(y, w, d, epsilon) - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("fixture", [
+        make_ordered_bundles(6, 6, reverse_last=True, seed=0),
+        make_ordered_bundles(20, 50, reverse_last=True, seed=0),
+    ], ids=["q3-golden", "ordered-3d"])
+    def test_keeps_its_digits_at_a_good_fit(self, fixture):
+        # Near a good q = 3 fit, sum d^2 - 2 sum d delta + sum delta^2 would
+        # cancel to about ten digits. The reported stress must agree with an
+        # exact sum over the same distances.
+        layout = fixture.layout
+        w = build_weight_matrix(layout, DetectionParams())
+        d = build_dissimilarity_matrix(layout)
+        cfg = OptimizerConfig(q=3, max_iters=100)
+        res = optimize(w, d, initial_embedding(layout, cfg), cfg)
+        weights = dense_weights(w, cfg.epsilon)
+        upper = np.triu_indices(layout.m, 1)
+        err = unpack(d, layout.m)[upper] - distances(res.embedding, res.embedding)[upper]
+        want = math.fsum((weights + weights.T)[upper] * err * err)
+        assert abs(res.stress - want) <= 1e-14 * want
 
     def test_dimension_mismatch(self):
         y, w, d = two_point_instance()
@@ -179,7 +201,7 @@ def assert_matches_pinv(y, w, d, epsilon):
 def assert_collapsed_stress(w, d, epsilon):
     # The plan's stress scale is sum of w d^2 over ordered pairs.
     want = (dense_weights(w, epsilon) * d * d).sum()
-    assert abs(peacock.coloring._prepare(w, pack(d), epsilon)[3] - want) <= 1e-12 * want
+    assert abs(peacock.coloring._prepare(w, pack(d), epsilon)[2] - want) <= 1e-12 * want
 
 
 class TestPrepare:
@@ -199,7 +221,7 @@ class TestPrepare:
                 continue
             assert_matches_pinv(y, w, d, 0.0)
             assert_collapsed_stress(w, d, 0.0)
-            _, _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), 0.0)
+            _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), 0.0)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -216,7 +238,7 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool))
-        _, _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), epsilon)
+        _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), epsilon)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d, epsilon)
 
@@ -231,7 +253,7 @@ class TestPrepare:
         monkeypatch.setattr(peacock.coloring, "_residual_pairs", None)
         tracemalloc.start()
         try:
-            u, _, blocks, collapsed, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, 0.001)
+            u, blocks, collapsed, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, 0.001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,13 +265,13 @@ class TestPrepare:
 
     def test_squared_sum_is_half_the_dense_one(self):
         # 1000 edges span 17 row blocks, whose diagonal squares hold their
-        # pairs twice.
+        # pairs twice; the collapsed stress counts each pair once per way.
         layout = make_ordered_bundles(40, 25, reverse_last=True, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         dense = oracle_dissimilarity(layout)
-        d2 = peacock.coloring._prepare(w, build_dissimilarity_matrix(layout), 0.001)[1]
-        want = 0.5 * (dense * dense).sum()
-        assert abs(d2 - want) <= 1e-14 * want
+        collapsed = peacock.coloring._prepare(w, build_dissimilarity_matrix(layout), 0.001)[2]
+        want = (dense_weights(w, 0.001) * dense * dense).sum()
+        assert abs(collapsed - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_asymmetric_flags(self, epsilon):
@@ -315,7 +337,7 @@ class TestPrepare:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert [block[0].shape for block in plan[2]] == [(1, m)]
+        assert [block[0].shape for block in plan[1]] == [(1, m)]
         assert 8 * m * m <= held <= 8 * m * m + 64 * m
 
 
@@ -468,6 +490,35 @@ class TestOptimize:
                        OptimizerConfig(q=1, max_iters=50, epsilon=0.0))
         assert res.stop_reason == "stress_increase"
         assert not res.converged
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12, 1e-15])
+    def test_exact_fit_stops_on_tolerance(self, rel_tol):
+        # Every pair flagged and epsilon = 0, with d the distances between m
+        # points in R^q: the optimum has stress 0, so a run ends on rounding
+        # noise, which the stop rule must not call a rise. That noise is
+        # about eps sqrt(stress * sum w d^2), far above eps * stress.
+        reasons = []
+        for m, q in (3, 2), (4, 3):
+            w = weight_matrix(~np.eye(m, dtype=bool))
+            cfg = OptimizerConfig(q=q, max_iters=500, rel_tol=rel_tol, epsilon=0.0)
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                points = rng.standard_normal((m, q)) * rng.uniform(0.1, 1e3)
+                d = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+                reasons.append(optimize(w, pack(d), gaussian_start(seed, m, q), cfg).stop_reason)
+        assert reasons == ["tolerance"] * 60
+
+    def test_rejected_extrapolation_falls_back_to_y2(self, monkeypatch):
+        # A stand-in step halves y, and its stresses put G(y') = 1 between
+        # y1 = 4 and y0 = 8: above y1's, so the cycle takes y2 = 2, though
+        # G(y') is below y0's. The first cycle's step length is 1, so y' is
+        # y2 and G(y') costs its one transform.
+        stresses = {8.0: 10.0, 4.0: 5.0, 2.0: 4.0, 1.0: 7.0}
+        monkeypatch.setattr(peacock.coloring, "_smacof_step",
+                            lambda y, d, plan: (stresses[float(y[0, 0])], y / 2.0))
+        steps = peacock.coloring._iterates(np.array([[8.0]]), None, None, 4)
+        got = [(float(y[0, 0]), s, n) for y, s, n in itertools.islice(steps, 3)]
+        assert got == [(8.0, 10.0, 0), (4.0, 5.0, 1), (2.0, 4.0, 3)]
 
     @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-15), (500, 1e-2)])
     def test_equals_accelerated_cycles_of_dense_steps(self, max_iters, rel_tol):

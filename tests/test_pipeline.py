@@ -81,18 +81,11 @@ def test_bad_q_is_refused_before_any_stage(ordered_fixture, monkeypatch, q):
         run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig(q=q))
 
 
-def test_negative_seed_is_refused():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        OptimizerConfig(seed=-1)
-
-
 def test_stage_outputs_are_read_only(ordered_fixture):
     layout = ordered_fixture.layout
     run = run_peacock(layout, DetectionParams(), OptimizerConfig())
     outputs = [run.table, run.result.embedding, build_dissimilarity_matrix(layout),
-               baseline_colors(layout)]
-    for seed in (None, 0):
-        outputs.append(initial_embedding(layout, OptimizerConfig(seed=seed)))
+               baseline_colors(layout), initial_embedding(layout, OptimizerConfig())]
     assert not any(a.flags.writeable for a in outputs)
 
 
