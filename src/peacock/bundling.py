@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GraphLayout, layout_extent
+from .model import GraphLayout
 
 # The memory model of a run: at its peak it holds about BYTES_PER_RUN +
 # BYTES_PER_ENTRY * M^2 + BYTES_PER_PAIR * P + BYTES_PER_BLOCK_ENTRY * c^2
@@ -51,18 +51,14 @@ PAIR_BUDGET = 1 << 16
 HIT_BUDGET = 1 << 20
 
 
-class ParameterError(ValueError):
-    """Invalid detection parameter, or a run too large for DENSE_BUDGET."""
-
-
 def check_budget(m: int, pairs: int, largest: int) -> int:
     """The bytes a run of m edges needs at its peak with `pairs` flagged
     ordered pairs and a largest residual component of `largest` edges,
-    refused with ParameterError over DENSE_BUDGET."""
+    refused with ValueError over DENSE_BUDGET."""
     need = (BYTES_PER_RUN + BYTES_PER_ENTRY * m * m + BYTES_PER_PAIR * pairs
             + BYTES_PER_BLOCK_ENTRY * largest * largest)
     if need > DENSE_BUDGET:
-        raise ParameterError(
+        raise ValueError(
             f"M={m} edges, P={pairs} flagged pairs and a largest component of "
             f"c={largest} edges would need about {need / 1e9:.1f} GB, over the "
             f"{DENSE_BUDGET / 1e9:.1f} GB budget"
@@ -84,22 +80,22 @@ class DetectionParams:
 
     def __post_init__(self):
         if (self.t_abs is None) == (self.t_frac is None):
-            raise ParameterError("exactly one of t_abs / t_frac must be set")
+            raise ValueError("exactly one of t_abs / t_frac must be set")
         if self.t_abs is not None and not self.t_abs > 0:
-            raise ParameterError(f"t_abs must be > 0, got {self.t_abs}")
+            raise ValueError(f"t_abs must be > 0, got {self.t_abs}")
         if self.t_frac is not None and not 0 < self.t_frac <= 1:
-            raise ParameterError(f"t_frac must be in (0, 1], got {self.t_frac}")
+            raise ValueError(f"t_frac must be in (0, 1], got {self.t_frac}")
         if not 0 < self.k_min <= 1:
-            raise ParameterError(f"k_min must be in (0, 1], got {self.k_min}")
+            raise ValueError(f"k_min must be in (0, 1], got {self.k_min}")
 
     def resolve_t(self, layout: GraphLayout) -> float:
         """The absolute distance threshold for this layout."""
         if self.t_abs is not None:
             return self.t_abs
-        w, h = layout_extent(layout)
-        t = self.t_frac * max(w, h)
+        min_x, min_y, max_x, max_y = layout.extent
+        t = self.t_frac * max(max_x - min_x, max_y - min_y)
         if t <= 0:
-            raise ParameterError(
+            raise ValueError(
                 "layout has zero extent; a fractional threshold resolves to 0 "
                 "(pass an absolute threshold instead)"
             )
@@ -190,8 +186,6 @@ def _detect(points: np.ndarray, offsets: np.ndarray, t: float, k_min: float):
     cell when it is within t of the far corner of the cell's bounding
     box, since rounded subtraction, squaring and addition are monotone.
     """
-    if t <= 0:
-        raise ParameterError("t must be > 0")
     m, counts = len(offsets) - 1, np.diff(offsets)
     owner = np.repeat(np.arange(m), counts)
     edge_start = np.bincount(offsets[:-1], minlength=len(points)) > 0

@@ -11,7 +11,7 @@ from . import fixtures
 from .baseline import baseline_colors
 from .bundling import DetectionParams, build_weight_matrix, dump_bundled_pairs
 from .coloring import OptimizerConfig, colors_to_display
-from .model import LayoutError, load_layout, save_layout
+from .model import load_layout, save_layout
 from .pipeline import StageError, read_rgb, run_peacock, timed, write_color_dump
 from .render import render_svg
 
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"peacock: error {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (LayoutError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"peacock: error [{args.command}] {exc}", file=sys.stderr)
         return EXIT_ERROR
 

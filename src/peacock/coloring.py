@@ -55,10 +55,6 @@ _TINY = 1e-30
 _CAP_GROWTH = 4.0
 
 
-class OptimizationError(ValueError):
-    """The optimization problem is degenerate (e.g. all weights zero)."""
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     q: int = 1
@@ -114,9 +110,12 @@ def _residual_pairs(w: BundleWeightMatrix):
     each is flagged both ways, and whether every pair is flagged.
 
     The flagged pairs are read in batches of PAIR_BUDGET, so no array holds
-    more than one entry per pair.
+    more than one entry per pair. With every ordered pair flagged, no pair
+    is residual (u = 2), and none is read.
     """
     m, pairs = w.m, w.pairs
+    if 0 < len(pairs) == m * (m - 1):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), True
     codes, both = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
     for lo in range(0, len(pairs), PAIR_BUDGET):
         i = pairs[lo : lo + PAIR_BUDGET] // m
@@ -156,9 +155,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     dissimilarities.
     """
     m = w.m
-    # With every pair flagged both ways, u = 2 and no pair is residual.
-    none = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), True
-    code, mutual, every = none if 0 < len(w.pairs) == m * (m - 1) else _residual_pairs(w)
+    code, mutual, every = _residual_pairs(w)
     r = np.where(mutual, 2.0, 1.0 + epsilon)
     u = float(r.min(initial=2.0)) if every else 2.0 * epsilon
     r -= u
@@ -168,7 +165,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     b = code - a * m
     del code, mutual, keep  # a run peaks at the block inverses below
     if not u > 0 and not len(r):
-        raise OptimizationError("all weights are zero; nothing to optimize")
+        raise ValueError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
     sizes = np.bincount(label)
     check_budget(m, len(w.pairs), int(sizes.max()))
@@ -227,14 +224,15 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
 
     B(Y) Y = u S + R, where R sums to 0 over each component, so V+ moves
     a component's mean by mean_k(S) / M if u > 0 and not at all if u = 0;
-    `_prepare`'s block inverse gives the rest.
+    `_prepare`'s block inverse gives the rest. At u = 0 (epsilon = 0) the
+    shared part counts for nothing, so its pass is skipped.
     """
     u, blocks, _, (a, b, r, d_ab) = plan
     m = len(y)
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
     s = 0.0  # the sum of (d_ij - delta_ij)^2 over i < j
-    for lo, hi, flat in upper_row_blocks(m):
+    for lo, hi, flat in upper_row_blocks(m) if u > 0 else ():
         n = hi - lo
         d_b = d[flat].reshape(n, m - lo)
         delta = distances(y[lo:hi], y[lo:])
@@ -402,6 +400,8 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
                          f"dissimilarities of w's {w.m} edges, not shape {d.shape}")
     if y.shape != (w.m, cfg.q):
         raise ValueError(f"start has shape {y.shape}, not ({w.m}, {cfg.q})")
+    if not np.isfinite(y).all():
+        raise ValueError("start contains non-finite values")
     plan = _prepare(w, d, cfg.epsilon)
     steps = _iterates(y, d, plan, cfg.max_iters)
     y, s_prev, n_iters = next(steps)

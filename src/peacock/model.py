@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class LayoutError(Exception):
-    """A layout file that is not valid JSON or misses required keys, or a
-    layout that violates a layout invariant."""
-
-
 @dataclass(frozen=True, eq=False)
 class GraphLayout:
     """All edges of one bundled layout, as arrays every stage computes on.
@@ -42,20 +37,20 @@ class GraphLayout:
         offsets = np.array(self.offsets, dtype=np.int64)
         ends = np.array(self.ends, dtype=float)
         if offsets.ndim != 1 or len(offsets) < 2:
-            raise LayoutError("layout has no edges")
+            raise ValueError("layout has no edges")
         m = len(offsets) - 1
         if points.shape != (offsets[-1], 2) or offsets[0] != 0 or ends.shape != (m, 2, 2):
-            raise LayoutError(
+            raise ValueError(
                 f"points {points.shape}, offsets ({m + 1},) and ends {ends.shape} "
                 "are not (N, 2), 0..N and (M, 2, 2)"
             )
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
-            raise LayoutError(f"edge {empty[0]}: empty control list")
+            raise ValueError(f"edge {empty[0]}: empty control list")
         _check_coordinates(points, offsets, ends)
         for nid, x, y in self.nodes:
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise LayoutError(f"node {nid}: non-finite coordinate in position")
+                raise ValueError(f"node {nid}: non-finite coordinate in position")
         for name, a in (("points", points), ("offsets", offsets), ("ends", ends)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -87,13 +82,7 @@ def _check_coordinates(points, offsets, ends) -> None:
             what = ("v1", "v2")[int(np.argmax(bad_ends[i]))]
         else:
             what = f"controls[{np.argmax(bad_points[offsets[i] : offsets[i + 1]])}]"
-        raise LayoutError(f"edge {i}: " + problem.format(what))
-
-
-def layout_extent(layout: GraphLayout) -> tuple[float, float]:
-    """Width and height of the layout's bounding box."""
-    min_x, min_y, max_x, max_y = layout.extent
-    return (max_x - min_x, max_y - min_y)
+        raise ValueError(f"edge {i}: " + problem.format(what))
 
 
 def _is_number(v) -> bool:
@@ -103,34 +92,34 @@ def _is_number(v) -> bool:
 
 def _xy(raw, where, what) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise LayoutError(f"{where}: {what} is not an [x, y] pair")
+        raise ValueError(f"{where}: {what} is not an [x, y] pair")
     x, y = raw
     if not (_is_number(x) and _is_number(y)):
-        raise LayoutError(f"{where}: {what} has non-numeric coordinate")
+        raise ValueError(f"{where}: {what} has non-numeric coordinate")
     try:
         return float(x), float(y)
     except OverflowError:  # a JSON integer beyond the float range
-        raise LayoutError(f"{where}: coordinate in {what} is too large") from None
+        raise ValueError(f"{where}: coordinate in {what} is too large") from None
 
 
 def layout_from_dict(doc: dict) -> GraphLayout:
     if not isinstance(doc, dict) or "edges" not in doc:
-        raise LayoutError("document must be an object with an 'edges' array")
+        raise ValueError("document must be an object with an 'edges' array")
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list) or not raw_edges:
-        raise LayoutError("'edges' must be a non-empty array")
+        raise ValueError("'edges' must be a non-empty array")
 
     # Per edge, in file order: its id and its points, v1 and v2 first.
     ids, curves = [], []
     for raw in raw_edges:
         if not isinstance(raw, dict) or "id" not in raw:
-            raise LayoutError("edge entry missing 'id'")
+            raise ValueError("edge entry missing 'id'")
         eid = raw["id"]
         if not isinstance(eid, int) or isinstance(eid, bool):
-            raise LayoutError(f"edge id {eid!r} is not an integer")
+            raise ValueError(f"edge id {eid!r} is not an integer")
         controls = raw.get("controls")
         if not isinstance(controls, list) or not controls:
-            raise LayoutError(f"edge {eid}: empty control list")
+            raise ValueError(f"edge {eid}: empty control list")
         where = f"edge {eid}"
         curve = [_xy(raw.get("v1"), where, "v1"), _xy(raw.get("v2"), where, "v2")]
         curve += [_xy(c, where, f"controls[{k}]") for k, c in enumerate(controls)]
@@ -142,19 +131,19 @@ def layout_from_dict(doc: dict) -> GraphLayout:
     if s != list(range(m)):
         dup = next((a for a, b in zip(s, s[1:]) if a == b), None)
         if dup is not None:
-            raise LayoutError(f"duplicate edge id {dup}")
-        raise LayoutError(f"edge ids must be 0..{m - 1} with no gaps")
+            raise ValueError(f"duplicate edge id {dup}")
+        raise ValueError(f"edge ids must be 0..{m - 1} with no gaps")
     by_id = [None] * m
     for eid, curve in zip(ids, curves):
         by_id[eid] = curve
 
     raw_nodes = doc.get("nodes", [])
     if not isinstance(raw_nodes, list):
-        raise LayoutError("'nodes' must be an array")
+        raise ValueError("'nodes' must be an array")
     nodes = []
     for raw in raw_nodes:
         if not isinstance(raw, dict) or "id" not in raw:
-            raise LayoutError("node entry missing 'id'")
+            raise ValueError("node entry missing 'id'")
         nid = str(raw["id"])
         nodes.append((nid, *_xy([raw.get("x"), raw.get("y")], f"node {nid}", "position")))
 
@@ -172,7 +161,7 @@ def load_layout(path) -> GraphLayout:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise LayoutError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return layout_from_dict(doc)
 
 

@@ -25,7 +25,6 @@ class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundling import BundleWeightMatrix
-from .model import GraphLayout, layout_extent
+from .model import GraphLayout
 
 _GRAY = (0.7, 0.7, 0.7)
 _STROKE_WIDTH = 1.5
@@ -84,7 +84,7 @@ def render_svg(layout: GraphLayout, colors, fans: BundleWeightMatrix | None = No
         raise ValueError(f"fans has {len(fans.fans)} marks for {len(layout.points)} controls")
 
     min_x, min_y, max_x, max_y = layout.extent
-    w, h = layout_extent(layout)
+    w, h = max_x - min_x, max_y - min_y
     pad = 0.05 * max(w, h, 1.0)
     view = (min_x - pad, min_y - pad, w + 2 * pad, h + 2 * pad)
 

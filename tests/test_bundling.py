@@ -25,8 +25,8 @@ from conftest import (
 
 from peacock import bundling
 from peacock.bundling import (
+    BundleWeightMatrix,
     DetectionParams,
-    ParameterError,
     _detect,
     build_weight_matrix,
     dump_bundled_pairs,
@@ -276,6 +276,15 @@ class TestWeightMatrix:
         layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]] * 2)
         assert detect_flags(layout, t=0.1, k_min=1.0).all(where=~np.eye(2, dtype=bool))
 
+    @pytest.mark.parametrize("pairs, fans", [
+        (np.zeros((1, 1), dtype=np.int64), np.zeros(2, dtype=bool)),
+        (np.zeros(1, dtype=np.int64), np.zeros((2, 1), dtype=bool)),
+        (np.zeros(1, dtype=np.int64), np.zeros(2)),
+    ], ids=["2-D pairs", "2-D fans", "float fans"])
+    def test_refuses_arrays_of_another_kind(self, pairs, fans):
+        with pytest.raises(ValueError, match="^pairs must be 1-D codes and fans a 1-D bool mark$"):
+            BundleWeightMatrix(2, pairs, fans)
+
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)
         layout = random_layout(rng, m=12)
@@ -287,20 +296,32 @@ class TestWeightMatrix:
 
 class TestDetectionParams:
     def test_both_thresholds_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^exactly one of t_abs / t_frac must be set$"):
             DetectionParams(t_abs=1.0, t_frac=0.03)
 
     def test_neither_threshold_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^exactly one of t_abs / t_frac must be set$"):
             DetectionParams(t_abs=None, t_frac=None)
 
     def test_k_min_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match=r"^k_min must be in \(0, 1\], got 0.0$"):
             DetectionParams(k_min=0.0)
+
+    @pytest.mark.parametrize("t_abs, t_frac, message", [
+        (0.0, None, r"^t_abs must be > 0, got 0.0$"),
+        (-1.0, None, r"^t_abs must be > 0, got -1.0$"),
+        (math.nan, None, r"^t_abs must be > 0, got nan$"),
+        (None, 0.0, r"^t_frac must be in \(0, 1\], got 0.0$"),
+        (None, 1.5, r"^t_frac must be in \(0, 1\], got 1.5$"),
+        (None, math.nan, r"^t_frac must be in \(0, 1\], got nan$"),
+    ])
+    def test_threshold_range(self, t_abs, t_frac, message):
+        with pytest.raises(ValueError, match=message):
+            DetectionParams(t_abs=t_abs, t_frac=t_frac)
 
     def test_zero_extent_needs_absolute_t(self):
         layout = layout_from_points([[(1, 1)]])
-        with pytest.raises(ParameterError, match="absolute"):
+        with pytest.raises(ValueError, match="absolute"):
             DetectionParams().resolve_t(layout)
 
 

@@ -1,14 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import peacock.bundling
@@ -195,6 +201,18 @@ def test_gen_refuses_what_its_generators_refuse(tmp_path, capsys, flag, value, r
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [f"peacock gen: error: argument {flag}: {flag} must be {rule}, got {value}"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, noun", [
+    ("--epsilon", "a number"),
+    ("--t-abs", "a number"),
+    ("--rel-tol", "a number"),
+    ("--max-iters", "an integer"),
+])
+def test_flag_that_is_no_number_is_usage_error(fixture_file, capsys, flag, noun):
+    assert main(["color", "--input", str(fixture_file), flag, "abc"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"peacock color: error: argument {flag}: {flag} must be {noun}, got 'abc'"]
 
 
 @pytest.mark.parametrize("args", [
@@ -483,3 +501,48 @@ def test_render_rejects_bad_color_dump(tmp_path, fixture_file, capsys, text, rea
                  "--out", str(out)]) == 1
     one_error_line(capsys, f"peacock: error [render] {colors}: {reason}")
     assert not out.exists()
+
+
+
+@st.composite
+def degenerate_color_runs(draw):
+    """A layout of 1-11 edges with one-control edges and coincident points,
+    its coordinates scaled by 1e-310 to 1e59, and `peacock color` flags."""
+    scale = 10.0 ** draw(st.integers(-310, 59))
+    coord = st.integers(-3, 3) | st.floats(-1, 1)
+    point = st.tuples(coord, coord).map(lambda p: [p[0] * scale, p[1] * scale])
+    edges = draw(st.lists(st.tuples(point, point, st.lists(point, min_size=1, max_size=4)),
+                          min_size=1, max_size=11))
+    doc = {"edges": [{"id": i, "v1": v1, "v2": v2, "controls": controls}
+                     for i, (v1, v2, controls) in enumerate(edges)]}
+    flags = ["--epsilon", draw(st.sampled_from(["0", "1e-3", "1"])),
+             "--dims", str(draw(st.integers(1, 3)))]
+    t_abs = draw(st.none() | st.integers(-300, 300))
+    if t_abs is not None:
+        flags += ["--t-abs", f"1e{t_abs}"]
+    return doc, flags
+
+
+@settings(max_examples=120, deadline=None)
+@given(degenerate_color_runs())
+def test_degenerate_layouts_color_in_range_or_fail_in_one_line(run):
+    # Either every color is a finite value in [0, 1], or the run is refused
+    # in one stage-attributed line; no warning either way.
+    doc, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        layout, colors = Path(tmp) / "g.json", Path(tmp) / "c.json"
+        layout.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        # Recorded, a warning cannot pass for a stage's refusal.
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["color", "--input", str(layout), *flags, "--out-colors", str(colors)])
+        assert not caught
+        if code == 0:
+            dump = json.loads(colors.read_text())
+            values = np.concatenate([np.ravel(dump["colors"]), np.ravel(dump["rgb"])])
+            assert np.isfinite(values).all() and ((values >= 0) & (values <= 1)).all()
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("peacock: error [") and err.getvalue().count("\n") == 1

@@ -32,16 +32,15 @@ from conftest import (
 
 import peacock.bundling
 import peacock.coloring
-from peacock.bundling import DetectionParams, ParameterError, build_weight_matrix
+from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import (
-    OptimizationError,
     OptimizerConfig,
     colors_to_display,
     initial_embedding,
     normalize_colors,
     optimize,
 )
-from peacock.dissimilarity import build_dissimilarity_matrix, distances
+from peacock.dissimilarity import build_dissimilarity_matrix, distances, upper_row_blocks
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.pipeline import run_peacock
 
@@ -188,8 +187,22 @@ class TestSmacofStep:
         w = weight_matrix(np.zeros((3, 3), dtype=bool))
         d = np.ones((3, 3)) - np.eye(3)
         y = np.zeros((3, 1))
-        with pytest.raises(OptimizationError):
+        with pytest.raises(ValueError, match="^all weights are zero; nothing to optimize$"):
             smacof_step(y, w, d, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_shared_pass_is_skipped_at_epsilon_zero(self, epsilon):
+        # u = 2 epsilon weighs the pass over d's row blocks, one distances()
+        # call each; at u = 0 every term of that pass would be zeroed.
+        y, w, d = random_instance(np.random.default_rng(8), m=300, q=2)
+        d = pack(d)
+        plan = peacock.coloring._prepare(w, d, epsilon)
+        blocks = len(list(upper_row_blocks(300)))
+        counted = mock.Mock(side_effect=distances)
+        with mock.patch.object(peacock.coloring, "distances", counted):
+            peacock.coloring._smacof_step(y, d, plan)
+        assert blocks > 1
+        assert counted.call_count == (0 if epsilon == 0 else blocks)
 
 
 def assert_matches_pinv(y, w, d, epsilon):
@@ -245,12 +258,13 @@ class TestPrepare:
     def test_every_pair_flagged_skips_the_pair_list(self, monkeypatch):
         # Crossing bundles flag all 400 * 399 ordered pairs: u = 2 and no
         # pair is residual, so nothing is read per pair. Reading them held
-        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB.
+        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB. Reading
+        # them looks up each pair's reverse with np.searchsorted.
         layout = make_crossing_bundles(8, 50).layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
         assert len(w.pairs) == layout.m * (layout.m - 1)
-        monkeypatch.setattr(peacock.coloring, "_residual_pairs", None)
+        monkeypatch.setattr(np, "searchsorted", None)
         tracemalloc.start()
         try:
             u, blocks, collapsed, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, 0.001)
@@ -318,8 +332,8 @@ class TestPrepare:
         budget = peacock.bundling.check_budget(m, len(w.pairs), 1)
         monkeypatch.setattr(peacock.bundling, "DENSE_BUDGET", budget)
         monkeypatch.setattr(np.linalg, "inv", None)
-        with pytest.raises(ParameterError, match="M=20 edges, P=19 flagged pairs and a largest "
-                                              "component of c=20 edges"):
+        with pytest.raises(ValueError, match="M=20 edges, P=19 flagged pairs and a largest "
+                                             "component of c=20 edges"):
             peacock.coloring._prepare(w, pack(np.zeros((m, m))), 0.01)
 
     def test_plan_keeps_one_inverse_and_the_flat_pairs(self):
@@ -441,7 +455,7 @@ class TestOptimize:
     def test_all_zero_weights_error(self):
         w = weight_matrix(np.zeros((2, 2), dtype=bool))
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(OptimizationError):
+        with pytest.raises(ValueError, match="^all weights are zero; nothing to optimize$"):
             optimize(w, pack(d), gaussian_start(0, 2, 1), OptimizerConfig(epsilon=0.0))
 
     def test_deterministic(self, ordered_fixture):
@@ -551,7 +565,9 @@ class TestOptimize:
         with mock.patch.multiple(peacock.coloring, _iterates=recorded, _smacof_step=steps):
             try:
                 res = optimize(w, pack(d), gaussian_start(seed, m, q), cfg)
-            except OptimizationError:  # no weights
+            except ValueError as exc:  # no weights, and nothing else
+                if str(exc) != "all weights are zero; nothing to optimize":
+                    raise
                 assume(False)
         # Rises are rounding only: the stress sum rounds relative to its
         # scale, the stress of the collapsed embedding.
@@ -626,6 +642,23 @@ class TestOptimize:
         with pytest.raises(ValueError, match=r"^start has shape .+, not \(2, 1\)$"):
             optimize(w, pack(d), np.zeros(shape), OptimizerConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_refused_before_set_up(self, monkeypatch, bad):
+        # A NaN start used to spend the whole transform budget first.
+        _, w, d = two_point_instance()
+        monkeypatch.setattr(peacock.coloring, "_prepare", None)
+        with pytest.raises(ValueError, match="^start contains non-finite values$"):
+            optimize(w, pack(d), np.array([[0.0], [bad]]), OptimizerConfig())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iters", 0, "^max_iters must be >= 1$"),
+        ("rel_tol", 0.0, "^rel_tol must be > 0$"),
+        ("rel_tol", math.nan, "^rel_tol must be > 0$"),
+    ])
+    def test_config_refuses_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(**{field: value})
+
     def test_fixture_monotone_colors(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix
         from peacock.dissimilarity import build_dissimilarity_matrix
@@ -680,6 +713,20 @@ class TestNormalizeColors:
         table = normalize_colors(y, w)
         assert (table[:, 0] == 0.5).all()
         assert table[0, 1] == 0.0 and table[1, 1] == 1.0
+
+    def test_dimension_mismatch(self):
+        w = weight_matrix(np.zeros((3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="^dimension mismatch: y=2, w=3$"):
+            normalize_colors(np.zeros((2, 1)), w)
+
+    @pytest.mark.parametrize("gap, want", [(1e-8, [0.0, 1.0, 1.0]), (1e-10, [0.5, 0.5, 1.0])])
+    def test_spread_of_1e_9_of_the_span_is_the_cut(self, gap, want):
+        # Edges 0 and 1 are bundled both ways and lie `gap` apart; edge 2,
+        # alone, makes the dimension's span 1.
+        flags = np.zeros((3, 3), dtype=bool)
+        flags[0, 1] = flags[1, 0] = True
+        table = normalize_colors(np.array([[0.0], [gap], [1.0]]), weight_matrix(flags))
+        assert table[:, 0].tolist() == want
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(17)

@@ -46,9 +46,9 @@ class TestOrderedBundles:
         assert layout_to_dict(back) == layout_to_dict(ordered_fixture.layout)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^groups must be even and >= 2$"):
             make_ordered_bundles(3, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^edges_per_bundle must be >= 2$"):
             make_ordered_bundles(4, 1)
 
 
@@ -82,8 +82,10 @@ class TestCrossingBundles:
         assert layout_to_dict(a.layout) == layout_to_dict(b.layout)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bundles must be >= 2$"):
             make_crossing_bundles(1, 5)
+        with pytest.raises(ValueError, match="^edges_per_bundle must be >= 2$"):
+            make_crossing_bundles(3, 1)
 
 
 # perfbench takes a call's bundled-pair count as correct when it equals

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_layout, random_layout
 from peacock.model import (
     GraphLayout,
-    LayoutError,
-    layout_extent,
     layout_from_dict,
     layout_to_dict,
     load_layout,
@@ -47,20 +45,20 @@ def test_nan_coordinate_names_edge(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc).replace("NaN", "NaN"))
-    with pytest.raises(LayoutError, match="edge 1"):
+    with pytest.raises(ValueError, match="edge 1"):
         load_layout(path)
 
 
 def test_empty_controls_rejected(tmp_path):
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": []}]}
-    with pytest.raises(LayoutError, match="edge 0"):
+    with pytest.raises(ValueError, match="edge 0"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_duplicate_edge_id_rejected(tmp_path):
     edge = {"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}
     doc = {"edges": [edge, dict(edge)]}
-    with pytest.raises(LayoutError, match="duplicate edge id 0"):
+    with pytest.raises(ValueError, match="duplicate edge id 0"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -71,20 +69,20 @@ def test_id_gap_rejected(tmp_path):
             {"id": 2, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]},
         ]
     }
-    with pytest.raises(LayoutError, match="no gaps"):
+    with pytest.raises(ValueError, match="no gaps"):
         load_layout(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize("eid", [False, True])
 def test_boolean_edge_id_rejected(tmp_path, eid):
     doc = {"edges": [{"id": eid, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}]}
-    with pytest.raises(LayoutError, match="is not an integer"):
+    with pytest.raises(ValueError, match="is not an integer"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_boolean_coordinate_rejected(tmp_path):
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[True, 1]]}]}
-    with pytest.raises(LayoutError, match=r"edge 0: controls\[0\] has non-numeric"):
+    with pytest.raises(ValueError, match=r"edge 0: controls\[0\] has non-numeric"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -94,25 +92,25 @@ def test_bad_node_error_names_node(tmp_path, x):
         "nodes": [{"id": "a", "x": x, "y": 0}],
         "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}],
     }
-    with pytest.raises(LayoutError, match="^node a: position has non-numeric"):
+    with pytest.raises(ValueError, match="^node a: position has non-numeric"):
         load_layout(write_doc(tmp_path, doc))
 
 
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(LayoutError):
+    with pytest.raises(ValueError, match="broken.json: Expecting property name"):
         load_layout(path)
 
 
 def test_extent_simple():
     layout = make_layout([((0, 0), (2, 1), [(1, 0.5)])])
-    assert layout_extent(layout) == (2.0, 1.0)
+    assert layout.extent == (0.0, 0.0, 2.0, 1.0)
 
 
 def test_extent_degenerate():
     layout = make_layout([((3, 3), (3, 3), [(3, 3)])])
-    assert layout_extent(layout) == (0.0, 0.0)
+    assert layout.extent == (3.0, 3.0, 3.0, 3.0)
 
 
 def brute_force_extent(doc):
@@ -190,15 +188,37 @@ def test_shuffled_edge_order_loads_same_arrays(tmp_path):
 def test_negative_id_rejected(tmp_path):
     edge = {"v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}
     doc = {"edges": [dict(edge, id=-1), dict(edge, id=0)]}
-    with pytest.raises(LayoutError, match="must be 0..1 with no gaps"):
+    with pytest.raises(ValueError, match="must be 0..1 with no gaps"):
         load_layout(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize("nodes", [5, {}, "ab", None])
 def test_nodes_not_an_array_rejected(tmp_path, nodes):
     doc = {"nodes": nodes, "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}]}
-    with pytest.raises(LayoutError, match="'nodes' must be an array"):
+    with pytest.raises(ValueError, match="'nodes' must be an array"):
         load_layout(write_doc(tmp_path, doc))
+
+
+EDGE = {"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([EDGE], "^document must be an object with an 'edges' array$"),
+    ({"nodes": []}, "^document must be an object with an 'edges' array$"),
+    ({"edges": []}, "^'edges' must be a non-empty array$"),
+    ({"edges": EDGE}, "^'edges' must be a non-empty array$"),
+    ({"edges": [5]}, "^edge entry missing 'id'$"),
+    ({"edges": [{"v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}]}, "^edge entry missing 'id'$"),
+    ({"edges": [EDGE], "nodes": [{"x": 0, "y": 0}]}, "^node entry missing 'id'$"),
+    ({"edges": [EDGE], "nodes": [["a", 0, 0]]}, "^node entry missing 'id'$"),
+    ({"edges": [dict(EDGE, v1=[0, 0, 0])]}, r"^edge 0: v1 is not an \[x, y\] pair$"),
+    ({"edges": [dict(EDGE, v2=None)]}, r"^edge 0: v2 is not an \[x, y\] pair$"),
+    ({"edges": [dict(EDGE, controls=[[0, 0], 1])]},
+     r"^edge 0: controls\[1\] is not an \[x, y\] pair$"),
+])
+def test_document_refusals_name_what_is_wrong(doc, message):
+    with pytest.raises(ValueError, match=message):
+        layout_from_dict(doc)
 
 
 @pytest.mark.parametrize("where, what", [("v2", "v2"), ("controls", "controls[1]")])
@@ -210,7 +230,7 @@ def test_integer_beyond_float_range_names_edge(tmp_path, where, what):
         edge["controls"][1] = [0, -(10**400)]
     doc = {"edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}, edge]}
     message = rf"^edge 1: coordinate in {re.escape(what)} is too large"
-    with pytest.raises(LayoutError, match=message):
+    with pytest.raises(ValueError, match=message):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -219,7 +239,7 @@ def test_node_integer_beyond_float_range_names_node(tmp_path):
         "nodes": [{"id": "a", "x": 0, "y": 10**400}],
         "edges": [{"id": 0, "v1": [0, 0], "v2": [1, 0], "controls": [[0, 0]]}],
     }
-    with pytest.raises(LayoutError, match="^node a: coordinate in position is too large"):
+    with pytest.raises(ValueError, match="^node a: coordinate in position is too large"):
         load_layout(write_doc(tmp_path, doc))
 
 
@@ -247,6 +267,6 @@ ENDS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]
     ],
 )
 def test_constructor_validates(points, offsets, ends, nodes, message):
-    with pytest.raises(LayoutError, match=message):
+    with pytest.raises(ValueError, match=message):
         GraphLayout(points=points, offsets=offsets, ends=ends, nodes=nodes)
 

@@ -145,3 +145,10 @@ class TestRenderSvg:
         with pytest.raises(ValueError) as err:
             render_svg(layout, np.zeros((layout.m, 3)), fans=w)
         assert str(err.value) == f"fans has 10 marks for {len(layout.points)} controls"
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (6,)])
+    def test_colors_of_another_shape_refused(self, shape):
+        layout = make_layout([line_edge(range(5), 0.0), line_edge(range(5), 0.2)])
+        with pytest.raises(ValueError) as err:
+            render_svg(layout, np.zeros(shape))
+        assert str(err.value) == f"expected 2 RGB triples, got shape {shape}"
