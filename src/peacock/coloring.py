@@ -130,9 +130,8 @@ def _residual_pairs(w: BundleWeightMatrix):
 
 
 def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
-    """Everything `_smacof_step` needs besides d, and the scale of its
-    stress: (u, blocks, the stress of the embedding collapsed to one point,
-    pairs).
+    """Everything `_smacof_step` needs besides d: (u, blocks, pairs). Of d
+    it reads only the residual pairs' entries.
 
     An ordered pair weighs 1 when flagged and epsilon when not, so an
     unordered pair weighs 2 when flagged both ways, 1 + epsilon when
@@ -169,20 +168,15 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     label = _components(m, a, b)
     sizes = np.bincount(label)
     check_budget(m, len(w.pairs), int(sizes.max()))
-    # d_ab, a <= b, is entry row_start[a] + b of d. Each block's diagonal
-    # square holds its pairs both ways, so it counts half.
-    d2, row_start = 0.0, np.empty(m, dtype=np.int64)
+    # d_ab, a <= b, is entry row_start[a] + b of d.
+    row_start = np.empty(m, dtype=np.int64)
     for lo, hi, flat in upper_row_blocks(m):
-        n = hi - lo
-        row_start[lo:hi] = flat.start - lo + (m - lo) * np.arange(n)
-        d_b = d[flat].reshape(n, m - lo)
-        d2 += np.einsum("ij,ij->", d_b, d_b) - 0.5 * np.einsum("ij,ij->", d_b[:, :n], d_b[:, :n])
+        row_start[lo:hi] = flat.start - lo + (m - lo) * np.arange(hi - lo)
     # Pairs ordered by b - a, then a: neither end repeats from one pair to
     # the next, and a bincount stalls on repeated adds to one bin.
     diagonal = np.lexsort((a, b - a))
     a, b, r = a[diagonal], b[diagonal], r[diagonal]
     d_ab = d[row_start[a] + b]
-    collapsed = u * d2 + np.einsum("i,i,i->", r, d_ab, d_ab)
     degree = np.bincount(a, r, m) + np.bincount(b, r, m) + u * m
     size = sizes[label]
     order = np.lexsort((label, size))
@@ -203,7 +197,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
         inv = np.linalg.inv(block)
         inv -= 1.0 / (c * (u * m + 1.0))
         blocks.append((idx, inv))
-    return u, blocks, float(collapsed), (a, b, r, d_ab)
+    return u, blocks, (a, b, r, d_ab)
 
 
 def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
@@ -227,7 +221,7 @@ def _smacof_step(y: np.ndarray, d: np.ndarray, plan):
     `_prepare`'s block inverse gives the rest. At u = 0 (epsilon = 0) the
     shared part counts for nothing, so its pass is skipped.
     """
-    u, blocks, _, (a, b, r, d_ab) = plan
+    u, blocks, (a, b, r, d_ab) = plan
     m = len(y)
     sy = np.zeros_like(y)
     ones_y = np.column_stack([np.ones(m), y])
@@ -411,9 +405,11 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
             # A rise within the rounding error of the M*M-term stress sum is
             # noise. Each distance rounds relative to d, so near an exact fit
             # the stress s carries noise of about eps sqrt(s C), C the stress
-            # of the collapsed embedding: far above eps s, so C sets the scale.
-            noise = w.m * w.m * np.finfo(float).eps * plan[2]
-            stop_reason = "stress_increase" if s - s_prev > noise else "tolerance"
+            # at y = 0, every edge at one point: far above eps s, so C sets
+            # the scale. The allowance is >= 0, so only a rise needs C.
+            rose = s > s_prev and (s - s_prev > w.m * w.m * np.finfo(float).eps
+                                   * _smacof_step(np.zeros_like(y), d, plan)[0])
+            stop_reason = "stress_increase" if rose else "tolerance"
             s_prev = s
             break
         s_prev = s

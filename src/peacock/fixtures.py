@@ -29,12 +29,20 @@ class FixtureResult:
     layout: GraphLayout
     bundles: list[list[int]]      # edge ids per bundle
     order: list[list[int]]        # rank of each edge within its bundle
-    expected_flags: np.ndarray    # directional detection ground truth
+    meets: np.ndarray             # whether bundles a and b flag each other's edges
     t: float                      # absolute threshold the truth holds at
     k_min: float
 
     def ground_truth_dict(self) -> dict:
         return {"bundles": self.bundles, "order": self.order}
+
+    @property
+    def expected_flags(self) -> np.ndarray:
+        """Directional detection ground truth (M, M), derived from `meets`."""
+        n = len(self.order[0])
+        flags = np.repeat(np.repeat(self.meets, n, axis=0), n, axis=1)
+        np.fill_diagonal(flags, False)
+        return flags
 
 
 def _offsets(n: int) -> np.ndarray:
@@ -59,13 +67,11 @@ def _assemble(
         ends=ends.reshape(-1, 2, 2),
         nodes=nodes,
     )
-    flags = np.repeat(np.repeat(meets, n, axis=0), n, axis=1)
-    np.fill_diagonal(flags, False)
     return FixtureResult(
         layout=layout,
         bundles=np.arange(bundles * n).reshape(bundles, n).tolist(),
         order=[list(range(n)) for _ in range(bundles)],
-        expected_flags=flags,
+        meets=meets,
         t=params.resolve_t(layout),
         k_min=params.k_min,
     )

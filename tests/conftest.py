@@ -247,10 +247,9 @@ def unpack(d, m):
 def oracle_prepare(w, d, epsilon):
     """A stand-in for `peacock.coloring._prepare`, from the packed d
     unpacked: u, the smallest symmetrized weight, one block of all M edges
-    holding the SVD pseudo-inverse of the Laplacian V, the stress of the
-    collapsed embedding, sum of w d^2 over ordered pairs, and the pairs
-    i < j whose dense residual weight is positive, with those weights and
-    their d."""
+    holding the SVD pseudo-inverse of the Laplacian V, and the pairs i < j
+    whose dense residual weight is positive, with those weights and their
+    d."""
     d = unpack(d, w.m)
     w_sym = dense_weights(w, epsilon) + dense_weights(w, epsilon).T
     v = np.diag(w_sym.sum(axis=1)) - w_sym
@@ -258,8 +257,7 @@ def oracle_prepare(w, d, epsilon):
     res = np.triu(w_sym - u, 1)
     a, b = np.nonzero(res > 0)
     blocks = [(np.arange(w.m)[None, :], np.linalg.pinv(v)[None])]
-    collapsed = (dense_weights(w, epsilon) * d * d).sum()
-    return u, blocks, collapsed, (a, b, res[a, b], d[a, b])
+    return u, blocks, (a, b, res[a, b], d[a, b])
 
 
 def oracle_smacof_step(y, w, d, epsilon):

@@ -74,19 +74,6 @@ def test_gen_color_rank_correlation(tmp_path, fixture_file):
         assert abs(rho) >= 0.9
 
 
-def test_determinism_byte_identical(tmp_path, fixture_file):
-    outs = []
-    for tag in ("a", "b"):
-        svg = tmp_path / f"{tag}.svg"
-        colors = tmp_path / f"{tag}.colors.json"
-        assert main(
-            ["color", "--input", str(fixture_file),
-             "--out-svg", str(svg), "--out-colors", str(colors)]
-        ) == 0
-        outs.append((svg.read_bytes(), colors.read_bytes()))
-    assert outs[0] == outs[1]
-
-
 def test_baseline_method(tmp_path, fixture_file):
     colors = tmp_path / "base.json"
     code = main(

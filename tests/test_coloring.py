@@ -212,9 +212,19 @@ def assert_matches_pinv(y, w, d, epsilon):
 
 
 def assert_collapsed_stress(w, d, epsilon):
-    # The plan's stress scale is sum of w d^2 over ordered pairs.
+    # The stop rule's noise scale, the stress at y = 0, is the sum of w d^2
+    # over ordered pairs.
     want = (dense_weights(w, epsilon) * d * d).sum()
-    assert abs(peacock.coloring._prepare(w, pack(d), epsilon)[2] - want) <= 1e-12 * want
+    assert abs(stress(np.zeros((len(d), 1)), w, d, epsilon) - want) <= 1e-12 * want
+
+
+def assert_same_plan(got, want):
+    u, blocks, pairs = got
+    assert u == want[0]
+    assert len(blocks) == len(want[1])
+    for (idx, inv), (want_idx, want_inv) in zip(blocks, want[1]):
+        assert np.array_equal(idx, want_idx) and np.array_equal(inv, want_inv)
+    assert all(np.array_equal(x, y) for x, y in zip(pairs, want[2], strict=True))
 
 
 class TestPrepare:
@@ -234,7 +244,7 @@ class TestPrepare:
                 continue
             assert_matches_pinv(y, w, d, 0.0)
             assert_collapsed_stress(w, d, 0.0)
-            _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), 0.0)
+            _, blocks, _ = peacock.coloring._prepare(w, pack(d), 0.0)
             n_components.append(sum(len(idx) for idx, *_ in blocks))
         assert max(n_components) > 2
 
@@ -251,7 +261,7 @@ class TestPrepare:
         # u is then the flagged weight 2, and every block is a scalar.
         y, _, d = random_instance(np.random.default_rng(6), m=12, q=2)
         w = weight_matrix(~np.eye(12, dtype=bool))
-        _, blocks, _, _ = peacock.coloring._prepare(w, pack(d), epsilon)
+        _, blocks, _ = peacock.coloring._prepare(w, pack(d), epsilon)
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d, epsilon)
 
@@ -267,25 +277,55 @@ class TestPrepare:
         monkeypatch.setattr(np, "searchsorted", None)
         tracemalloc.start()
         try:
-            u, blocks, collapsed, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, 0.001)
+            plan = peacock.coloring._prepare(w, d, 0.001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        u, blocks, (a, b, r, d_ab) = plan
         assert peak <= len(w.pairs)
         assert u == 2.0 and len(a) == len(b) == len(r) == len(d_ab) == 0
         assert [idx.shape for idx, *_ in blocks] == [(layout.m, 1)]
         want = (dense_weights(w, 0.001) * oracle_dissimilarity(layout) ** 2).sum()
+        collapsed = peacock.coloring._smacof_step(np.zeros((layout.m, 1)), d, plan)[0]
         assert abs(collapsed - want) <= 1e-14 * want
 
     def test_squared_sum_is_half_the_dense_one(self):
         # 1000 edges span 17 row blocks, whose diagonal squares hold their
-        # pairs twice; the collapsed stress counts each pair once per way.
+        # pairs twice; the stress at y = 0 counts each pair once per way.
         layout = make_ordered_bundles(40, 25, reverse_last=True, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         dense = oracle_dissimilarity(layout)
-        collapsed = peacock.coloring._prepare(w, build_dissimilarity_matrix(layout), 0.001)[2]
+        d = build_dissimilarity_matrix(layout)
+        plan = peacock.coloring._prepare(w, d, 0.001)
+        collapsed = peacock.coloring._smacof_step(np.zeros((layout.m, 1)), d, plan)[0]
         want = (dense_weights(w, 0.001) * dense * dense).sum()
         assert abs(collapsed - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 1.0])
+    def test_reads_d_only_at_the_residual_pairs(self, epsilon):
+        # d is NaN but for the pairs whose symmetrized weight is above u, the
+        # smallest: the plan must not change. Bundle-wide flags (reversed
+        # last bundle) and one-way flags (a random upper triangle).
+        layout = make_ordered_bundles(6, 6, reverse_last=True, seed=0).layout
+        dense = oracle_dissimilarity(layout)
+        rng = np.random.default_rng(3)
+        one_way = weight_matrix(np.triu(rng.random((layout.m, layout.m)) < 0.3, 1))
+        off = ~np.eye(layout.m, dtype=bool)
+        for w in build_weight_matrix(layout, DetectionParams()), one_way:
+            w_sym = dense_weights(w, epsilon) + dense_weights(w, epsilon).T
+            residual = off & (w_sym > w_sym[off].min())
+            d, masked = pack(dense), pack(np.where(residual, dense, np.nan))
+            assert np.isnan(masked).sum() > len(masked) // 2
+            want = peacock.coloring._prepare(w, d, epsilon)
+            got = peacock.coloring._prepare(w, masked, epsilon)
+            assert_same_plan(got, want)
+            if epsilon == 0:  # u = 0: no iteration reads d beyond the pairs
+                cfg = OptimizerConfig(q=2, epsilon=0.0)
+                y = initial_embedding(layout, cfg)
+                got, want = optimize(w, masked, y, cfg), optimize(w, d, y, cfg)
+                assert np.array_equal(got.embedding, want.embedding)
+                assert (got.stress, got.n_iters, got.stop_reason) == (
+                    want.stress, want.n_iters, want.stop_reason)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_asymmetric_flags(self, epsilon):
@@ -575,7 +615,11 @@ class TestOptimize:
         stresses = [s for _, s, _ in seen]
         assert all(b <= a + 1e-12 * scale for a, b in zip(stresses, stresses[1:]))
         assert [n for _, _, n in seen] == sorted({n for _, _, n in seen})
-        assert steps.call_count - 1 == res.n_iters == seen[-1][2] <= max_iters
+        # One call per transform and one for the last iterate's stress, plus
+        # one for the noise scale when the run stalls on a rise.
+        stalled = res.stop_reason != "max_iters"
+        rose = stalled and stresses[-1] > stresses[-2]
+        assert steps.call_count - 1 - rose == res.n_iters == seen[-1][2] <= max_iters
         assert res.stress == stress(res.embedding, w, d, epsilon)
         want = oracle_stress(res.embedding, dense_weights(w, epsilon), d)
         assert res.stress == pytest.approx(want, rel=1e-10, abs=1e-12 * scale)

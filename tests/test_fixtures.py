@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_detection_flags_the_truth(make):
     fx = make()
     w = build_weight_matrix(fx.layout, DetectionParams())
     assert np.array_equal(dense_flags(w), fx.expected_flags)
+
+
+def test_generator_holds_no_pair_matrix():
+    # `peacock gen` never reads the truth flags, M^2 bytes at M edges: a
+    # generator stores the bundle-level truth and derives them on demand.
+    # Its own arrays and node tuples take about 0.23 M^2 bytes at M = 5,000.
+    make_ordered_bundles(2, 2)  # leaves out first-call allocations
+    tracemalloc.start()
+    try:
+        fx = make_ordered_bundles(400, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fx.layout.m == 5000
+    assert peak <= 0.5 * fx.layout.m**2
 
 
 # SHA-256 of `save_layout` for the fixture shapes the benchmark colors, at

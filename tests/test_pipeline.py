@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 import peacock.pipeline
 from peacock.baseline import baseline_colors
@@ -11,30 +10,8 @@ from peacock.coloring import OptimizeResult, OptimizerConfig, colors_to_display,
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
 from peacock.model import GraphLayout
-from conftest import dense_flags, make_layout, unpack
+from conftest import dense_flags, make_layout
 from peacock.pipeline import StageError, read_rgb, run_peacock, write_color_dump
-from test_coloring import stress
-
-
-def test_fixture_rank_correlation(ordered_fixture):
-    run = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    col = run.table[:, 0]
-    for ids, order in zip(ordered_fixture.bundles, ordered_fixture.order):
-        rho = spearmanr(col[ids], order).statistic
-        assert abs(rho) >= 0.9
-
-
-def test_global_mode_beats_baseline(ordered_fixture):
-    layout = ordered_fixture.layout
-    params = DetectionParams()
-    cfg = OptimizerConfig(q=3, epsilon=1.0)
-    run = run_peacock(layout, params, cfg)
-
-    w = build_weight_matrix(layout, params)
-    d = unpack(build_dissimilarity_matrix(layout), layout.m)
-    base = baseline_colors(layout)
-    base_stress = stress(base, w, d, cfg.epsilon)
-    assert run.result.stress < base_stress
 
 
 @pytest.mark.parametrize("k", [-3, 2, 192])
@@ -87,13 +64,6 @@ def test_stage_outputs_are_read_only(ordered_fixture):
     outputs = [run.table, run.result.embedding, build_dissimilarity_matrix(layout),
                baseline_colors(layout), initial_embedding(layout, OptimizerConfig())]
     assert not any(a.flags.writeable for a in outputs)
-
-
-def test_end_to_end_determinism(ordered_fixture):
-    a = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    b = run_peacock(ordered_fixture.layout, DetectionParams(), OptimizerConfig())
-    assert (a.table == b.table).all()
-    assert a.result.stress == b.result.stress and a.result.n_iters == b.result.n_iters
 
 
 def test_diagnostics_bundled_pairs(ordered_fixture):
