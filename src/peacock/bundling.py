@@ -43,7 +43,7 @@ DENSE_BUDGET = 4 * 2**30
 
 # Candidate point pairs examined per batch. Batches hold whole edges, so
 # transient memory is bounded by this budget or by one edge's candidates.
-# Later stages read the flagged pairs in batches of the same size.
+# `BundleWeightMatrix.batches` yields the flagged pairs in batches of the same size.
 PAIR_BUDGET = 1 << 16
 
 # Bytes of the (M, controls) hit map of one detection batch, unless one
@@ -127,6 +127,12 @@ class BundleWeightMatrix:
     @property
     def bundled_pair_count(self) -> int:
         return len(self.pairs)
+
+    def batches(self):
+        """The flagged pairs in `pairs` order as (i, j) index arrays,
+        PAIR_BUDGET pairs at a time."""
+        for lo in range(0, len(self.pairs), PAIR_BUDGET):
+            yield np.divmod(self.pairs[lo : lo + PAIR_BUDGET], self.m)
 
 
 def required_run_length(c_i, c_j, k_min: float):
@@ -261,5 +267,4 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
 
 def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:
     """Flagged ordered pairs as [{"i": ..., "j": ...}], lexicographic."""
-    i = w.pairs // w.m
-    return [{"i": a, "j": b} for a, b in zip(i.tolist(), (w.pairs - i * w.m).tolist())]
+    return [{"i": a, "j": b} for i, j in w.batches() for a, b in zip(i.tolist(), j.tolist())]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from . import fixtures
 from .baseline import baseline_colors
 from .bundling import DetectionParams, build_weight_matrix, dump_bundled_pairs
 from .coloring import OptimizerConfig, colors_to_display
-from .model import load_layout, save_layout
+from .model import load_layout, save_layout, write_json
 from .pipeline import StageError, read_rgb, run_peacock, timed, write_color_dump
 from .render import render_svg
 
@@ -98,9 +97,7 @@ def _cmd_gen(args) -> int:
     save_layout(fx.layout, out)
     truth = out.with_suffix(out.suffix + ".truth.json") if out.suffix != ".json" \
         else out.with_name(out.stem + ".truth.json")
-    with open(truth, "w") as fh:
-        json.dump(fx.ground_truth_dict(), fh, indent=1)
-        fh.write("\n")
+    write_json(truth, fx.ground_truth_dict())
     print(f"wrote {out} ({fx.layout.m} edges) and {truth}")
     return EXIT_OK
 
@@ -122,9 +119,7 @@ def _cmd_color(args) -> int:
         table, result, weights = run.table, run.result, run.weights
 
     if args.dump_bundles:
-        with open(args.dump_bundles, "w") as fh:
-            json.dump(dump_bundled_pairs(weights), fh, indent=1)
-            fh.write("\n")
+        write_json(args.dump_bundles, dump_bundled_pairs(weights))
 
     if args.out_colors:
         write_color_dump(args.out_colors, table, result)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import PAIR_BUDGET, BundleWeightMatrix, check_budget
+from .bundling import BundleWeightMatrix, check_budget
 from .dissimilarity import distances, packed_size, upper_row_blocks
 from .model import GraphLayout
 
@@ -106,27 +106,25 @@ def _components(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _residual_pairs(w: BundleWeightMatrix):
-    """The pairs i < j flagged one way or both, as codes i * M + j, whether
-    each is flagged both ways, and whether every pair is flagged.
+    """The pairs a < b flagged one way or both, as their ends a and b,
+    whether each is flagged both ways, and whether every pair is flagged.
 
-    The flagged pairs are read in batches of PAIR_BUDGET, so no array holds
-    more than one entry per pair. With every ordered pair flagged, no pair
-    is residual (u = 2), and none is read.
+    The flagged pairs are read in `w.batches()`, so no array holds more
+    than one entry per pair. With every ordered pair flagged, no pair is
+    residual (u = 2), and none is read.
     """
     m, pairs = w.m, w.pairs
-    if 0 < len(pairs) == m * (m - 1):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), True
-    codes, both = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
-    for lo in range(0, len(pairs), PAIR_BUDGET):
-        i = pairs[lo : lo + PAIR_BUDGET] // m
-        j = pairs[lo : lo + PAIR_BUDGET] - i * m
+    every = 0 < len(pairs) == m * (m - 1)
+    a, b, both = ([np.empty(0, dtype=t)] for t in (np.int64, np.int64, bool))
+    for i, j in () if every else w.batches():
         rev = j * m + i
         mutual = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] == rev
         once = (i < j) | ~mutual
-        codes.append(np.minimum(i, j)[once] * m + np.maximum(i, j)[once])
+        a.append(np.minimum(i, j)[once])
+        b.append(np.maximum(i, j)[once])
         both.append(mutual[once])
-    code = np.concatenate(codes)
-    return code, np.concatenate(both), 0 < len(code) == m * (m - 1) // 2
+    a = np.concatenate(a)
+    return a, np.concatenate(b), np.concatenate(both), every or 0 < len(a) == m * (m - 1) // 2
 
 
 def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
@@ -154,15 +152,13 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     dissimilarities.
     """
     m = w.m
-    code, mutual, every = _residual_pairs(w)
+    a, b, mutual, every = _residual_pairs(w)
     r = np.where(mutual, 2.0, 1.0 + epsilon)
     u = float(r.min(initial=2.0)) if every else 2.0 * epsilon
     r -= u
     keep = r > 0
-    code, r = code[keep], r[keep]
-    a = code // m
-    b = code - a * m
-    del code, mutual, keep  # a run peaks at the block inverses below
+    a, b, r = a[keep], b[keep], r[keep]
+    del mutual, keep  # a run peaks at the block inverses below
     if not u > 0 and not len(r):
         raise ValueError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
@@ -397,6 +393,12 @@ def optimize(w: BundleWeightMatrix, d: np.ndarray, y: np.ndarray,
     if not np.isfinite(y).all():
         raise ValueError("start contains non-finite values")
     plan = _prepare(w, d, cfg.epsilon)
+    # At u = 0 the steps read d only at the residual pairs. NaN shows in
+    # both of min and max and +-inf in one, with no M x M temporary.
+    u, _, (*_, d_ab) = plan
+    read = d if u > 0 else d_ab
+    if not (np.isfinite(read.min()) and np.isfinite(read.max())):
+        raise ValueError("dissimilarities contain non-finite values")
     steps = _iterates(y, d, plan, cfg.max_iters)
     y, s_prev, n_iters = next(steps)
     stop_reason = "max_iters"
@@ -438,12 +440,10 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
     # both ends of each flagged pair, exact in any order.
-    n = 0 if len(w.pairs) == w.m * (w.m - 1) else len(w.pairs)  # all flagged: global min-max
+    batches = () if len(w.pairs) == w.m * (w.m - 1) else w.batches()  # all flagged: global min-max
     yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
-    for start in range(0, n, PAIR_BUDGET):
-        i = w.pairs[start : start + PAIR_BUDGET] // w.m
-        j = w.pairs[start : start + PAIR_BUDGET] - i * w.m
+    for i, j in batches:
         alone[i] = alone[j] = False
         for y_d, lo_d, hi_d in zip(yt, lo, hi):
             for a, b in (i, j), (j, i):

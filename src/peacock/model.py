@@ -155,14 +155,25 @@ def layout_from_dict(doc: dict) -> GraphLayout:
     )
 
 
-def load_layout(path) -> GraphLayout:
-    """Read and validate a layout file (see layout_to_dict for the schema)."""
+def read_json(path):
+    """The JSON document at `path`; invalid JSON is a ValueError naming the file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return layout_from_dict(doc)
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as JSON indented by one space, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def load_layout(path) -> GraphLayout:
+    """Read and validate a layout file (see layout_to_dict for the schema)."""
+    return layout_from_dict(read_json(path))
 
 
 def layout_to_dict(layout: GraphLayout) -> dict:
@@ -178,6 +189,4 @@ def layout_to_dict(layout: GraphLayout) -> dict:
 
 
 def save_layout(layout: GraphLayout, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(layout_to_dict(layout), fh, indent=1)
-        fh.write("\n")
+    write_json(path, layout_to_dict(layout))

@@ -16,7 +16,7 @@ from .bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
 from .coloring import (OptimizeResult, OptimizerConfig, colors_to_display, initial_embedding,
                        normalize_colors, optimize)
 from .dissimilarity import build_dissimilarity_matrix
-from .model import GraphLayout
+from .model import GraphLayout, read_json
 
 
 class StageError(Exception):
@@ -62,8 +62,8 @@ def run_peacock(layout: GraphLayout, params: DetectionParams, cfg: OptimizerConf
 
 def write_color_dump(path, table: np.ndarray, result: OptimizeResult | None = None) -> None:
     """Write the colors `table` (M, q), their display colors and `result`'s
-    stress and iterations, byte for byte as `json.dump(..., indent=1)` and
-    a newline would, without json's pure-Python encoder."""
+    stress and iterations, byte for byte as `model.write_json` would,
+    without json's pure-Python encoder."""
     stress, iters = (json.dumps(result.stress), result.n_iters) if result else ("null", 0)
     colors, rgb = (",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
                                for row in t.tolist()) for t in (table, colors_to_display(table)))
@@ -74,11 +74,7 @@ def write_color_dump(path, table: np.ndarray, result: OptimizeResult | None = No
 
 def read_rgb(path) -> np.ndarray:
     """The 'rgb' rows of the color dump at `path`, which must all be finite numbers."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a color dump (not a JSON object)")
     if "rgb" not in doc:

@@ -285,6 +285,15 @@ class TestWeightMatrix:
         with pytest.raises(ValueError, match="^pairs must be 1-D codes and fans a 1-D bool mark$"):
             BundleWeightMatrix(2, pairs, fans)
 
+    def test_batches_decode_the_pairs_within_the_budget(self, ordered_fixture, monkeypatch):
+        w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
+        monkeypatch.setattr(bundling, "PAIR_BUDGET", 7)
+        batches = list(w.batches())
+        assert len(batches) == -(-len(w.pairs) // 7) > 1
+        assert all(len(i) == len(j) <= 7 for i, j in batches)
+        for got, want in zip(np.concatenate(batches, axis=1), np.divmod(w.pairs, w.m)):
+            assert (got == want).all()
+
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)
         layout = random_layout(rng, m=12)

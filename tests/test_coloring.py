@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -693,6 +694,26 @@ class TestOptimize:
         monkeypatch.setattr(peacock.coloring, "_prepare", None)
         with pytest.raises(ValueError, match="^start contains non-finite values$"):
             optimize(w, pack(d), np.array([[0.0], [bad]]), OptimizerConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.001])
+    def test_non_finite_d_is_refused_before_any_step(self, ordered_fixture, epsilon, bad):
+        # One NaN or inf in d used to spend the whole transform budget, and
+        # an inf warned inside the step, before the embedding was refused.
+        # Every flagged pair is a residual pair, read at any epsilon.
+        layout = ordered_fixture.layout
+        w = build_weight_matrix(layout, DetectionParams())
+        dense = unpack(build_dissimilarity_matrix(layout), layout.m)
+        i, j = divmod(int(w.pairs[0]), layout.m)
+        dense[i, j] = dense[j, i] = bad
+        d, cfg = pack(dense), OptimizerConfig(epsilon=epsilon)
+        step = mock.patch.object(peacock.coloring, "_smacof_step",
+                                 wraps=peacock.coloring._smacof_step)
+        with step as spy, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dissimilarities contain non-finite values$"):
+                optimize(w, d, initial_embedding(layout, cfg), cfg)
+        assert spy.call_count == 0
 
     @pytest.mark.parametrize("field, value, message", [
         ("max_iters", 0, "^max_iters must be >= 1$"),

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import peacock.bundling
 import peacock.pipeline
 from peacock.baseline import baseline_colors
-from peacock.bundling import DetectionParams, build_weight_matrix
+from peacock.bundling import DetectionParams, build_weight_matrix, dump_bundled_pairs
 from peacock.coloring import OptimizeResult, OptimizerConfig, colors_to_display, initial_embedding
 from peacock.dissimilarity import build_dissimilarity_matrix
 from peacock.fixtures import make_crossing_bundles, make_ordered_bundles
@@ -71,6 +72,20 @@ def test_diagnostics_bundled_pairs(ordered_fixture):
     w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
     assert run.weights.bundled_pair_count == int(dense_flags(w).sum())
     assert set(run.stage_seconds) == {"bundling", "dissimilarity", "optimize", "normalize"}
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_pair_batches_leave_outputs_unchanged(ordered_fixture, monkeypatch, q):
+    # Set-up, normalization and the bundle dump read the flagged pairs in
+    # batches; batches of 7 pairs split them at many places.
+    layout, params, cfg = ordered_fixture.layout, DetectionParams(), OptimizerConfig(q=q)
+    want = run_peacock(layout, params, cfg)
+    monkeypatch.setattr(peacock.bundling, "PAIR_BUDGET", 7)
+    got = run_peacock(layout, params, cfg)
+    assert len(got.weights.pairs) > 7
+    assert (got.result.embedding == want.result.embedding).all()
+    assert (got.table == want.table).all()
+    assert dump_bundled_pairs(got.weights) == dump_bundled_pairs(want.weights)
 
 
 @pytest.mark.parametrize(
