@@ -2,9 +2,9 @@
 
 Two edges count as bundled (directionally, i against j) when some run of
 consecutive control points of edge i all lie within a distance threshold
-of edge j's control points. The weight matrix is kept as the bundled
-ordered pairs and a per-control fan mark; the weight of the pairs that
-are not bundled is the optimizer's to choose (`coloring.OptimizerConfig`).
+of edge j's control points. The weight matrix keeps each bundled pair
+once with its directions, and a per-control fan mark; the weight of the
+pairs not bundled is the optimizer's to choose (`coloring.OptimizerConfig`).
 
 Detection is one array pass over the control points of the layout, a
 batch of whole edges at a time: a uniform grid marks, in a bitmap of
@@ -106,33 +106,45 @@ class DetectionParams:
 class BundleWeightMatrix:
     """Detection outcome, one entry per flagged pair.
 
-    `pairs` holds the flagged ordered pairs (i, j), edge i bundled against
-    edge j, as ascending codes i * M + j; flags may be one-way. A flagged
-    ordered pair weighs 1 and the others the optimizer's tradeoff weight,
-    so no M x M matrix is kept. `fans[p]` is True where the segment
-    joining controls p and p + 1 of one edge enters or leaves the first
-    qualifying run of one of that edge's flagged pairs.
+    `pairs` holds each pair a < b flagged one way or both once, as the
+    ascending code a * M + b, and `ways` how: 1 if a is bundled against b,
+    2 if b against a, 3 if both. A flagged ordered pair weighs 1 and the
+    others the optimizer's tradeoff weight, so no M x M matrix is kept.
+    `fans[p]` is True where the segment joining controls p and p + 1 of an
+    edge enters or leaves the first qualifying run of one of its flagged pairs.
     """
 
     m: int
     pairs: np.ndarray
+    ways: np.ndarray
     fans: np.ndarray
 
     def __post_init__(self):
         if self.pairs.ndim != 1 or self.fans.ndim != 1 or self.fans.dtype != bool:
             raise ValueError("pairs must be 1-D codes and fans a 1-D bool mark")
-        self.pairs.setflags(write=False)
-        self.fans.setflags(write=False)
+        for a in (self.pairs, self.ways, self.fans):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_ordered(cls, m: int, codes, fans: np.ndarray) -> BundleWeightMatrix:
+        """The matrix of the ordered pairs flagged by `codes`, arrays of i * M + j."""
+        mark = np.zeros((m, m), dtype=np.uint8)
+        for code in codes:
+            mark.ravel()[code] = 1
+        mark = np.triu(mark + 2 * mark.T, 1).ravel()  # the ways of each pair a < b
+        pairs = np.flatnonzero(mark)
+        return cls(m, pairs, mark[pairs], fans)
 
     @property
     def bundled_pair_count(self) -> int:
-        return len(self.pairs)
+        """The number of flagged ordered pairs."""
+        return len(self.pairs) + int(np.count_nonzero(self.ways == 3))
 
     def batches(self):
-        """The flagged pairs in `pairs` order as (i, j) index arrays,
-        PAIR_BUDGET pairs at a time."""
+        """The flagged pairs in `pairs` order as (a, b, ways) arrays, PAIR_BUDGET at a time."""
         for lo in range(0, len(self.pairs), PAIR_BUDGET):
-            yield np.divmod(self.pairs[lo : lo + PAIR_BUDGET], self.m)
+            yield (*np.divmod(self.pairs[lo : lo + PAIR_BUDGET], self.m),
+                   self.ways[lo : lo + PAIR_BUDGET])
 
 
 def required_run_length(c_i, c_j, k_min: float):
@@ -255,16 +267,22 @@ def build_weight_matrix(layout: GraphLayout, params: DetectionParams) -> BundleW
     t = params.resolve_t(layout)
     # A run's fan-in segment ends at its first control p and its fan-out
     # segment starts at its last control q, unless p starts or q ends the edge.
-    edge_start = np.zeros(len(layout.points) + 1, dtype=bool)
-    edge_start[layout.offsets] = True
-    pairs, fans = [np.empty(0, dtype=np.int64)], np.zeros(len(layout.points), dtype=bool)
-    for code, first, last in _detect(layout.points, layout.offsets, t, params.k_min):
-        fans[first[~edge_start[first]] - 1] = True
-        fans[last[~edge_start[last + 1]]] = True
-        pairs.append(code)
-    return BundleWeightMatrix(layout.m, np.concatenate(pairs), fans)
+    edge_start = np.bincount(layout.offsets, minlength=len(layout.points) + 1) > 0
+    fans = np.zeros(len(layout.points), dtype=bool)
+
+    def codes():
+        for code, first, last in _detect(layout.points, layout.offsets, t, params.k_min):
+            fans[first[~edge_start[first]] - 1] = fans[last[~edge_start[last + 1]]] = True
+            yield code
+    return BundleWeightMatrix.from_ordered(layout.m, codes(), fans)
 
 
-def dump_bundled_pairs(w: BundleWeightMatrix) -> list[dict]:
-    """Flagged ordered pairs as [{"i": ..., "j": ...}], lexicographic."""
-    return [{"i": a, "j": b} for i, j in w.batches() for a, b in zip(i.tolist(), j.tolist())]
+def dump_bundled_pairs(w: BundleWeightMatrix) -> str:
+    """The flagged ordered pairs as the JSON text [{"i": ..., "j": ...}, ...],
+    lexicographic, byte for byte as `model.write_json` would write it."""
+    flags = np.zeros((w.m, w.m), dtype=bool)
+    for a, b, ways in w.batches():
+        flags[a, b], flags[b, a] = ways != 2, ways != 1
+    i, j = np.nonzero(flags)
+    rows = ",\n".join(map(' {\n  "i": %d,\n  "j": %d\n }'.__mod__, zip(i.tolist(), j.tolist())))
+    return f"[\n{rows}\n]\n" if rows else "[]\n"

@@ -109,9 +109,8 @@ def _cmd_color(args) -> int:
 
     if args.method == "baseline":
         table, result = baseline_colors(layout), None
-        weights = None
-        if args.dump_bundles or args.fans_only:
-            weights = timed({}, "bundling", lambda: build_weight_matrix(layout, params))
+        weights = (timed({}, "bundling", lambda: build_weight_matrix(layout, params))
+                   if args.dump_bundles or args.fans_only else None)
     else:
         cfg = OptimizerConfig(q=args.dims, max_iters=args.max_iters, rel_tol=args.rel_tol,
                               epsilon=args.epsilon)
@@ -119,7 +118,7 @@ def _cmd_color(args) -> int:
         table, result, weights = run.table, run.result, run.weights
 
     if args.dump_bundles:
-        write_json(args.dump_bundles, dump_bundled_pairs(weights))
+        Path(args.dump_bundles).write_text(dump_bundled_pairs(weights))
 
     if args.out_colors:
         write_color_dump(args.out_colors, table, result)

@@ -105,28 +105,6 @@ def _components(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             root = up
 
 
-def _residual_pairs(w: BundleWeightMatrix):
-    """The pairs a < b flagged one way or both, as their ends a and b,
-    whether each is flagged both ways, and whether every pair is flagged.
-
-    The flagged pairs are read in `w.batches()`, so no array holds more
-    than one entry per pair. With every ordered pair flagged, no pair is
-    residual (u = 2), and none is read.
-    """
-    m, pairs = w.m, w.pairs
-    every = 0 < len(pairs) == m * (m - 1)
-    a, b, both = ([np.empty(0, dtype=t)] for t in (np.int64, np.int64, bool))
-    for i, j in () if every else w.batches():
-        rev = j * m + i
-        mutual = pairs[np.minimum(np.searchsorted(pairs, rev), len(pairs) - 1)] == rev
-        once = (i < j) | ~mutual
-        a.append(np.minimum(i, j)[once])
-        b.append(np.maximum(i, j)[once])
-        both.append(mutual[once])
-    a = np.concatenate(a)
-    return a, np.concatenate(b), np.concatenate(both), every or 0 < len(a) == m * (m - 1) // 2
-
-
 def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     """Everything `_smacof_step` needs besides d: (u, blocks, pairs). Of d
     it reads only the residual pairs' entries.
@@ -151,19 +129,24 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     the residual pairs a < b: their ends, residual weights and
     dissimilarities.
     """
-    m = w.m
-    a, b, mutual, every = _residual_pairs(w)
-    r = np.where(mutual, 2.0, 1.0 + epsilon)
-    u = float(r.min(initial=2.0)) if every else 2.0 * epsilon
-    r -= u
-    keep = r > 0
-    a, b, r = a[keep], b[keep], r[keep]
-    del mutual, keep  # a run peaks at the block inverses below
+    m, flagged = w.m, w.bundled_pair_count
+    every = 0 < len(w.pairs) == m * (m - 1) // 2  # each pair flagged one way or both
+    u = (2.0 if flagged == m * (m - 1) else 1.0 + epsilon) if every else 2.0 * epsilon
+    # Weights by ways; residual ones are at most 2 - u, so at u = 2 no pair is read.
+    weight = np.array([2.0 * epsilon, 1.0 + epsilon, 1.0 + epsilon, 2.0])
+    a, b, ways = ([np.empty(0, dtype=t)] for t in (np.int64, np.int64, np.uint8))
+    for batch in w.batches() if u < 2.0 else ():
+        keep = weight[batch[2]] > u
+        for out, x in zip((a, b, ways), batch):
+            out.append(x[keep])
+        del batch, keep  # before the block inverses, where a run peaks
+    a, b, ways = (np.concatenate(x) for x in (a, b, ways))
+    r = weight[ways] - u
     if not u > 0 and not len(r):
         raise ValueError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
     sizes = np.bincount(label)
-    check_budget(m, len(w.pairs), int(sizes.max()))
+    check_budget(m, flagged, int(sizes.max()))
     # d_ab, a <= b, is entry row_start[a] + b of d.
     row_start = np.empty(m, dtype=np.int64)
     for lo, hi, flat in upper_row_blocks(m):
@@ -176,8 +159,7 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     degree = np.bincount(a, r, m) + np.bincount(b, r, m) + u * m
     size = sizes[label]
     order = np.lexsort((label, size))
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
+    rank = np.argsort(order)  # the inverse permutation
     blocks = []
     for c in np.flatnonzero(np.bincount(size)):
         idx = order[size[order] == c].reshape(-1, c)
@@ -439,11 +421,11 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
     if len(y) != w.m:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
-    # both ends of each flagged pair, exact in any order.
-    batches = () if len(w.pairs) == w.m * (w.m - 1) else w.batches()  # all flagged: global min-max
+    # both ends of each flagged pair, exact in any order; none if all are.
+    batches = () if len(w.pairs) == w.m * (w.m - 1) // 2 else w.batches()
     yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
-    for i, j in batches:
+    for i, j, _ in batches:
         alone[i] = alone[j] = False
         for y_d, lo_d, hi_d in zip(yt, lo, hi):
             for a, b in (i, j), (j, i):

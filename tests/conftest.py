@@ -49,12 +49,12 @@ def random_layout(rng, m=None, max_controls=12, span=100.0):
 
 
 def weight_matrix(flags):
-    """The weight matrix flagging the off-diagonal True entries of `flags`."""
+    """The weight matrix flagging the off-diagonal True entries of `flags`,
+    merged as detection's ordered codes i * M + j are."""
     flags = np.array(flags, dtype=bool)
     np.fill_diagonal(flags, False)
-    pairs = np.flatnonzero(flags)
-    fans = np.zeros(0, dtype=bool)
-    return BundleWeightMatrix(m=len(flags), pairs=pairs, fans=fans)
+    return BundleWeightMatrix.from_ordered(len(flags), [np.flatnonzero(flags)],
+                                           np.zeros(0, dtype=bool))
 
 
 def random_instance(rng, m, q):
@@ -137,10 +137,21 @@ def oracle_flags(layout, t, k_min):
     return flags
 
 
+def detect_flags(layout, t, k_min):
+    """The M x M boolean matrix of the ordered pairs that detection flags,
+    read from the codes i * M + j of its batches before any merge."""
+    flags = np.zeros((layout.m, layout.m), dtype=bool)
+    for code, _, _ in _detect(layout.points, layout.offsets, t, k_min):
+        flags.flat[code] = True
+    return flags
+
+
 def dense_flags(w):
     """The M x M boolean matrix of a weight matrix's flagged ordered pairs."""
     flags = np.zeros((w.m, w.m), dtype=bool)
-    flags.flat[w.pairs] = True
+    for a, b, ways in w.batches():
+        flags[a, b] = ways != 2
+        flags[b, a] = ways != 1
     return flags
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     dense_flags,
     dense_weights,
+    detect_flags,
     edges_of,
     make_layout,
     oracle_detect,
@@ -21,6 +23,7 @@ from conftest import (
     random_layout,
     rigid_transform,
     runs_by_pair,
+    weight_matrix,
 )
 
 from peacock import bundling
@@ -40,14 +43,6 @@ def layout_from_points(controls):
     """Edges through the given control points, with their first and last
     control as endpoints."""
     return make_layout((pts[0], pts[-1], pts) for pts in controls)
-
-
-def detect_flags(layout, t, k_min):
-    """Detection flags of every ordered pair."""
-    flags = np.zeros((layout.m, layout.m), dtype=bool)
-    for code, _, _ in _detect(layout.points, layout.offsets, t, k_min):
-        flags.flat[code] = True
-    return flags
 
 
 def partners(controls, t, query):
@@ -228,9 +223,28 @@ class TestWeightMatrix:
         layout = make_crossing_bundles(4, 10, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         arrays = {f.name for f in fields(w) if isinstance(getattr(w, f.name), np.ndarray)}
-        assert arrays == {"pairs", "fans"}
+        assert arrays == {"pairs", "ways", "fans"}
         assert w.bundled_pair_count == layout.m * (layout.m - 1) > len(layout.points)
         assert w.fans.nbytes == len(layout.points)
+
+    @pytest.mark.parametrize("flags", [
+        np.zeros((5, 5), dtype=bool),
+        np.eye(5, k=3, dtype=bool),
+        ~np.eye(5, dtype=bool),
+        np.random.default_rng(12).random((40, 40)) < 0.3,
+    ], ids=["empty", "one-way pair", "all pairs", "30% random"])
+    def test_merge_keeps_each_pair_once_with_its_ways(self, flags):
+        flags = flags & ~np.eye(len(flags), dtype=bool)
+        w = weight_matrix(flags)
+        a, b = np.divmod(w.pairs, w.m)
+        assert (np.diff(w.pairs) > 0).all() and (a < b).all()
+        assert (w.ways == flags[a, b] + 2 * flags[b, a]).all()
+        assert set(w.ways.tolist()) <= {1, 2, 3}
+        assert len(w.pairs) == np.triu(flags | flags.T, 1).sum()
+        assert w.bundled_pair_count == flags.sum()
+        assert (dense_flags(w) == flags).all()
+        want = [{"i": i, "j": j} for i, j in np.argwhere(flags).tolist()]
+        assert json.loads(dump_bundled_pairs(w)) == want
 
     def test_fixture_flags_match_brute_force(self, ordered_fixture):
         w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
@@ -283,22 +297,22 @@ class TestWeightMatrix:
     ], ids=["2-D pairs", "2-D fans", "float fans"])
     def test_refuses_arrays_of_another_kind(self, pairs, fans):
         with pytest.raises(ValueError, match="^pairs must be 1-D codes and fans a 1-D bool mark$"):
-            BundleWeightMatrix(2, pairs, fans)
+            BundleWeightMatrix(2, pairs, np.ones(len(pairs), dtype=np.uint8), fans)
 
     def test_batches_decode_the_pairs_within_the_budget(self, ordered_fixture, monkeypatch):
         w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
         monkeypatch.setattr(bundling, "PAIR_BUDGET", 7)
         batches = list(w.batches())
         assert len(batches) == -(-len(w.pairs) // 7) > 1
-        assert all(len(i) == len(j) <= 7 for i, j in batches)
-        for got, want in zip(np.concatenate(batches, axis=1), np.divmod(w.pairs, w.m)):
-            assert (got == want).all()
+        assert all(len(a) == len(b) == len(ways) <= 7 for a, b, ways in batches)
+        a, b, ways = (np.concatenate(x) for x in zip(*batches))
+        assert (a * w.m + b == w.pairs).all() and (ways == w.ways).all()
 
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)
         layout = random_layout(rng, m=12)
         w = build_weight_matrix(layout, DetectionParams(t_frac=0.2))
-        pairs = [(p["i"], p["j"]) for p in dump_bundled_pairs(w)]
+        pairs = [(p["i"], p["j"]) for p in json.loads(dump_bundled_pairs(w))]
         assert pairs == sorted(pairs)
         assert len(pairs) == w.bundled_pair_count
 
@@ -366,7 +380,7 @@ def check_against_oracle(layout, t, k_min):
     w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
     assert (dense_flags(w) == oracle_flags(layout, t, k_min)).all()
     runs = runs_by_pair(layout, t, k_min)
-    assert list(runs) == [divmod(c, layout.m) for c in w.pairs.tolist()]
+    assert list(runs) == [(p["i"], p["j"]) for p in json.loads(dump_bundled_pairs(w))]
     controls = [c for _, _, c in edges_of(layout)]
     for (i, j), run in runs.items():
         k_ij = required_run_length(len(controls[i]), len(controls[j]), k_min)

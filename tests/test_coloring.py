@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     dense_flags,
     dense_weights,
+    detect_flags,
     edges_of,
     gaussian_start,
     make_layout,
@@ -33,7 +34,7 @@ from conftest import (
 
 import peacock.bundling
 import peacock.coloring
-from peacock.bundling import DetectionParams, build_weight_matrix
+from peacock.bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
 from peacock.coloring import (
     OptimizerConfig,
     colors_to_display,
@@ -269,21 +270,22 @@ class TestPrepare:
     def test_every_pair_flagged_skips_the_pair_list(self, monkeypatch):
         # Crossing bundles flag all 400 * 399 ordered pairs: u = 2 and no
         # pair is residual, so nothing is read per pair. Reading them held
-        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB. Reading
-        # them looks up each pair's reverse with np.searchsorted.
+        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB. Pairs
+        # are read only through w.batches().
         layout = make_crossing_bundles(8, 50).layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
-        assert len(w.pairs) == layout.m * (layout.m - 1)
-        monkeypatch.setattr(np, "searchsorted", None)
-        tracemalloc.start()
-        try:
-            plan = peacock.coloring._prepare(w, d, 0.001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert w.bundled_pair_count == layout.m * (layout.m - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(BundleWeightMatrix, "batches", None)
+            tracemalloc.start()
+            try:
+                plan = peacock.coloring._prepare(w, d, 0.001)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         u, blocks, (a, b, r, d_ab) = plan
-        assert peak <= len(w.pairs)
+        assert peak <= w.bundled_pair_count
         assert u == 2.0 and len(a) == len(b) == len(r) == len(d_ab) == 0
         assert [idx.shape for idx, *_ in blocks] == [(layout.m, 1)]
         want = (dense_weights(w, 0.001) * oracle_dissimilarity(layout) ** 2).sum()
@@ -345,6 +347,27 @@ class TestPrepare:
             assert (weights + weights.T)[off].min() == 1.0 + epsilon
             assert_matches_pinv(y, w, d, epsilon)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.001, 1.0])
+    def test_residual_weights_match_the_detected_flags(self, epsilon):
+        # Reversed last bundles leave pairs flagged one way in either
+        # direction beside the many flagged both ways.
+        layout = make_ordered_bundles(100, 25, reverse_last=True, seed=0).layout
+        params = DetectionParams()
+        flags = detect_flags(layout, params.resolve_t(layout), params.k_min)
+        upper = np.triu(np.ones_like(flags), 1)
+        assert [(upper & f).sum() for f in (flags & ~flags.T, ~flags & flags.T, flags & flags.T)] \
+            == [240, 284, 15003]
+        w = build_weight_matrix(layout, params)
+        d = build_dissimilarity_matrix(layout)
+        _, _, (a, b, r, d_ab) = peacock.coloring._prepare(w, d, epsilon)
+        w_sym = np.where(flags, 1.0, epsilon) + np.where(flags.T, 1.0, epsilon)
+        res = np.where(upper, w_sym - 2.0 * epsilon, 0.0)
+        want_a, want_b = np.nonzero(res > 0)
+        order = np.lexsort((b, a))
+        assert np.array_equal(a[order], want_a) and np.array_equal(b[order], want_b)
+        assert np.array_equal(r[order], res[want_a, want_b])
+        assert np.array_equal(d_ab[order], unpack(d, layout.m)[want_a, want_b])
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.data())
     def test_components_equal_scipy(self, m, data):
@@ -370,7 +393,7 @@ class TestPrepare:
         flags[np.arange(m - 1), np.arange(1, m)] = True
         w = weight_matrix(flags)
         # Everything but the block fits.
-        budget = peacock.bundling.check_budget(m, len(w.pairs), 1)
+        budget = peacock.bundling.check_budget(m, w.bundled_pair_count, 1)
         monkeypatch.setattr(peacock.bundling, "DENSE_BUDGET", budget)
         monkeypatch.setattr(np.linalg, "inv", None)
         with pytest.raises(ValueError, match="M=20 edges, P=19 flagged pairs and a largest "
@@ -704,7 +727,7 @@ class TestOptimize:
         layout = ordered_fixture.layout
         w = build_weight_matrix(layout, DetectionParams())
         dense = unpack(build_dissimilarity_matrix(layout), layout.m)
-        i, j = divmod(int(w.pairs[0]), layout.m)
+        i, j = np.argwhere(dense_flags(w))[0]
         dense[i, j] = dense[j, i] = bad
         d, cfg = pack(dense), OptimizerConfig(epsilon=epsilon)
         step = mock.patch.object(peacock.coloring, "_smacof_step",
