@@ -41,9 +41,9 @@ BYTES_PER_BLOCK_ENTRY = 48
 # other processes.
 DENSE_BUDGET = 4 * 2**30
 
-# Candidate point pairs examined per batch. Batches hold whole edges, so
-# transient memory is bounded by this budget or by one edge's candidates.
-# `BundleWeightMatrix.batches` yields the flagged pairs in batches of the same size.
+# Candidate point pairs examined per detection batch. Batches hold whole
+# edges, so transient memory is bounded by this budget or by one edge's
+# candidates.
 PAIR_BUDGET = 1 << 16
 
 # Bytes of the (M, controls) hit map of one detection batch, unless one
@@ -106,24 +106,26 @@ class DetectionParams:
 class BundleWeightMatrix:
     """Detection outcome, one entry per flagged pair.
 
-    `pairs` holds each pair a < b flagged one way or both once, as the
-    ascending code a * M + b, and `ways` how: 1 if a is bundled against b,
-    2 if b against a, 3 if both. A flagged ordered pair weighs 1 and the
-    others the optimizer's tradeoff weight, so no M x M matrix is kept.
-    `fans[p]` is True where the segment joining controls p and p + 1 of an
-    edge enters or leaves the first qualifying run of one of its flagged pairs.
+    `a` and `b` hold the ends of each pair a < b flagged one way or both
+    once, in ascending (a, b) order, and `ways` how: 1 if a is bundled
+    against b, 2 if b against a, 3 if both. A flagged ordered pair weighs 1
+    and the others the optimizer's tradeoff weight, so no M x M matrix is
+    kept. `fans[p]` is True where the segment joining controls p and p + 1
+    of an edge enters or leaves the first qualifying run of one of its pairs.
     """
 
     m: int
-    pairs: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     ways: np.ndarray
     fans: np.ndarray
 
     def __post_init__(self):
-        if self.pairs.ndim != 1 or self.fans.ndim != 1 or self.fans.dtype != bool:
-            raise ValueError("pairs must be 1-D codes and fans a 1-D bool mark")
-        for a in (self.pairs, self.ways, self.fans):
-            a.setflags(write=False)
+        if (self.a.ndim != 1 or self.b.shape != self.a.shape or self.ways.shape != self.a.shape
+                or self.fans.ndim != 1 or self.fans.dtype != bool):
+            raise ValueError("a, b and ways must be 1-D of one length and fans a 1-D bool mark")
+        for x in (self.a, self.b, self.ways, self.fans):
+            x.setflags(write=False)
 
     @classmethod
     def from_ordered(cls, m: int, codes, fans: np.ndarray) -> BundleWeightMatrix:
@@ -133,18 +135,14 @@ class BundleWeightMatrix:
             mark.ravel()[code] = 1
         mark = np.triu(mark + 2 * mark.T, 1).ravel()  # the ways of each pair a < b
         pairs = np.flatnonzero(mark)
-        return cls(m, pairs, mark[pairs], fans)
+        a, b = np.empty((2, len(pairs)), dtype=np.int32)
+        np.divmod(pairs, m, out=(a, b), casting="unsafe")
+        return cls(m, a, b, mark[pairs], fans)
 
     @property
     def bundled_pair_count(self) -> int:
         """The number of flagged ordered pairs."""
-        return len(self.pairs) + int(np.count_nonzero(self.ways == 3))
-
-    def batches(self):
-        """The flagged pairs in `pairs` order as (a, b, ways) arrays, PAIR_BUDGET at a time."""
-        for lo in range(0, len(self.pairs), PAIR_BUDGET):
-            yield (*np.divmod(self.pairs[lo : lo + PAIR_BUDGET], self.m),
-                   self.ways[lo : lo + PAIR_BUDGET])
+        return len(self.a) + int(np.count_nonzero(self.ways == 3))
 
 
 def required_run_length(c_i, c_j, k_min: float):
@@ -281,8 +279,7 @@ def dump_bundled_pairs(w: BundleWeightMatrix) -> str:
     """The flagged ordered pairs as the JSON text [{"i": ..., "j": ...}, ...],
     lexicographic, byte for byte as `model.write_json` would write it."""
     flags = np.zeros((w.m, w.m), dtype=bool)
-    for a, b, ways in w.batches():
-        flags[a, b], flags[b, a] = ways != 2, ways != 1
+    flags[w.a, w.b], flags[w.b, w.a] = w.ways != 2, w.ways != 1
     i, j = np.nonzero(flags)
     rows = ",\n".join(map(' {\n  "i": %d,\n  "j": %d\n }'.__mod__, zip(i.tolist(), j.tolist())))
     return f"[\n{rows}\n]\n" if rows else "[]\n"

@@ -124,7 +124,7 @@ def _cmd_color(args) -> int:
         write_color_dump(args.out_colors, table, result)
 
     if args.out_svg:
-        fans = weights if args.fans_only else None
+        fans = weights.fans if args.fans_only else None
         with open(args.out_svg, "w") as fh:
             fh.write(render_svg(layout, colors_to_display(table), fans))
 

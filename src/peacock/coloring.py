@@ -40,6 +40,7 @@ close the fit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,11 @@ class OptimizerConfig:
     epsilon: float = 0.001  # the weight of an ordered pair that is not bundled
 
     def __post_init__(self):
+        for name, value in ("q", self.q), ("max_iters", self.max_iters):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.q not in (1, 2, 3):
             raise ValueError(f"q must be 1, 2 or 3, got {self.q}")
         if self.max_iters < 1:
@@ -126,22 +132,19 @@ def _prepare(w: BundleWeightMatrix, d: np.ndarray, epsilon: float):
     `blocks` is a list of (idx, inv), one per component size c: idx (n, c)
     holds, in ascending order, the edges of the n components of that size
     and inv (n, c, c) their inverses. `pairs` is (a, b, r, d_ab), flat over
-    the residual pairs a < b: their ends, residual weights and
-    dissimilarities.
+    the pairs of w whose weight exceeds u: their ends a < b as intp, their
+    residual weights and their dissimilarities.
     """
     m, flagged = w.m, w.bundled_pair_count
-    every = 0 < len(w.pairs) == m * (m - 1) // 2  # each pair flagged one way or both
+    every = 0 < len(w.a) == m * (m - 1) // 2  # each pair flagged one way or both
     u = (2.0 if flagged == m * (m - 1) else 1.0 + epsilon) if every else 2.0 * epsilon
     # Weights by ways; residual ones are at most 2 - u, so at u = 2 no pair is read.
     weight = np.array([2.0 * epsilon, 1.0 + epsilon, 1.0 + epsilon, 2.0])
-    a, b, ways = ([np.empty(0, dtype=t)] for t in (np.int64, np.int64, np.uint8))
-    for batch in w.batches() if u < 2.0 else ():
-        keep = weight[batch[2]] > u
-        for out, x in zip((a, b, ways), batch):
-            out.append(x[keep])
-        del batch, keep  # before the block inverses, where a run peaks
-    a, b, ways = (np.concatenate(x) for x in (a, b, ways))
-    r = weight[ways] - u
+    n = len(w.a) if u < 2.0 else 0
+    keep = (weight > u)[w.ways[:n]]
+    a, b = (e[:n].astype(np.intp)[keep] for e in (w.a, w.b))
+    r = weight[w.ways[:n][keep]] - u
+    del keep  # before the block inverses, where a run peaks
     if not u > 0 and not len(r):
         raise ValueError("all weights are zero; nothing to optimize")
     label = _components(m, a, b)
@@ -422,15 +425,15 @@ def normalize_colors(y: np.ndarray, w: BundleWeightMatrix) -> np.ndarray:
         raise ValueError(f"dimension mismatch: y={len(y)}, w={w.m}")
     # Per dimension (rows of the transposes), a running min and max over
     # both ends of each flagged pair, exact in any order; none if all are.
-    batches = () if len(w.pairs) == w.m * (w.m - 1) // 2 else w.batches()
+    n = len(w.a) if len(w.a) < w.m * (w.m - 1) // 2 else 0
+    i, j = w.a[:n], w.b[:n]
     yt, lo, hi = y.T.copy(), y.T.copy(), y.T.copy()
     alone = np.ones(w.m, dtype=bool)
-    for i, j, _ in batches:
-        alone[i] = alone[j] = False
-        for y_d, lo_d, hi_d in zip(yt, lo, hi):
-            for a, b in (i, j), (j, i):
-                np.minimum.at(lo_d, a, y_d[b])
-                np.maximum.at(hi_d, a, y_d[b])
+    alone[i] = alone[j] = False
+    for y_d, lo_d, hi_d in zip(yt, lo, hi):
+        for a, b in (i, j), (j, i):
+            np.minimum.at(lo_d, a, y_d[b])
+            np.maximum.at(hi_d, a, y_d[b])
     lo, hi = lo.T, hi.T
     lo[alone] = y.min(axis=0)
     hi[alone] = y.max(axis=0)

@@ -2,15 +2,14 @@
 
 Edges are drawn as polylines through their control points (endpoints
 included), each stroked with its assigned color. The fans-only mode
-grays out edge bodies and colors only the segments the weight matrix's
-fan mark holds, where an edge enters or leaves a bundle, plus its endpoints.
+grays out edge bodies and colors only the segments a fan mark holds,
+where an edge enters or leaves a bundle, plus its endpoints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundling import BundleWeightMatrix
 from .model import GraphLayout
 
 _GRAY = (0.7, 0.7, 0.7)
@@ -52,12 +51,12 @@ def _curves(layout: GraphLayout, pts: list[str]) -> list[list[str]]:
     return [[v1[i], *pts[o[i] : o[i + 1]], v2[i]] for i in range(layout.m)]
 
 
-def _fan_elements(layout, pts, colors, fans: BundleWeightMatrix) -> list[str]:
+def _fan_elements(layout, pts, colors, fans: np.ndarray) -> list[str]:
     gray = _hex(_GRAY)
     parts = [_polyline(c, gray, _STROKE_WIDTH, _OPACITY) for c in _curves(layout, pts)]
     # The marked controls in order, edge i's at bounds[i]:bounds[i + 1]; the
     # segment marked at control p joins controls p and p + 1.
-    marked = np.flatnonzero(fans.fans)
+    marked = np.flatnonzero(fans)
     bounds = np.searchsorted(marked, layout.offsets).tolist()
     marked = marked.tolist()
     radius = _fmt(_STROKE_WIDTH * 1.5)
@@ -70,18 +69,18 @@ def _fan_elements(layout, pts, colors, fans: BundleWeightMatrix) -> list[str]:
     return parts
 
 
-def render_svg(layout: GraphLayout, colors, fans: BundleWeightMatrix | None = None) -> str:
+def render_svg(layout: GraphLayout, colors, fans: np.ndarray | None = None) -> str:
     """Deterministic SVG document; one path per edge in id order.
 
-    With `fans`, the weight matrix whose per-control fan mark says where
-    edges enter or leave a bundle, edge bodies are gray and only those
+    With `fans`, a per-control bool mark of where edges enter or leave a
+    bundle (`BundleWeightMatrix.fans`), edge bodies are gray and only those
     segments are colored, plus the endpoints.
     """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (layout.m, 3):
         raise ValueError(f"expected {layout.m} RGB triples, got shape {colors.shape}")
-    if fans is not None and len(fans.fans) != len(layout.points):
-        raise ValueError(f"fans has {len(fans.fans)} marks for {len(layout.points)} controls")
+    if fans is not None and len(fans) != len(layout.points):
+        raise ValueError(f"fans has {len(fans)} marks for {len(layout.points)} controls")
 
     min_x, min_y, max_x, max_y = layout.extent
     w, h = max_x - min_x, max_y - min_y

@@ -149,9 +149,8 @@ def detect_flags(layout, t, k_min):
 def dense_flags(w):
     """The M x M boolean matrix of a weight matrix's flagged ordered pairs."""
     flags = np.zeros((w.m, w.m), dtype=bool)
-    for a, b, ways in w.batches():
-        flags[a, b] = ways != 2
-        flags[b, a] = ways != 1
+    flags[w.a, w.b] = w.ways != 2
+    flags[w.b, w.a] = w.ways != 1
     return flags
 
 

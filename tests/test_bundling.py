@@ -159,7 +159,7 @@ class TestSpatialGrid:
         layout = layout_from_points([[(0.0, 0.0)], [(x, 4.0)]])
         w = build_weight_matrix(layout, DetectionParams(t_abs=5.0, t_frac=None, k_min=1.0))
         assert (dense_flags(w) == oracle_flags(layout, 5.0, 1.0)).all()
-        assert not len(w.pairs)
+        assert not len(w.a) and not len(w.b)
 
     def test_one_edge_batch_wraps_into_next_partner_row(self, monkeypatch):
         # Edge 0 alone fills its batch, and every control of it is near
@@ -223,7 +223,7 @@ class TestWeightMatrix:
         layout = make_crossing_bundles(4, 10, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         arrays = {f.name for f in fields(w) if isinstance(getattr(w, f.name), np.ndarray)}
-        assert arrays == {"pairs", "ways", "fans"}
+        assert arrays == {"a", "b", "ways", "fans"}
         assert w.bundled_pair_count == layout.m * (layout.m - 1) > len(layout.points)
         assert w.fans.nbytes == len(layout.points)
 
@@ -236,11 +236,14 @@ class TestWeightMatrix:
     def test_merge_keeps_each_pair_once_with_its_ways(self, flags):
         flags = flags & ~np.eye(len(flags), dtype=bool)
         w = weight_matrix(flags)
-        a, b = np.divmod(w.pairs, w.m)
-        assert (np.diff(w.pairs) > 0).all() and (a < b).all()
+        a, b = w.a, w.b
+        assert a.dtype == b.dtype == np.int32
+        assert not any(x.flags.writeable for x in (a, b, w.ways, w.fans))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert pairs == sorted(set(pairs)) and (a < b).all()
         assert (w.ways == flags[a, b] + 2 * flags[b, a]).all()
         assert set(w.ways.tolist()) <= {1, 2, 3}
-        assert len(w.pairs) == np.triu(flags | flags.T, 1).sum()
+        assert len(pairs) == np.triu(flags | flags.T, 1).sum()
         assert w.bundled_pair_count == flags.sum()
         assert (dense_flags(w) == flags).all()
         want = [{"i": i, "j": j} for i, j in np.argwhere(flags).tolist()]
@@ -290,23 +293,16 @@ class TestWeightMatrix:
         layout = layout_from_points([[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]] * 2)
         assert detect_flags(layout, t=0.1, k_min=1.0).all(where=~np.eye(2, dtype=bool))
 
-    @pytest.mark.parametrize("pairs, fans", [
-        (np.zeros((1, 1), dtype=np.int64), np.zeros(2, dtype=bool)),
-        (np.zeros(1, dtype=np.int64), np.zeros((2, 1), dtype=bool)),
-        (np.zeros(1, dtype=np.int64), np.zeros(2)),
-    ], ids=["2-D pairs", "2-D fans", "float fans"])
-    def test_refuses_arrays_of_another_kind(self, pairs, fans):
-        with pytest.raises(ValueError, match="^pairs must be 1-D codes and fans a 1-D bool mark$"):
-            BundleWeightMatrix(2, pairs, np.ones(len(pairs), dtype=np.uint8), fans)
-
-    def test_batches_decode_the_pairs_within_the_budget(self, ordered_fixture, monkeypatch):
-        w = build_weight_matrix(ordered_fixture.layout, DetectionParams())
-        monkeypatch.setattr(bundling, "PAIR_BUDGET", 7)
-        batches = list(w.batches())
-        assert len(batches) == -(-len(w.pairs) // 7) > 1
-        assert all(len(a) == len(b) == len(ways) <= 7 for a, b, ways in batches)
-        a, b, ways = (np.concatenate(x) for x in zip(*batches))
-        assert (a * w.m + b == w.pairs).all() and (ways == w.ways).all()
+    @pytest.mark.parametrize("a, b, fans", [
+        (np.zeros((1, 1), dtype=np.int32), np.ones((1, 1), dtype=np.int32), np.zeros(2, dtype=bool)),
+        (np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.int32), np.zeros((2, 1), dtype=bool)),
+        (np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.int32), np.zeros(2)),
+        (np.zeros(1, dtype=np.int32), np.ones(2, dtype=np.int32), np.zeros(2, dtype=bool)),
+    ], ids=["2-D pairs", "2-D fans", "float fans", "unequal lengths"])
+    def test_refuses_arrays_of_another_kind(self, a, b, fans):
+        message = "^a, b and ways must be 1-D of one length and fans a 1-D bool mark$"
+        with pytest.raises(ValueError, match=message):
+            BundleWeightMatrix(2, a, b, np.ones(len(a), dtype=np.uint8), fans)
 
     def test_dump_sorted(self):
         rng = np.random.default_rng(10)
@@ -470,7 +466,7 @@ class TestFansOnlySvg:
         layout, t, k_min = case
         w = build_weight_matrix(layout, DetectionParams(t_abs=t, t_frac=None, k_min=k_min))
         rgb = [(i / layout.m, 0.5, 1 - i / layout.m) for i in range(layout.m)]
-        elements = list(ET.fromstring(render_svg(layout, rgb, w)))
+        elements = list(ET.fromstring(render_svg(layout, rgb, w.fans)))
         assert [e.tag for e in elements[: layout.m]] == [SVG + "path"] * layout.m
         rest = elements[layout.m :]
         flags = oracle_flags(layout, t, k_min)

@@ -34,7 +34,7 @@ from conftest import (
 
 import peacock.bundling
 import peacock.coloring
-from peacock.bundling import BundleWeightMatrix, DetectionParams, build_weight_matrix
+from peacock.bundling import DetectionParams, build_weight_matrix
 from peacock.coloring import (
     OptimizerConfig,
     colors_to_display,
@@ -267,23 +267,20 @@ class TestPrepare:
         assert [idx.shape for idx, *_ in blocks] == [(12, 1)]
         assert_matches_pinv(y, w, d, epsilon)
 
-    def test_every_pair_flagged_skips_the_pair_list(self, monkeypatch):
+    def test_every_pair_flagged_skips_the_pair_list(self):
         # Crossing bundles flag all 400 * 399 ordered pairs: u = 2 and no
         # pair is residual, so nothing is read per pair. Reading them held
-        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB. Pairs
-        # are read only through w.batches().
+        # 3.2 MB, about 20 bytes a pair; the plan itself takes 39 kB.
         layout = make_crossing_bundles(8, 50).layout
         w = build_weight_matrix(layout, DetectionParams())
         d = build_dissimilarity_matrix(layout)
         assert w.bundled_pair_count == layout.m * (layout.m - 1)
-        with monkeypatch.context() as patch:
-            patch.setattr(BundleWeightMatrix, "batches", None)
-            tracemalloc.start()
-            try:
-                plan = peacock.coloring._prepare(w, d, 0.001)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            plan = peacock.coloring._prepare(w, d, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         u, blocks, (a, b, r, d_ab) = plan
         assert peak <= w.bundled_pair_count
         assert u == 2.0 and len(a) == len(b) == len(r) == len(d_ab) == 0
@@ -739,6 +736,8 @@ class TestOptimize:
         assert spy.call_count == 0
 
     @pytest.mark.parametrize("field, value, message", [
+        ("q", 2.0, r"^q must be an integer, got 2\.0$"),
+        ("max_iters", 2.5, r"^max_iters must be an integer, got 2\.5$"),
         ("max_iters", 0, "^max_iters must be >= 1$"),
         ("rel_tol", 0.0, "^rel_tol must be > 0$"),
         ("rel_tol", math.nan, "^rel_tol must be > 0$"),
@@ -746,6 +745,11 @@ class TestOptimize:
     def test_config_refuses_out_of_range(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             OptimizerConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self, ordered_fixture):
+        cfg = OptimizerConfig(q=np.int64(3), max_iters=np.int32(2))
+        y = initial_embedding(ordered_fixture.layout, cfg)
+        assert y.shape == (ordered_fixture.layout.m, 3)
 
     def test_fixture_monotone_colors(self, ordered_fixture):
         from peacock.bundling import DetectionParams, build_weight_matrix

@@ -76,13 +76,15 @@ def test_diagnostics_bundled_pairs(ordered_fixture):
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_pair_batches_leave_outputs_unchanged(ordered_fixture, monkeypatch, q):
-    # Set-up, normalization and the bundle dump read the flagged pairs in
-    # batches; batches of 7 pairs split them at many places.
+    # Detection examines candidate point pairs in batches of whole edges; a
+    # budget of 7 candidates puts each edge in a batch of its own.
     layout, params, cfg = ordered_fixture.layout, DetectionParams(), OptimizerConfig(q=q)
     want = run_peacock(layout, params, cfg)
     monkeypatch.setattr(peacock.bundling, "PAIR_BUDGET", 7)
     got = run_peacock(layout, params, cfg)
-    assert len(got.weights.pairs) > 7
+    batches = peacock.bundling._detect(layout.points, layout.offsets, params.resolve_t(layout),
+                                       params.k_min)
+    assert len(list(batches)) == layout.m
     assert (got.result.embedding == want.result.embedding).all()
     assert (got.table == want.table).all()
     assert dump_bundled_pairs(got.weights) == dump_bundled_pairs(want.weights)

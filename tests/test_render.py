@@ -103,7 +103,7 @@ class TestRenderSvg:
         layout = ordered_fixture.layout
         params = DetectionParams()
         w = build_weight_matrix(layout, params)
-        svg = render_svg(layout, np.tile([1.0, 0.0, 0.0], (layout.m, 1)), fans=w)
+        svg = render_svg(layout, np.tile([1.0, 0.0, 0.0], (layout.m, 1)), fans=w.fans)
         root = ET.fromstring(svg)
         # gray bodies plus colored endpoint circles
         assert 'stroke="#b2b2b2"' in svg
@@ -119,7 +119,7 @@ class TestRenderSvg:
     def test_fans_only_golden_snapshot(self):
         layout = make_crossing_bundles(3, 5, seed=1).layout
         run = run_peacock(layout, DetectionParams(), OptimizerConfig())
-        svg = render_svg(layout, colors_to_display(run.table), fans=run.weights)
+        svg = render_svg(layout, colors_to_display(run.table), fans=run.weights.fans)
         golden = DATA / "crossing_fans_golden.svg"
         assert svg == golden.read_text()
 
@@ -129,10 +129,10 @@ class TestRenderSvg:
         layout = make_crossing_bundles(8, 50, seed=0).layout
         w = build_weight_matrix(layout, DetectionParams())
         rgb = np.full((layout.m, 3), 0.5)
-        render_svg(layout, rgb, w)  # leaves out first-call allocations
+        render_svg(layout, rgb, w.fans)  # leaves out first-call allocations
         tracemalloc.start()
         try:
-            render_svg(layout, rgb, w)
+            render_svg(layout, rgb, w.fans)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -143,7 +143,7 @@ class TestRenderSvg:
         other = make_layout([line_edge(range(5), 0.0), line_edge(range(5), 0.2)])
         w = build_weight_matrix(other, DetectionParams())
         with pytest.raises(ValueError) as err:
-            render_svg(layout, np.zeros((layout.m, 3)), fans=w)
+            render_svg(layout, np.zeros((layout.m, 3)), fans=w.fans)
         assert str(err.value) == f"fans has 10 marks for {len(layout.points)} controls"
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (6,)])
